@@ -262,7 +262,8 @@ def cmd_census(args) -> int:
         checkpoint_path=args.checkpoint,
         rows_path=args.rows,
     )
-    payload = report.to_json()
+    # One dict per row: built only when the JSON envelope is printed.
+    payload = report.to_json() if args.format == "json" else None
     envelope = _envelope(
         "census",
         {
@@ -280,7 +281,7 @@ def cmd_census(args) -> int:
         f"conjectural survivors: {report.equality_window_vectors}",
     ]
     lines.extend(f"note: {n}" for n in report.notes)
-    csv_rows = [
+    csv_rows = (
         [
             ",".join(str(c) for c in r.vector),
             "" if r.first_failure is None else r.first_failure,
@@ -288,7 +289,7 @@ def cmd_census(args) -> int:
             r.proof,
         ]
         for r in report.rows
-    ]
+    )
     _emit(args, envelope, lines, (hunt.CENSUS_CSV_HEADER, csv_rows))
     return EXIT_OK
 
@@ -383,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("census", cmd_census, "exhaustive first-failure census at length L")
     p.add_argument("--L", dest="length", type=int, required=True)
     p.add_argument("--deep-horizon", dest="deep_horizon", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted and echoed; the census runs in-process"
+    )
     p.add_argument("--deep", action="store_true", help="allow L >= 5")
     p.add_argument("--checkpoint", default=None, help="shard checkpoint file")
     p.add_argument("--rows", default=None, help="incremental rows CSV (with --checkpoint)")

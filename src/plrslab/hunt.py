@@ -7,19 +7,28 @@ term i + 1 <= L + 1, which never exceeds the conjectured window, so capped
 vectors cannot hide a late first failure.  The open conjecture under test
 says no generator first fails after term max(2L - 1, 2).
 
-Work is sharded over contiguous blocks of the lexicographic enumeration;
-results merge by a pure max/concatenate reduce, so reports are identical
-for any worker count.  A plain-text checkpoint (one completed shard id per
-line) plus the incrementally written rows file make long runs resumable.
+The census never scans most vectors term by term.  For j <= L the term
+H_{j+1} depends only on c_1..c_j and grows with c_j, so Brown's gap B_{j+1}
+shrinks as c_j grows.  A depth-first search over coefficient prefixes
+computes one new term per node; once B_{j+1} < 0, that value of c_j and
+every larger one first fail at term j + 1, whatever follows, and their rows
+are emitted without a scan.  Only the prefixes that reach length L with
+no negative gap are classified in full.
+
+Work is split into contiguous shards of the lexicographic enumeration and
+run in-process; rows concatenate in enumeration order and the report is a
+pure max/merge over them.  A plain-text checkpoint (one completed shard id
+per line) plus the incrementally written rows file make long runs
+resumable.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
@@ -53,8 +62,8 @@ def enumeration_size(length: int) -> int:
 
 def enumerate_vectors(length: int) -> Iterator[CoefficientVector]:
     """All capped vectors of the given length, in lexicographic order."""
-    for idx in range(enumeration_size(length)):
-        yield vector_at(length, idx)
+    for coeffs in itertools.product(*coefficient_ranges(length)):
+        yield CoefficientVector(coeffs)
 
 
 def vector_at(length: int, index: int) -> CoefficientVector:
@@ -77,7 +86,10 @@ def vector_at(length: int, index: int) -> CoefficientVector:
 def index_of(vector: CoefficientVector | tuple[int, ...]) -> int:
     """Inverse of vector_at for vectors inside the capped enumeration."""
     coeffs = tuple(vector) if not isinstance(vector, CoefficientVector) else vector.coefficients
-    ranges = coefficient_ranges(len(coeffs))
+    return _rank(coeffs, coefficient_ranges(len(coeffs)))
+
+
+def _rank(coeffs: tuple[int, ...], ranges: list[range]) -> int:
     idx = 0
     for pos, (c, r) in enumerate(zip(coeffs, ranges)):
         if c not in r:
@@ -90,7 +102,7 @@ def index_of(vector: CoefficientVector | tuple[int, ...]) -> int:
 # Census
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusRow:
     vector: tuple[int, ...]
     first_failure: Optional[int]
@@ -174,11 +186,72 @@ def _row_for(cv: CoefficientVector, cfg: AnalysisConfig) -> CensusRow:
     return CensusRow(cv.coefficients, v.first_failure_index, v.status.value, proof)
 
 
-def _census_block(args: tuple[int, int, int, int]) -> tuple[int, list[CensusRow]]:
-    length, deep_horizon, start, stop = args
+def _failed_rows(
+    rows: list[CensusRow],
+    ranges: list[range],
+    sizes: list[int],
+    prefix: tuple[int, ...],
+    first: int,
+    start: int,
+    stop: int,
+    failure: int,
+) -> None:
+    """Append an incomplete row, first failing at `failure`, for every
+    completion of `prefix` whose enumeration index lies in [start, stop).
+
+    `first` is the index of the prefix's first completion, and sizes[j] is
+    the number of completions of a prefix of length j.
+    """
+    j = len(prefix)
+    if start <= first and first + sizes[j] <= stop:
+        for suffix in itertools.product(*ranges[j:]):
+            rows.append(CensusRow(prefix + suffix, failure, "incomplete", ""))
+        return
+    width = sizes[j + 1]
+    lo = max(0, (start - first) // width)
+    hi = min(len(ranges[j]), -(-(stop - first) // width))
+    for q in range(lo, hi):
+        _failed_rows(
+            rows, ranges, sizes, prefix + (ranges[j][q],), first + q * width, start, stop, failure
+        )
+
+
+def _census_block(length: int, deep_horizon: int, start: int, stop: int) -> list[CensusRow]:
+    """Rows for enumeration indices [start, stop), by prefix-pruned search.
+
+    Equal, row for row, to classifying each vector_at(length, i) in turn.
+    """
+    ranges = coefficient_ranges(length)
+    sizes = [1] * (length + 1)
+    for j in range(length - 1, -1, -1):
+        sizes[j] = sizes[j + 1] * len(ranges[j])
     cfg = AnalysisConfig(horizon=deep_horizon)
-    rows = [_row_for(vector_at(length, idx), cfg) for idx in range(start, stop)]
-    return start, rows
+    rows: list[CensusRow] = []
+
+    def walk(prefix: tuple[int, ...], first: int, terms: list[int], total: int) -> None:
+        # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0.
+        j = len(prefix)
+        if j == length:
+            rows.append(_row_for(CoefficientVector(prefix), cfg))
+            return
+        # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff c_{j+1} <= limit.
+        base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
+        limit = 1 + total - base
+        r = ranges[j]
+        width = sizes[j + 1]
+        lo = max(0, (start - first) // width)
+        hi = min(len(r), -(-(stop - first) // width))
+        cut = min(max(lo, limit + 1 - r.start), hi)
+        for q in range(lo, cut):
+            term = base + r[q]
+            walk(prefix + (r[q],), first + q * width, terms + [term], total + term)
+        if cut < hi:
+            _failed_rows(
+                rows, ranges, sizes, prefix, first, max(start, first + cut * width), stop, j + 2
+            )
+
+    walk((), 0, [1], 1)
+    return rows
 
 
 def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
@@ -258,13 +331,15 @@ def first_failure_census(
     checkpoint_path: Optional[str | Path] = None,
     rows_path: Optional[str | Path] = None,
 ) -> CensusReport:
-    """Scan every capped vector of the given length to deep_horizon.
+    """Report the first failure of every capped vector of the given length.
 
-    deep_horizon defaults to 4L and may not be set lower.  Raises
+    Vectors that survive the prefix search are classified with a scan to
+    deep_horizon, which defaults to 4L and may not be set lower.  Raises
     ConjectureViolation if any first failure lands past max(2L - 1, 2);
     that is a discovery to report, not an internal error.  With
     checkpoint_path (and rows_path) set, completed shards are skipped on
-    rerun and their rows reloaded from the rows file.
+    rerun and their rows reloaded from the rows file.  Shards run
+    in-process; jobs is accepted for compatibility and has no effect.
     """
     if deep_horizon is None:
         deep_horizon = 4 * length
@@ -289,9 +364,14 @@ def first_failure_census(
             raise ValueError("rows_path is required when checkpointing")
         if ckpt.exists():
             done_ids = {int(line) for line in ckpt.read_text().split() if line.strip()}
+        parsed = 0
         if rows_file.exists():
+            ranges = coefficient_ranges(length)
             for row in parse_census_csv(rows_file.read_text()):
-                saved_rows.setdefault(index_of(row.vector) // shard_size, []).append(row)
+                if len(row.vector) != length:
+                    raise ValueError(f"row {list(row.vector)} does not have length {length}")
+                saved_rows.setdefault(_rank(row.vector, ranges) // shard_size, []).append(row)
+                parsed += 1
         # Sanity: every checkpointed shard must be fully present (shard_size
         # must match the interrupted run); drop rows of unfinished shards.
         for shard_id in sorted(done_ids):
@@ -304,8 +384,8 @@ def first_failure_census(
                     f"checkpointed shard {shard_id} has {got} rows, expected {stop - start}"
                 )
         saved_rows = {s: saved_rows[s] for s in done_ids}
-        if rows_file.exists():
-            kept = [r for s in sorted(done_ids) for r in saved_rows[s]]
+        kept = [r for s in sorted(done_ids) for r in saved_rows[s]]
+        if len(kept) != parsed:
             rows_file.write_text(census_rows_to_csv(kept))
 
     pending = [sh for sh in shards if sh[0] not in done_ids]
@@ -322,17 +402,10 @@ def first_failure_census(
             with ckpt.open("a") as fh:
                 fh.write(f"{shard_id}\n")
 
-    if jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(length, deep_horizon, start, stop) for _, start, stop in pending]
-            for (shard_id, _, _), (_, rows) in zip(pending, pool.map(_census_block, args)):
-                record(shard_id, rows)
-                log.debug("census L=%d shard %d done (%d rows)", length, shard_id, len(rows))
-    else:
-        for shard_id, start, stop in pending:
-            _, rows = _census_block((length, deep_horizon, start, stop))
-            record(shard_id, rows)
-            log.debug("census L=%d shard %d done (%d rows)", length, shard_id, len(rows))
+    for shard_id, start, stop in pending:
+        rows = _census_block(length, deep_horizon, start, stop)
+        record(shard_id, rows)
+        log.debug("census L=%d shard %d done (%d rows)", length, shard_id, len(rows))
 
     ordered: list[CensusRow] = []
     for shard_id in range(shard_count):

@@ -1,15 +1,22 @@
+import os
+from collections import Counter
+
 import pytest
 
 from plrslab import (
+    AnalysisConfig,
     ConjectureViolation,
     add_front_ones_scan,
     check_fail_at_2l_minus_1,
     enumerate_vectors,
     first_failure_census,
+    hunt,
 )
 from plrslab.hunt import (
     CensusRow,
     _aggregate,
+    _census_block,
+    _row_for,
     census_rows_to_csv,
     enumeration_size,
     index_of,
@@ -39,6 +46,9 @@ class TestEnumeration:
         for L in (1, 2, 3, 4):
             for idx in range(0, enumeration_size(L), 7):
                 assert index_of(vector_at(L, idx)) == idx
+            assert list(enumerate_vectors(L)) == [
+                vector_at(L, i) for i in range(enumeration_size(L))
+            ]
 
     def test_unrank_bounds(self):
         with pytest.raises(IndexError):
@@ -75,6 +85,7 @@ class TestCensus:
             assert report.max_first_failure <= max(2 * L - 1, 2)
 
     def test_deterministic_across_workers(self, census_reports):
+        assert first_failure_census(3, jobs=2) == census_reports[3]
         parallel = first_failure_census(3, jobs=2, shard_size=16)
         assert parallel == census_reports[3]
 
@@ -98,6 +109,54 @@ class TestCensus:
             _aggregate(2, rows, 8)
         assert exc.value.vector == (1, 4)
         assert exc.value.first_failure == 9
+
+
+@pytest.fixture(scope="module")
+def brute_force_rows():
+    """Census rows for L = 1..5 by classifying every vector in turn."""
+    rows = {}
+    for L in range(1, 6):
+        cfg = AnalysisConfig(horizon=4 * L)
+        rows[L] = [_row_for(vector_at(L, i), cfg) for i in range(enumeration_size(L))]
+    return rows
+
+
+class TestPrunedCensus:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shard_size", [1, 7, 16, 256, None])
+    def test_block_matches_brute_force(self, brute_force_rows, L, shard_size):
+        expected = brute_force_rows[L]
+        total = len(expected)
+        size = shard_size or total
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            assert _census_block(L, 4 * L, start, stop) == expected[start:stop]
+
+    def test_empty_block(self):
+        assert _census_block(3, 12, 5, 5) == []
+
+    def test_only_survivors_are_classified(self, monkeypatch):
+        leaves = []
+
+        def counting_row_for(cv, cfg):
+            row = _row_for(cv, cfg)
+            leaves.append(row)
+            return row
+
+        monkeypatch.setattr(hunt, "_row_for", counting_row_for)
+        report = first_failure_census(5)
+        assert report.vectors_scanned == 48_960
+        assert len(leaves) == 107
+        assert Counter(r.proof or r.verdict for r in leaves) == {
+            "weak_window": 27,
+            "merge_last": 26,
+            "incomplete": 18,
+            "conjecturally_complete": 17,
+            "family_single_one": 8,
+            "family_double_one": 6,
+            "family_g_ones": 3,
+            "all_positive": 2,
+        }
 
 
 class TestCensusCheckpoint:
@@ -135,6 +194,30 @@ class TestCensusCheckpoint:
         )
         assert resumed == fresh
         assert len(parse_census_csv(rows.read_text())) == 80
+
+    def test_finished_resume_leaves_rows_file_alone(self, tmp_path, census_reports):
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        first_failure_census(3, shard_size=16, checkpoint_path=ckpt, rows_path=rows)
+        before = rows.read_bytes()
+        os.utime(rows, ns=(0, 0))
+
+        resumed = first_failure_census(
+            3, shard_size=16, checkpoint_path=ckpt, rows_path=rows
+        )
+        assert resumed == census_reports[3]
+        assert rows.read_bytes() == before
+        assert rows.stat().st_mtime_ns == 0
+
+    @pytest.mark.parametrize("vector", ["1,0,9", "1,1", "1,0,4,1"])
+    def test_foreign_row_rejected(self, tmp_path, vector):
+        # one row outside the L = 3 enumeration: out of the cap or of length
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        ckpt.write_text("")
+        rows.write_text(f'vector,first_failure,verdict,proof_tag\n"{vector}",3,incomplete,\n')
+        with pytest.raises(ValueError):
+            first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
 
     def test_checkpoint_requires_rows_file(self, tmp_path):
         with pytest.raises(ValueError):
