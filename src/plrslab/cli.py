@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from typing import Iterable, Optional
 
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .seqcore import CoefficientVector, terms_prefix
 from .verdicts import (
+    BITMAP_BUDGET_BITS,
     AnalysisConfig,
     VerdictStatus,
     brown_scan,
@@ -95,6 +97,21 @@ def _parse_span(text: str) -> list[int]:
     return [int(text)]
 
 
+def _check_prefix_size(cv: CoefficientVector, n: int) -> None:
+    """Refuse n terms whose size could pass the bitmap memory budget.
+
+    With s = sum(c_i), H_k <= (s + 1)^L * s^k, so the n terms take at most
+    about n^2 / 2 * log2(s) + n * L * log2(s + 1) bits.
+    """
+    s = sum(cv)
+    bits = n * (n + 1) / 2 * math.log2(s) + n * (len(cv) * math.log2(s + 1) + 1)
+    if bits > BITMAP_BUDGET_BITS:
+        raise CapExceededError(
+            f"{n} terms of {list(cv)} may need {bits:.3g} bits, "
+            f"over the {BITMAP_BUDGET_BITS}-bit budget"
+        )
+
+
 # --------------------------------------------------------------------------
 # Commands
 
@@ -103,6 +120,7 @@ def cmd_gen(args) -> int:
     cv = CoefficientVector.parse(args.vector)
     if args.count < 1:
         raise OutOfRangeError("--count must be >= 1")
+    _check_prefix_size(cv, args.count)
     terms = terms_prefix(cv, args.count)
     envelope = _envelope(
         "gen",
@@ -117,8 +135,9 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     cv = CoefficientVector.parse(args.vector)
     cfg = AnalysisConfig(horizon=args.horizon, oracle_cap=args.oracle_cap)
-    verdict = classify(cv, cfg)
     horizon = cfg.effective_horizon(len(cv))
+    _check_prefix_size(cv, horizon)
+    verdict = classify(cv, cfg)
     gaps = brown_scan(cv, horizon).gaps
     payload = verdict_to_json(cv, verdict, gaps)
     payload["witness_verified"] = None
@@ -288,7 +307,7 @@ def cmd_census(args) -> int:
             r.verdict,
             r.proof,
         ]
-        for r in report.rows
+        for r in report.rows()
     )
     _emit(args, envelope, lines, (hunt.CENSUS_CSV_HEADER, csv_rows))
     return EXIT_OK

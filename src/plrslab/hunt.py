@@ -10,16 +10,21 @@ says no generator first fails after term max(2L - 1, 2).
 The census never scans most vectors term by term.  For j <= L the term
 H_{j+1} depends only on c_1..c_j and grows with c_j, so Brown's gap B_{j+1}
 shrinks as c_j grows.  A depth-first search over coefficient prefixes
-computes one new term per node; once B_{j+1} < 0, that value of c_j and
-every larger one first fail at term j + 1, whatever follows, and their rows
-are emitted without a scan.  Only the prefixes that reach length L with
-no negative gap are classified in full.
+computes one new term per node; once B_{j+1} < 0, that prefix first fails at
+term j + 1 whatever follows, and so does the prefix with any larger c_j.
+Only the prefixes that reach length L with no negative gap are classified.
 
-Work is split into contiguous shards of the lexicographic enumeration and
-run in-process; rows concatenate in enumeration order and the report is a
-pure max/merge over them.  A plain-text checkpoint (one completed shard id
-per line) plus the incrementally written rows file make long runs
-resumable.
+The census is a list of prefix records.  A record is a CensusRow whose
+vector is a prefix p of length <= L; it stands for every completion of p,
+all of which share its first failure, verdict and proof.  The search yields
+one record per failing prefix and one per classified vector, in
+lexicographic order; CensusReport.rows() expands them to one row per vector
+only for output that lists every vector.
+
+Work is split into shards, one per top-level prefix (c_1, c_2), run
+in-process.  A checkpoint, whose first line names L and the deep horizon,
+lists the finished shards and the rows file holds their records, so a long
+run resumes where it stopped; a torn last line in either file is dropped.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector, Sequence
@@ -40,8 +45,6 @@ from . import families
 from .families import empirical_max_n
 
 log = logging.getLogger(__name__)
-
-DEFAULT_SHARD_SIZE = 256
 
 
 def coefficient_ranges(length: int) -> list[range]:
@@ -57,7 +60,7 @@ def coefficient_ranges(length: int) -> list[range]:
 
 
 def enumeration_size(length: int) -> int:
-    return math.prod(len(r) for r in coefficient_ranges(length))
+    return _completion_counts(length)[0]
 
 
 def enumerate_vectors(length: int) -> Iterator[CoefficientVector]:
@@ -66,36 +69,10 @@ def enumerate_vectors(length: int) -> Iterator[CoefficientVector]:
         yield CoefficientVector(coeffs)
 
 
-def vector_at(length: int, index: int) -> CoefficientVector:
-    """Mixed-radix decode of an enumeration index (0-based, lexicographic)."""
+def _completion_counts(length: int) -> list[int]:
+    """counts[j] is the number of completions of a prefix of length j."""
     ranges = coefficient_ranges(length)
-    sizes = [len(r) for r in ranges]
-    total = math.prod(sizes)
-    if not 0 <= index < total:
-        raise IndexError(f"index {index} outside [0, {total})")
-    coeffs = []
-    rem = index
-    stride = total
-    for pos in range(length):
-        stride //= sizes[pos]
-        q, rem = divmod(rem, stride)
-        coeffs.append(ranges[pos][q])
-    return CoefficientVector(tuple(coeffs))
-
-
-def index_of(vector: CoefficientVector | tuple[int, ...]) -> int:
-    """Inverse of vector_at for vectors inside the capped enumeration."""
-    coeffs = tuple(vector) if not isinstance(vector, CoefficientVector) else vector.coefficients
-    return _rank(coeffs, coefficient_ranges(len(coeffs)))
-
-
-def _rank(coeffs: tuple[int, ...], ranges: list[range]) -> int:
-    idx = 0
-    for pos, (c, r) in enumerate(zip(coeffs, ranges)):
-        if c not in r:
-            raise ValueError(f"coefficient {c} at position {pos + 1} outside the cap")
-        idx = idx * len(r) + (c - r.start)
-    return idx
+    return [math.prod(len(r) for r in ranges[j:]) for j in range(length + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -104,10 +81,23 @@ def _rank(coeffs: tuple[int, ...], ranges: list[range]) -> int:
 
 @dataclass(frozen=True, slots=True)
 class CensusRow:
+    """A prefix record: every completion of `vector` shares the other fields.
+
+    At full length the record is the row of that one vector.
+    """
+
     vector: tuple[int, ...]
     first_failure: Optional[int]
     verdict: str
     proof: str
+
+
+def _expand(length: int, records: Iterable[CensusRow]) -> Iterator[CensusRow]:
+    """One row per completion of each record, in record order."""
+    ranges = coefficient_ranges(length)
+    for rec in records:
+        for suffix in itertools.product(*ranges[len(rec.vector):]):
+            yield CensusRow(rec.vector + suffix, rec.first_failure, rec.verdict, rec.proof)
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,11 @@ class CensusReport:
     equality_window_vectors: int
     deep_horizon: int
     notes: tuple[str, ...]
-    rows: tuple[CensusRow, ...]
+    records: tuple[CensusRow, ...]
+
+    def rows(self) -> Iterator[CensusRow]:
+        """One row per vector, in lexicographic order."""
+        return _expand(self.length, self.records)
 
     def to_json(self) -> dict:
         return {
@@ -137,7 +131,7 @@ class CensusReport:
                     "verdict": r.verdict,
                     "proof_tag": r.proof,
                 }
-                for r in self.rows
+                for r in self.rows()
             ],
         }
 
@@ -186,72 +180,40 @@ def _row_for(cv: CoefficientVector, cfg: AnalysisConfig) -> CensusRow:
     return CensusRow(cv.coefficients, v.first_failure_index, v.status.value, proof)
 
 
-def _failed_rows(
-    rows: list[CensusRow],
-    ranges: list[range],
-    sizes: list[int],
-    prefix: tuple[int, ...],
-    first: int,
-    start: int,
-    stop: int,
-    failure: int,
-) -> None:
-    """Append an incomplete row, first failing at `failure`, for every
-    completion of `prefix` whose enumeration index lies in [start, stop).
+def _shards(length: int) -> list[tuple[int, ...]]:
+    """The top-level prefixes (c_1, c_2), or (c_1,) at L = 1, in order."""
+    return list(itertools.product(*coefficient_ranges(length)[:2]))
 
-    `first` is the index of the prefix's first completion, and sizes[j] is
-    the number of completions of a prefix of length j.
+
+def _shard_records(length: int, deep_horizon: int, shard: tuple[int, ...]) -> list[CensusRow]:
+    """Records covering every completion of `shard`, by prefix-pruned search.
+
+    Expanded, they equal classifying each of those vectors in turn.
     """
-    j = len(prefix)
-    if start <= first and first + sizes[j] <= stop:
-        for suffix in itertools.product(*ranges[j:]):
-            rows.append(CensusRow(prefix + suffix, failure, "incomplete", ""))
-        return
-    width = sizes[j + 1]
-    lo = max(0, (start - first) // width)
-    hi = min(len(ranges[j]), -(-(stop - first) // width))
-    for q in range(lo, hi):
-        _failed_rows(
-            rows, ranges, sizes, prefix + (ranges[j][q],), first + q * width, start, stop, failure
-        )
-
-
-def _census_block(length: int, deep_horizon: int, start: int, stop: int) -> list[CensusRow]:
-    """Rows for enumeration indices [start, stop), by prefix-pruned search.
-
-    Equal, row for row, to classifying each vector_at(length, i) in turn.
-    """
-    ranges = coefficient_ranges(length)
-    sizes = [1] * (length + 1)
-    for j in range(length - 1, -1, -1):
-        sizes[j] = sizes[j + 1] * len(ranges[j])
+    ranges = [range(c, c + 1) for c in shard] + coefficient_ranges(length)[len(shard):]
     cfg = AnalysisConfig(horizon=deep_horizon)
-    rows: list[CensusRow] = []
+    records: list[CensusRow] = []
 
-    def walk(prefix: tuple[int, ...], first: int, terms: list[int], total: int) -> None:
+    def walk(prefix: tuple[int, ...], terms: list[int], total: int) -> None:
         # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0.
         j = len(prefix)
         if j == length:
-            rows.append(_row_for(CoefficientVector(prefix), cfg))
+            records.append(_row_for(CoefficientVector(prefix), cfg))
             return
-        # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff c_{j+1} <= limit.
+        # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff H_{j+2} <= 1 + total.
         base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
-        limit = 1 + total - base
-        r = ranges[j]
-        width = sizes[j + 1]
-        lo = max(0, (start - first) // width)
-        hi = min(len(r), -(-(stop - first) // width))
-        cut = min(max(lo, limit + 1 - r.start), hi)
-        for q in range(lo, cut):
-            term = base + r[q]
-            walk(prefix + (r[q],), first + q * width, terms + [term], total + term)
-        if cut < hi:
-            _failed_rows(
-                rows, ranges, sizes, prefix, first, max(start, first + cut * width), stop, j + 2
-            )
+        for c in ranges[j]:
+            term = base + c
+            if term <= 1 + total:
+                walk(prefix + (c,), terms + [term], total + term)
+            else:
+                # A record never spans shards: a prefix that fails above the
+                # shard's depth is recorded as the shard itself.
+                failed = prefix + (c,) if j >= len(shard) else shard
+                records.append(CensusRow(failed, j + 2, "incomplete", ""))
 
-    walk((), 0, [1], 1)
-    return rows
+    walk((), [1], 1)
+    return records
 
 
 def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
@@ -277,30 +239,35 @@ def _supplemental_vectors(length: int) -> list[CoefficientVector]:
 
 
 def _aggregate(
-    length: int, rows: list[CensusRow], deep_horizon: int
+    length: int, records: list[CensusRow], deep_horizon: int
 ) -> CensusReport:
     window = max(2 * length - 1, 2)
+    counts = _completion_counts(length)
     max_ff = 0
-    extremal: list[tuple[int, ...]] = []
+    extremal: list[CensusRow] = []
+    scanned = 0
     survivors = 0
-    for row in rows:
-        if row.first_failure is not None:
-            if row.first_failure > window:
+    for rec in records:
+        covered = counts[len(rec.vector)]
+        scanned += covered
+        if rec.first_failure is not None:
+            if rec.first_failure > window:
                 log.error(
                     "conjecture violation: %s first fails at %d (window %d)",
-                    list(row.vector),
-                    row.first_failure,
+                    list(rec.vector),
+                    rec.first_failure,
                     window,
                 )
-                raise ConjectureViolation(row.vector, row.first_failure)
-            if row.first_failure > max_ff:
-                max_ff = row.first_failure
-                extremal = [row.vector]
-            elif row.first_failure == max_ff:
-                extremal.append(row.vector)
-        elif row.verdict == "conjecturally_complete":
-            survivors += 1
-    for vec in extremal:
+                raise ConjectureViolation(rec.vector, rec.first_failure)
+            if rec.first_failure > max_ff:
+                max_ff = rec.first_failure
+                extremal = [rec]
+            elif rec.first_failure == max_ff:
+                extremal.append(rec)
+        elif rec.verdict == "conjecturally_complete":
+            survivors += covered
+    extremal_vectors = tuple(row.vector for row in _expand(length, extremal))
+    for vec in extremal_vectors:
         _reverify_first_failure(vec, max_ff)
     notes: tuple[str, ...] = ()
     if length == 1:
@@ -313,13 +280,78 @@ def _aggregate(
     return CensusReport(
         length=length,
         max_first_failure=max_ff,
-        extremal_vectors=tuple(extremal),
-        vectors_scanned=len(rows),
+        extremal_vectors=extremal_vectors,
+        vectors_scanned=scanned,
         equality_window_vectors=survivors,
         deep_horizon=deep_horizon,
         notes=notes,
-        rows=tuple(rows),
+        records=tuple(records),
     )
+
+
+def _read_whole_lines(path: Path) -> tuple[str, str]:
+    """The file's text, and that text without a torn last line.
+
+    A crash mid-append can tear only the line after the last newline.
+    """
+    text = path.read_text() if path.exists() else ""
+    return text, text[: text.rfind("\n") + 1]
+
+
+def _load_checkpoint(
+    length: int, deep_horizon: int, ckpt: Path, rows_file: Path
+) -> dict[tuple[int, ...], list[CensusRow]]:
+    """Records of the shards an earlier run finished, by shard.
+
+    Drops torn last lines and the records of unfinished shards, rewriting a
+    file only when that changes it.  Rejects a checkpoint of another census,
+    a record outside the enumeration or misstating its prefix's failure,
+    and a finished shard whose records do not cover it.
+    """
+    header = f"census L={length} deep_horizon={deep_horizon}"
+    text, whole = _read_whole_lines(ckpt)
+    lines = whole.splitlines() or [header]
+    if lines[0] != header:
+        raise ValueError(f"checkpoint {ckpt} is for {lines[0]!r}, but this run is {header!r}")
+    if whole != text or not whole:
+        ckpt.write_text("".join(line + "\n" for line in lines))
+    shards = _shards(length)
+    done: dict[tuple[int, ...], list[CensusRow]] = {}
+    for line in lines[1:]:
+        shard = tuple(int(c) for c in line.split(","))
+        if shard not in shards:
+            raise ValueError(f"checkpointed shard {line!r} lies outside this enumeration")
+        done[shard] = []
+
+    text, whole = _read_whole_lines(rows_file)
+    records = parse_census_csv(whole) if whole else []
+    ranges = coefficient_ranges(length)
+    depth = len(shards[0])
+    for rec in records:
+        vec = rec.vector
+        if not depth <= len(vec) <= length or any(c not in r for c, r in zip(vec, ranges)):
+            raise ValueError(f"record {list(vec)} lies outside the L = {length} enumeration")
+        if len(vec) < length:
+            # Every completion shares B_1..B_{len(vec)+1}: check them on the first.
+            first = vec + tuple(r.start for r in ranges[len(vec):])
+            gaps = Sequence(CoefficientVector(first)).gaps(len(vec) + 1)
+            fails = next((n for n, gap in enumerate(gaps, 1) if gap < 0), None)
+            if (rec.verdict, rec.first_failure) != ("incomplete", fails):
+                raise ValueError(f"record {list(vec)} does not fail where it says")
+        if vec[:depth] in done:
+            done[vec[:depth]].append(rec)
+    counts = _completion_counts(length)
+    for shard, recs in done.items():
+        covered = sum(counts[len(r.vector)] for r in recs)
+        if covered != counts[depth]:
+            raise ValueError(
+                f"checkpointed shard {list(shard)} has records for {covered} "
+                f"of its {counts[depth]} vectors"
+            )
+    kept = [r for shard in shards if shard in done for r in done[shard]]
+    if whole != text or not whole or len(kept) != len(records):
+        rows_file.write_text(census_rows_to_csv(kept))
+    return done
 
 
 def first_failure_census(
@@ -327,7 +359,6 @@ def first_failure_census(
     deep_horizon: Optional[int] = None,
     *,
     jobs: int = 1,
-    shard_size: int = DEFAULT_SHARD_SIZE,
     checkpoint_path: Optional[str | Path] = None,
     rows_path: Optional[str | Path] = None,
 ) -> CensusReport:
@@ -337,83 +368,40 @@ def first_failure_census(
     deep_horizon, which defaults to 4L and may not be set lower.  Raises
     ConjectureViolation if any first failure lands past max(2L - 1, 2);
     that is a discovery to report, not an internal error.  With
-    checkpoint_path (and rows_path) set, completed shards are skipped on
-    rerun and their rows reloaded from the rows file.  Shards run
+    checkpoint_path (and rows_path) set, finished shards are skipped on
+    rerun and their records reloaded from the rows file.  Shards run
     in-process; jobs is accepted for compatibility and has no effect.
     """
     if deep_horizon is None:
         deep_horizon = 4 * length
     if deep_horizon < 4 * length:
         raise ValueError(f"deep_horizon must be >= 4L = {4 * length}")
-    if shard_size < 1:
-        raise ValueError("shard_size must be >= 1")
 
-    total = enumeration_size(length)
-    shard_count = -(-total // shard_size)
-    shards = [
-        (s, min(s * shard_size, total), min((s + 1) * shard_size, total))
-        for s in range(shard_count)
-    ]
-
-    done_ids: set[int] = set()
-    saved_rows: dict[int, list[CensusRow]] = {}
     ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
     rows_file = Path(rows_path) if rows_path is not None else None
+    done: dict[tuple[int, ...], list[CensusRow]] = {}
     if ckpt is not None:
         if rows_file is None:
             raise ValueError("rows_path is required when checkpointing")
-        if ckpt.exists():
-            done_ids = {int(line) for line in ckpt.read_text().split() if line.strip()}
-        parsed = 0
-        if rows_file.exists():
-            ranges = coefficient_ranges(length)
-            for row in parse_census_csv(rows_file.read_text()):
-                if len(row.vector) != length:
-                    raise ValueError(f"row {list(row.vector)} does not have length {length}")
-                saved_rows.setdefault(_rank(row.vector, ranges) // shard_size, []).append(row)
-                parsed += 1
-        # Sanity: every checkpointed shard must be fully present (shard_size
-        # must match the interrupted run); drop rows of unfinished shards.
-        for shard_id in sorted(done_ids):
-            if shard_id >= shard_count:
-                raise ValueError(f"checkpointed shard {shard_id} outside this enumeration")
-            _, start, stop = shards[shard_id]
-            got = len(saved_rows.get(shard_id, []))
-            if got != stop - start:
-                raise ValueError(
-                    f"checkpointed shard {shard_id} has {got} rows, expected {stop - start}"
-                )
-        saved_rows = {s: saved_rows[s] for s in done_ids}
-        kept = [r for s in sorted(done_ids) for r in saved_rows[s]]
-        if len(kept) != parsed:
-            rows_file.write_text(census_rows_to_csv(kept))
+        done = _load_checkpoint(length, deep_horizon, ckpt, rows_file)
 
-    pending = [sh for sh in shards if sh[0] not in done_ids]
-    results: dict[int, list[CensusRow]] = {s: saved_rows[s] for s in done_ids}
-
-    def record(shard_id: int, rows: list[CensusRow]) -> None:
-        results[shard_id] = rows
+    records: list[CensusRow] = []
+    for shard in _shards(length):
+        if shard in done:
+            records.extend(done[shard])
+            continue
+        found = _shard_records(length, deep_horizon, shard)
         if ckpt is not None:
-            assert rows_file is not None
-            new_file = not rows_file.exists()
             with rows_file.open("a") as fh:
-                text = census_rows_to_csv(rows)
-                fh.write(text if new_file else text.split("\n", 1)[1])
+                fh.write(census_rows_to_csv(found).split("\n", 1)[1])
             with ckpt.open("a") as fh:
-                fh.write(f"{shard_id}\n")
+                fh.write(",".join(str(c) for c in shard) + "\n")
+        records.extend(found)
+        log.debug("census L=%d shard %s done (%d records)", length, list(shard), len(found))
 
-    for shard_id, start, stop in pending:
-        rows = _census_block(length, deep_horizon, start, stop)
-        record(shard_id, rows)
-        log.debug("census L=%d shard %d done (%d rows)", length, shard_id, len(rows))
-
-    ordered: list[CensusRow] = []
-    for shard_id in range(shard_count):
-        ordered.extend(results[shard_id])
     cfg = AnalysisConfig(horizon=deep_horizon)
-    for cv in _supplemental_vectors(length):
-        ordered.append(_row_for(cv, cfg))
-    return _aggregate(length, ordered, deep_horizon)
+    records.extend(_row_for(cv, cfg) for cv in _supplemental_vectors(length))
+    return _aggregate(length, records, deep_horizon)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from plrslab import first_failure_census
@@ -21,6 +23,6 @@ def classified_rows(census_reports):
     buckets = {"incomplete": [], "complete": [], "conjecturally_complete": []}
     for L, report in census_reports.items():
         size = {1: 2, 2: 8, 3: 80, 4: 1440}[L]
-        for row in report.rows[:size]:
+        for row in itertools.islice(report.rows(), size):
             buckets[row.verdict].append(row)
     return buckets

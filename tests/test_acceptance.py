@@ -136,7 +136,7 @@ def test_criterion_07_first_failure_census(census_reports):
         window = max(2 * length - 1, 2)
         assert report.max_first_failure <= window
         assert report.max_first_failure == expected_max[length]
-        for row in report.rows:
+        for row in report.rows():
             if row.first_failure is not None:
                 assert row.first_failure <= window, row
     assert (1, 0, 4) in census_reports[3].extremal_vectors

@@ -1,5 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import plrslab
+from plrslab import cli
 from plrslab.cli import main
 from plrslab.families import parse_figure_csv
 from plrslab.hunt import parse_census_csv
@@ -9,6 +18,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("an oversized request reached the computation")
 
 
 class TestGen:
@@ -41,6 +54,13 @@ class TestGen:
         assert out == ""
         assert "positive" in err
 
+    def test_oversized_count_exit_five(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "terms_prefix", _no_work)
+        code, out, err = run(capsys, "gen", "1,1", "--count", str(10**9))
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+
 
 class TestAnalyze:
     def test_complete_exit_zero(self, capsys):
@@ -68,6 +88,14 @@ class TestAnalyze:
         assert payload["witness"] == 4
         assert payload["witness_verified"] is True
         assert payload["gaps"][0] == 0
+
+    def test_oversized_horizon_exit_five(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "classify", _no_work)
+        monkeypatch.setattr(cli, "brown_scan", _no_work)
+        code, out, err = run(capsys, "analyze", "1,1", "--horizon", str(10**9))
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "analyze", "1,0,4", "--format", "json")
@@ -148,7 +176,41 @@ class TestMaxn:
         assert code == 2
 
 
+# sha256 prefixes of census stdout at --jobs 1 and --jobs 2 (the JSON
+# inputs echo --jobs), from the per-vector census these must keep matching.
+CENSUS_STDOUT = {
+    "--L 1 --format json": ("799dafa3bb6341bc", "3201cbde8556154e"),
+    "--L 2 --format json": ("7626c0511b976ad8", "1f409b2dc76f9c55"),
+    "--L 3 --format json": ("7dfb027359c74062", "9291d5877a5d85c1"),
+    "--L 4 --format json": ("82809382cecad09a", "3a623de601cd5f87"),
+    "--L 5 --deep --format json": ("98bdbbf941e33ca2", "a0d903105e7d1ade"),
+    "--L 4 --format csv": ("845013ea6a5d6130", "845013ea6a5d6130"),
+    "--L 5 --deep": ("33073dfa6e118802", "33073dfa6e118802"),
+}
+
+
 class TestCensus:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command", list(CENSUS_STDOUT))
+    def test_stdout_pinned(self, capsys, tmp_path, command, jobs):
+        digest = CENSUS_STDOUT[command][jobs - 1]
+        argv = ["census", *command.split(), "--jobs", str(jobs)]
+        files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
+        # plain, writing a checkpoint, then resuming the finished one
+        for extra in ([], files, files):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_resume_with_other_parameters_exit_2(self, capsys, tmp_path):
+        files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
+        assert run(capsys, "census", "--L", "3", *files)[0] == 0
+        for other in (["--L", "3", "--deep-horizon", "20"], ["--L", "4"]):
+            code, out, err = run(capsys, "census", *other, *files)
+            assert code == 2
+            assert out == ""
+            assert "census L=3 deep_horizon=12" in err
+
     def test_text_summary(self, capsys):
         code, out, _ = run(capsys, "census", "--L", "3")
         assert code == 0
@@ -197,3 +259,16 @@ def test_results_only_on_stdout(capsys):
     code, out, err = run(capsys, "analyze", "1,3", "--format", "json")
     assert json.loads(out)  # stdout is pure JSON
     assert err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(plrslab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plrslab", "gen", "1,3", "--count", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "1 2 5 11\n"

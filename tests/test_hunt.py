@@ -15,13 +15,13 @@ from plrslab import (
 from plrslab.hunt import (
     CensusRow,
     _aggregate,
-    _census_block,
+    _expand,
     _row_for,
+    _shard_records,
+    _shards,
     census_rows_to_csv,
     enumeration_size,
-    index_of,
     parse_census_csv,
-    vector_at,
 )
 
 
@@ -41,18 +41,6 @@ class TestEnumeration:
             assert 1 <= vec[0] <= 2
             assert 0 <= vec[1] <= 4
             assert 1 <= vec[2] <= 8
-
-    def test_rank_unrank_roundtrip(self):
-        for L in (1, 2, 3, 4):
-            for idx in range(0, enumeration_size(L), 7):
-                assert index_of(vector_at(L, idx)) == idx
-            assert list(enumerate_vectors(L)) == [
-                vector_at(L, i) for i in range(enumeration_size(L))
-            ]
-
-    def test_unrank_bounds(self):
-        with pytest.raises(IndexError):
-            vector_at(2, 8)
 
 
 class TestCensus:
@@ -80,22 +68,28 @@ class TestCensus:
         assert report.max_first_failure == 7
         assert (1, 1, 0, 4) in report.extremal_vectors
 
+    def test_length_six(self):
+        report = first_failure_census(6)
+        assert report.vectors_scanned == 3_231_360
+        assert len(report.records) == 7_567
+        assert report.max_first_failure == 11
+        assert report.extremal_vectors == ((1, 0, 2, 2, 2, 4), (1, 1, 1, 1, 0, 4))
+        assert report.equality_window_vectors == 102
+
     def test_window_respected(self, census_reports):
         for L, report in census_reports.items():
             assert report.max_first_failure <= max(2 * L - 1, 2)
 
     def test_deterministic_across_workers(self, census_reports):
         assert first_failure_census(3, jobs=2) == census_reports[3]
-        parallel = first_failure_census(3, jobs=2, shard_size=16)
-        assert parallel == census_reports[3]
 
     def test_deep_horizon_validation(self):
         with pytest.raises(ValueError):
             first_failure_census(3, 11)
 
     def test_rows_csv_roundtrip(self, census_reports):
-        rows = list(census_reports[3].rows)
-        assert parse_census_csv(census_rows_to_csv(rows)) == rows
+        for rows in (list(census_reports[3].rows()), list(census_reports[4].records)):
+            assert parse_census_csv(census_rows_to_csv(rows)) == rows
 
     def test_json_shape(self, census_reports):
         payload = census_reports[3].to_json()
@@ -117,23 +111,31 @@ def brute_force_rows():
     rows = {}
     for L in range(1, 6):
         cfg = AnalysisConfig(horizon=4 * L)
-        rows[L] = [_row_for(vector_at(L, i), cfg) for i in range(enumeration_size(L))]
+        rows[L] = [_row_for(cv, cfg) for cv in enumerate_vectors(L)]
     return rows
 
 
 class TestPrunedCensus:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("shard_size", [1, 7, 16, 256, None])
-    def test_block_matches_brute_force(self, brute_force_rows, L, shard_size):
+    def test_records_match_brute_force(self, brute_force_rows, L):
         expected = brute_force_rows[L]
-        total = len(expected)
-        size = shard_size or total
-        for start in range(0, total, size):
-            stop = min(start + size, total)
-            assert _census_block(L, 4 * L, start, stop) == expected[start:stop]
+        report = first_failure_census(L)
+        rows = list(report.rows())
+        assert len(rows) == report.vectors_scanned == len(expected) + (L == 1)
+        assert rows[: len(expected)] == expected
 
-    def test_empty_block(self):
-        assert _census_block(3, 12, 5, 5) == []
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("first", [1, 2, None])
+    def test_block_matches_brute_force(self, brute_force_rows, L, first):
+        # one block per shard, over the shards whose c_1 is `first` (all when None)
+        shards = [s for s in _shards(L) if first in (None, s[0])]
+        records = []
+        for shard in shards:
+            block = _shard_records(L, 4 * L, shard)
+            assert block and all(r.vector[: len(shard)] == shard for r in block)
+            records += block
+        expected = [r for r in brute_force_rows[L] if first in (None, r.vector[0])]
+        assert list(_expand(L, records)) == expected
 
     def test_only_survivors_are_classified(self, monkeypatch):
         leaves = []
@@ -146,6 +148,7 @@ class TestPrunedCensus:
         monkeypatch.setattr(hunt, "_row_for", counting_row_for)
         report = first_failure_census(5)
         assert report.vectors_scanned == 48_960
+        assert len(report.records) == 804
         assert len(leaves) == 107
         assert Counter(r.proof or r.verdict for r in leaves) == {
             "weak_window": 27,
@@ -159,6 +162,11 @@ class TestPrunedCensus:
         }
 
 
+def _shard_text(report, shards) -> str:
+    """The rows file of a run that finished the given shards."""
+    return census_rows_to_csv([r for r in report.records if r.vector[:2] in shards])
+
+
 class TestCensusCheckpoint:
     def test_resume_matches_fresh_run(self, tmp_path, census_reports):
         fresh = census_reports[3]
@@ -166,52 +174,81 @@ class TestCensusCheckpoint:
         rows = tmp_path / "census.rows.csv"
 
         # simulate an interrupted run: persist only the first two shards
-        partial = first_failure_census(3, shard_size=16)
-        shard_rows = [partial.rows[0:16], partial.rows[16:32]]
-        rows.write_text(census_rows_to_csv([r for block in shard_rows for r in block]))
-        ckpt.write_text("0\n1\n")
+        rows.write_text(_shard_text(fresh, {(1, 0), (1, 1)}))
+        ckpt.write_text("census L=3 deep_horizon=12\n1,0\n1,1\n")
 
-        resumed = first_failure_census(
-            3, shard_size=16, checkpoint_path=ckpt, rows_path=rows
-        )
+        resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
         assert resumed == fresh
-        # every shard is now checkpointed and the rows file holds all rows
-        assert {int(x) for x in ckpt.read_text().split()} == set(range(5))
-        assert len(parse_census_csv(rows.read_text())) == 80
+        # every shard is now checkpointed and the rows file holds all records
+        lines = ckpt.read_text().splitlines()
+        assert lines[0] == "census L=3 deep_horizon=12"
+        assert lines[1:] == [f"{a},{b}" for a in (1, 2) for b in range(5)]
+        assert parse_census_csv(rows.read_text()) == list(fresh.records)
 
     def test_resume_discards_uncheckpointed_rows(self, tmp_path, census_reports):
-        # rows persisted for a shard whose checkpoint line never landed are
-        # recomputed, not double-counted
+        # records persisted for a shard whose checkpoint line never landed
+        # are recomputed, not double-counted
         fresh = census_reports[3]
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        partial = first_failure_census(3, shard_size=16)
-        rows.write_text(census_rows_to_csv(list(partial.rows[0:48])))  # shards 0-2
-        ckpt.write_text("0\n1\n")  # shard 2 finished writing rows but not the id
+        rows.write_text(_shard_text(fresh, {(1, 0), (1, 1), (1, 2)}))
+        ckpt.write_text("census L=3 deep_horizon=12\n1,0\n1,1\n")
 
-        resumed = first_failure_census(
-            3, shard_size=16, checkpoint_path=ckpt, rows_path=rows
-        )
+        resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
         assert resumed == fresh
-        assert len(parse_census_csv(rows.read_text())) == 80
+        assert parse_census_csv(rows.read_text()) == list(fresh.records)
+
+    def test_torn_rows_tail_recomputed(self, tmp_path, census_reports):
+        # A crash while shard (1, 1) was being written: the rows file ends
+        # anywhere inside its records and the checkpoint lists only (1, 0).
+        fresh = census_reports[3]
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        before = _shard_text(fresh, {(1, 0)})
+        full = _shard_text(fresh, {(1, 0), (1, 1)})
+        assert full.startswith(before)
+        for cut in range(len(before), len(full)):
+            # still checkpointed, the shard's records do not cover it
+            rows.write_text(full[:cut])
+            ckpt.write_text("census L=3 deep_horizon=12\n1,0\n1,1\n")
+            with pytest.raises(ValueError, match="has records for"):
+                first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+
+            ckpt.write_text("census L=3 deep_horizon=12\n1,0\n")
+            resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            assert resumed == fresh, cut
+            assert parse_census_csv(rows.read_text()) == list(fresh.records)
+
+    def test_torn_checkpoint_tail_recomputed(self, tmp_path, census_reports):
+        # A crash while appending the checkpoint line of shard (1, 1).
+        fresh = census_reports[3]
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        text = "census L=3 deep_horizon=12\n1,0\n1,1\n"
+        for cut in range(len(text) - 4, len(text)):
+            rows.write_text(_shard_text(fresh, {(1, 0), (1, 1)}))
+            ckpt.write_text(text[:cut])
+            resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            assert resumed == fresh
+            lines = ckpt.read_text().splitlines()
+            assert lines[1:] == [f"{a},{b}" for a in (1, 2) for b in range(5)]
 
     def test_finished_resume_leaves_rows_file_alone(self, tmp_path, census_reports):
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        first_failure_census(3, shard_size=16, checkpoint_path=ckpt, rows_path=rows)
+        first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
         before = rows.read_bytes()
         os.utime(rows, ns=(0, 0))
 
-        resumed = first_failure_census(
-            3, shard_size=16, checkpoint_path=ckpt, rows_path=rows
-        )
+        resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
         assert resumed == census_reports[3]
         assert rows.read_bytes() == before
         assert rows.stat().st_mtime_ns == 0
 
-    @pytest.mark.parametrize("vector", ["1,0,9", "1,1", "1,0,4,1"])
+    @pytest.mark.parametrize("vector", ["1,0,9", "1,5", "1,1", "2,0", "1", "1,0,4,1"])
     def test_foreign_row_rejected(self, tmp_path, vector):
-        # one row outside the L = 3 enumeration: out of the cap or of length
+        # one record no L = 3 census writes: out of the cap, a prefix that
+        # does not first fail at term 3, shorter than a shard or too long
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
         ckpt.write_text("")
