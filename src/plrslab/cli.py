@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict, astuple
 from typing import Iterable, Optional
 
 from . import __version__, families, hunt, zeck
@@ -128,7 +129,8 @@ def cmd_gen(args) -> int:
         {"terms": terms},
     )
     csv_table = (["n", "term"], [[i + 1, t] for i, t in enumerate(terms)])
-    _emit(args, envelope, [" ".join(str(t) for t in terms)], csv_table)
+    text = [" ".join(str(t) for t in terms)] if args.format == "text" else []
+    _emit(args, envelope, text, csv_table)
     return EXIT_OK
 
 
@@ -158,7 +160,8 @@ def cmd_analyze(args) -> int:
             lines.append(f"witness verified: {payload['witness_verified']}")
     if verdict.is_conjectural:
         lines.append(f"scanned horizon: {verdict.horizon}")
-    lines.append("gaps: " + " ".join(str(g) for g in gaps))
+    if args.format == "text":
+        lines.append("gaps: " + " ".join(str(g) for g in gaps))
     envelope = _envelope(
         "analyze",
         {"vector": list(cv), "horizon": args.horizon, "oracle_cap": args.oracle_cap},
@@ -317,16 +320,7 @@ def cmd_figure(args) -> int:
     rows = families.figure1_table(
         _parse_span(args.k_range), _parse_span(args.g_range), jobs=args.jobs
     )
-    payload = [
-        {
-            "k": r.k,
-            "g": r.g,
-            "empirical_max_n": r.empirical_max_n,
-            "closed_form_max_n": r.closed_form_max_n,
-            "provenance": r.provenance,
-        }
-        for r in rows
-    ]
+    payload = [asdict(r) for r in rows]
     envelope = _envelope(
         "figure",
         {"k_range": args.k_range, "g_range": args.g_range},
@@ -338,16 +332,7 @@ def cmd_figure(args) -> int:
         f"({r.provenance})"
         for r in rows
     ]
-    csv_rows = [
-        [
-            r.k,
-            r.g,
-            r.empirical_max_n,
-            "" if r.closed_form_max_n is None else r.closed_form_max_n,
-            r.provenance,
-        ]
-        for r in rows
-    ]
+    csv_rows = [astuple(r) for r in rows]  # csv writes None as ""
     _emit(args, envelope, lines, (families.FIGURE_CSV_HEADER, csv_rows))
     return EXIT_OK
 
@@ -413,12 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("figure", cmd_figure, "empirical vs closed-form table over (k, g)")
     p.add_argument("--k-range", dest="k_range", required=True, help="e.g. 1:4 or 2")
     p.add_argument("--g-range", dest="g_range", required=True, help="e.g. 1:8 or 3")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the cells")
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # Terms, gaps and witnesses print in full, however many digits they have:
+    # lift the int/str conversion limit (Python >= 3.10.7) for the call.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(

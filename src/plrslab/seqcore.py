@@ -7,7 +7,8 @@ c_L >= 1 and every entry nonnegative.  It defines the integer sequence
     H_{n+1} = c_1 H_n + c_2 H_{n-1} + ... + c_n H_1 + 1     (1 <= n < L)
     H_{n+1} = c_1 H_n + c_2 H_{n-1} + ... + c_L H_{n+1-L}   (n >= L)
 
-Terms are plain Python ints, so they stay exact at any size.  The n-th
+Terms are plain Python ints, so they stay exact at any size, and each costs
+O(runs of equal nonzero coefficients), not O(L) (see Sequence).  The n-th
 Brown gap
 
     B_n = 1 + (H_1 + ... + H_{n-1}) - H_n
@@ -95,30 +96,43 @@ def validate_coefficients(raw: Iterable[int]) -> CoefficientVector:
 class Sequence:
     """Lazily extended memo of terms and prefix sums for one generator.
 
+    With S_k = H_1 + ... + H_k and the maximal runs c_{start+1} = ... =
+    c_stop = v != 0, H_{m+1} = [m < L] + sum over runs with start < m of
+    v (S_{m-start} - S_{max(m-stop, 0)}): two runs for [1 x g, 0 x k, N].
+
     Single writer: extension happens on demand inside the instance, so a
     Sequence must not be shared across concurrently writing tasks.  Parallel
     workloads should create one instance per task (fully materialized
     prefixes, being plain lists of ints, are safe to hand around).
     """
 
-    __slots__ = ("generator", "_terms", "_sums")
+    __slots__ = ("generator", "_runs", "_terms", "_sums")
 
     def __init__(self, generator: CoefficientVector) -> None:
         self.generator = generator
+        c = generator.coefficients
+        # (start, stop, v): c[start:stop] is a maximal run of v != 0.
+        cuts = [0, *(i for i in range(1, len(c)) if c[i] != c[i - 1]), len(c)]
+        self._runs = tuple((a, b, c[a]) for a, b in zip(cuts, cuts[1:]) if c[a])
         self._terms: list[int] = [1]
         self._sums: list[int] = [0, 1]  # _sums[k] = H_1 + ... + H_k
 
     def _extend_to(self, n: int) -> None:
-        c = self.generator.coefficients
-        L = len(c)
+        L = len(self.generator.coefficients)
+        runs = self._runs
         terms = self._terms
         sums = self._sums
-        while len(terms) < n:
-            m = len(terms)  # H_1..H_m known, computing H_{m+1}
+        for m in range(len(terms), n):  # H_1..H_m known, computing H_{m+1}
             if m < L:
-                val = sum(c[i] * terms[m - 1 - i] for i in range(m)) + 1
+                val = 1
+                for start, stop, v in runs:
+                    if start >= m:
+                        break
+                    val += v * (sums[m - start] - (sums[m - stop] if m > stop else 0))
             else:
-                val = sum(c[i] * terms[m - 1 - i] for i in range(L))
+                val = 0
+                for start, stop, v in runs:
+                    val += v * (sums[m - start] - sums[m - stop])
             terms.append(val)
             sums.append(sums[-1] + val)
 

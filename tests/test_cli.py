@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,23 @@ def run(capsys, *argv):
 
 def _no_work(*args, **kwargs):
     raise AssertionError("an oversized request reached the computation")
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the int/str conversion limit of this process, where it has one."""
+    limit = _digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestGen:
@@ -60,6 +79,16 @@ class TestGen:
         assert code == 5
         assert out == ""
         assert "budget" in err
+
+    def test_terms_past_the_digit_limit(self, capsys):
+        limit = _digit_limit()
+        code, out, err = run(capsys, "gen", "2", "--count", "20000")
+        assert (code, err) == (0, "")
+        assert _digit_limit() == limit  # restored on return
+        last = out.rsplit(" ", 1)[1].strip()
+        assert len(last) > 4300
+        with _no_digit_limit():
+            assert int(last) == 2**19999
 
 
 class TestAnalyze:
@@ -101,6 +130,14 @@ class TestAnalyze:
         _, first, _ = run(capsys, "analyze", "1,0,4", "--format", "json")
         _, second, _ = run(capsys, "analyze", "1,0,4", "--format", "json")
         assert first == second
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_gaps_past_the_digit_limit(self, capsys, fmt):
+        code, out, err = run(
+            capsys, "analyze", "1,1,1,1", "--horizon", "16000", "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert max(len(digits) for digits in re.findall(r"\d+", out)) > 4300
 
 
 class TestDecompose:
@@ -235,7 +272,19 @@ class TestCensus:
         assert payload["extremal_vectors"] == [[3]]
 
 
+# sha256 of figure --k-range 1:24 --g-range 1:24 --format json; the JSON
+# inputs do not echo --jobs, so every --jobs value prints the same bytes.
+FIGURE_STDOUT = "8718ff905b5c8d47093cfa4b15dbd01f0f4b7333d4559243cf3dc0fad6b25f82"
+
+
 class TestFigure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stdout_pinned(self, capsys, jobs):
+        argv = ["--k-range", "1:24", "--g-range", "1:24", "--format", "json"]
+        code, out, _ = run(capsys, "figure", *argv, "--jobs", str(jobs))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_STDOUT
+
     def test_csv_matches_module_parser(self, capsys):
         code, out, _ = run(capsys, "figure", "--k-range", "2", "--g-range", "2:4", "--format", "csv")
         rows = parse_figure_csv(out)

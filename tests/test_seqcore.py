@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plrslab import (
     CoefficientVector,
@@ -89,11 +90,52 @@ class TestTerms:
         assert terms_prefix(CoefficientVector((1, 1, 2)), 6) == [1, 2, 4, 8, 16, 32]
 
     @pytest.mark.parametrize(
-        "coeffs", [(1, 3), (1, 0, 4), (2, 1), (1, 1, 1), (3,), (1, 0, 0, 0, 0, 0, 15)]
+        "coeffs",
+        [
+            (1, 3),
+            (1, 0, 4),
+            (2, 1),
+            (1, 1, 1),
+            (3,),
+            (1, 0, 0, 0, 0, 0, 15),
+            (1,),
+            (1,) * 24 + (0,) * 24 + (5000,),  # the largest figure vector
+            (1,) + (0,) * 58 + (7,),  # L = 60, one long zero run
+            (5,) * 60,  # one run
+            (2, 2, 3, 3, 3, 1, 1, 0, 0, 4, 4),  # adjacent runs of distinct values
+            tuple(range(1, 61)),  # every run of length one
+            (1, 0, 1, 0, 1, 0, 1),
+        ],
     )
     def test_against_naive_recomputation(self, coeffs):
-        cv = CoefficientVector(coeffs)
-        assert terms_prefix(cv, 12) == naive_terms(coeffs, 12)
+        n = max(12, 2 * len(coeffs) + 3)
+        assert Sequence(CoefficientVector(coeffs)).prefix(n) == naive_terms(coeffs, n)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(1, 20)), min_size=1, max_size=8),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_runs_against_naive_recomputation(self, blocks, length):
+        # Blocks of repeated values give long zero runs and equal neighbours.
+        coeffs = [v for v, width in blocks for _ in range(width)][:length]
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or 1
+        n = 2 * len(coeffs) + 3
+        assert Sequence(CoefficientVector(coeffs)).prefix(n) == naive_terms(coeffs, n)
+
+    @pytest.mark.parametrize("coeffs", [(1, 1, 0, 0, 3, 3, 3, 0, 9), (1,) * 5 + (0,) * 5 + (7,)])
+    def test_extension_in_steps_across_the_plus_one_phase(self, coeffs):
+        # Each extension resumes where the last stopped, before, at and past L.
+        seq = Sequence(CoefficientVector(coeffs))
+        expected = naive_terms(coeffs, 2 * len(coeffs) + 3)
+        for n in range(1, len(expected) + 1):
+            assert seq.term(n) == expected[n - 1]
+        assert seq.prefix(len(expected)) == expected
+
+    def test_figure_vector_is_two_runs(self):
+        seq = Sequence(CoefficientVector((1,) * 24 + (0,) * 24 + (5000,)))
+        assert seq._runs == ((0, 24, 1), (48, 49, 5000))
 
     def test_prefix_consistent_with_term(self):
         cv = CoefficientVector((1, 2, 3))
