@@ -33,6 +33,7 @@ from .errors import (
 from .seqcore import CoefficientVector, terms_prefix
 from .verdicts import (
     BITMAP_BUDGET_BITS,
+    DEFAULT_ORACLE_CAP,
     AnalysisConfig,
     VerdictStatus,
     brown_scan,
@@ -136,7 +137,9 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     cv = CoefficientVector.parse(args.vector)
-    cfg = AnalysisConfig(horizon=args.horizon, oracle_cap=args.oracle_cap)
+    if args.oracle_cap < 1:
+        raise OutOfRangeError("--oracle-cap must be >= 1")
+    cfg = AnalysisConfig(horizon=args.horizon)
     horizon = cfg.effective_horizon(len(cv))
     _check_prefix_size(cv, horizon)
     verdict = classify(cv, cfg)
@@ -144,7 +147,7 @@ def cmd_analyze(args) -> int:
     payload = verdict_to_json(cv, verdict, gaps)
     payload["witness_verified"] = None
     if verdict.is_incomplete and verdict.witness is not None:
-        if verdict.witness <= cfg.oracle_cap:
+        if verdict.witness <= args.oracle_cap:
             ok, missing = is_complete_up_to(cv, verdict.witness)
             payload["witness_verified"] = (not ok) and missing == verdict.witness
     lines = [
@@ -280,7 +283,6 @@ def cmd_census(args) -> int:
     report = hunt.first_failure_census(
         args.length,
         args.deep_horizon,
-        jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         rows_path=args.rows,
     )
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("analyze", cmd_analyze, "classify a generator as complete/incomplete")
     p.add_argument("vector")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--oracle-cap", type=int, default=10**6)
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
 
     p = add("decompose", cmd_decompose, "legal and distinct decompositions of N")
     p.add_argument("vector")
@@ -426,22 +428,13 @@ def _run(argv: Optional[list[str]]) -> int:
     )
     try:
         return args.func(args)
-    except VectorValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (CapTooLargeError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ConjectureViolation as exc:
         print(f"conjecture violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except OutOfRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except PLRSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (PLRSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

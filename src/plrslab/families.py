@@ -187,27 +187,24 @@ def empirical_max_n(
     def verdict_at(n: int):
         return classify(CoefficientVector(p + (n,)), cfg)
 
-    def ok(n: int) -> bool:
-        return not verdict_at(n).is_incomplete
-
     trailing_zeros = 0
     for x in reversed(p):
         if x != 0:
             break
         trailing_zeros += 1
     hi = max(4, 2 ** (trailing_zeros + 2))
-    while ok(hi):
+    while not verdict_at(hi).is_incomplete:
         hi *= 2
-    lo = 0  # N = 0 is not a valid generator; treated as vacuously fine
+    lo, top = 0, None  # N = 0 is not a valid generator; treated as vacuously fine
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
+        v = verdict_at(mid)
+        if v.is_incomplete:
             hi = mid
-    if lo == 0:
+        else:
+            lo, top = mid, v
+    if top is None:
         return EmpiricalMax(0, 0, None)
-    top = verdict_at(lo)
     if top.is_complete:
         return EmpiricalMax(lo, lo, top.proof)
     for n in range(lo - 1, 0, -1):

@@ -217,8 +217,8 @@ def _shard_records(length: int, deep_horizon: int, shard: tuple[int, ...]) -> li
 
 
 def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
-    # Second pass over a fresh memo, summing the prefix directly instead of
-    # using the cached cumulative sums.
+    # Second pass, summing the prefix directly instead of using the
+    # Sequence's cumulative sums.
     seq = Sequence(CoefficientVector(vector))
     for n in range(1, expected + 1):
         gap = 1 + sum(seq.prefix(n - 1) if n > 1 else []) - seq.term(n)
@@ -358,7 +358,6 @@ def first_failure_census(
     length: int,
     deep_horizon: Optional[int] = None,
     *,
-    jobs: int = 1,
     checkpoint_path: Optional[str | Path] = None,
     rows_path: Optional[str | Path] = None,
 ) -> CensusReport:
@@ -368,9 +367,9 @@ def first_failure_census(
     deep_horizon, which defaults to 4L and may not be set lower.  Raises
     ConjectureViolation if any first failure lands past max(2L - 1, 2);
     that is a discovery to report, not an internal error.  With
-    checkpoint_path (and rows_path) set, finished shards are skipped on
-    rerun and their records reloaded from the rows file.  Shards run
-    in-process; jobs is accepted for compatibility and has no effect.
+    checkpoint_path and rows_path set (one needs the other), finished
+    shards are skipped on rerun and their records reloaded from the rows
+    file.
     """
     if deep_horizon is None:
         deep_horizon = 4 * length
@@ -379,10 +378,10 @@ def first_failure_census(
 
     ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
     rows_file = Path(rows_path) if rows_path is not None else None
+    if (ckpt is None) != (rows_file is None):
+        raise ValueError("census rows and checkpoint files must be given together")
     done: dict[tuple[int, ...], list[CensusRow]] = {}
     if ckpt is not None:
-        if rows_file is None:
-            raise ValueError("rows_path is required when checkpointing")
         done = _load_checkpoint(length, deep_horizon, ckpt, rows_file)
 
     records: list[CensusRow] = []

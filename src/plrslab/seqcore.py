@@ -18,13 +18,16 @@ is the slack in Brown's completeness criterion: the sequence is complete
 for all n, and a negative gap at n certifies that 1 + H_1 + ... + H_{n-1}
 has no such representation.
 
+Each CoefficientVector owns the memo of its terms (its `sequence`), so
+terms live exactly as long as the vector that a caller holds.
+
 Indexing is 1-based throughout, matching the recurrence above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -83,6 +86,11 @@ class CoefficientVector:
     def __str__(self) -> str:
         return "[" + ",".join(str(c) for c in self.coefficients) + "]"
 
+    @cached_property
+    def sequence(self) -> "Sequence":
+        """The memo of this generator's terms, shared by every caller of this vector."""
+        return Sequence(self)
+
 
 def validate_coefficients(raw: Iterable[int]) -> CoefficientVector:
     """Validate a raw coefficient list and freeze it into a CoefficientVector.
@@ -100,17 +108,21 @@ class Sequence:
     c_stop = v != 0, H_{m+1} = [m < L] + sum over runs with start < m of
     v (S_{m-start} - S_{max(m-stop, 0)}): two runs for [1 x g, 0 x k, N].
 
+    CoefficientVector.sequence holds one per vector and frees it with the
+    vector; a Sequence built directly is a private memo, for independent
+    re-checks.  It keeps only L, not the vector, so the two form no cycle.
+
     Single writer: extension happens on demand inside the instance, so a
     Sequence must not be shared across concurrently writing tasks.  Parallel
     workloads should create one instance per task (fully materialized
     prefixes, being plain lists of ints, are safe to hand around).
     """
 
-    __slots__ = ("generator", "_runs", "_terms", "_sums")
+    __slots__ = ("_length", "_runs", "_terms", "_sums")
 
     def __init__(self, generator: CoefficientVector) -> None:
-        self.generator = generator
         c = generator.coefficients
+        self._length = len(c)
         # (start, stop, v): c[start:stop] is a maximal run of v != 0.
         cuts = [0, *(i for i in range(1, len(c)) if c[i] != c[i - 1]), len(c)]
         self._runs = tuple((a, b, c[a]) for a, b in zip(cuts, cuts[1:]) if c[a])
@@ -118,7 +130,7 @@ class Sequence:
         self._sums: list[int] = [0, 1]  # _sums[k] = H_1 + ... + H_k
 
     def _extend_to(self, n: int) -> None:
-        L = len(self.generator.coefficients)
+        L = self._length
         runs = self._runs
         terms = self._terms
         sums = self._sums
@@ -175,25 +187,19 @@ class Sequence:
         return [1 + sums[i] - terms[i] for i in range(n)]
 
 
-@lru_cache(maxsize=None)
-def sequence_for(cv: CoefficientVector) -> Sequence:
-    # Shared per-process memo so repeated module-level calls stay O(1).
-    return Sequence(cv)
-
-
 def term(cv: CoefficientVector, n: int) -> int:
     """H_n for the given generator."""
-    return sequence_for(cv).term(n)
+    return cv.sequence.term(n)
 
 
 def terms_prefix(cv: CoefficientVector, n: int) -> list[int]:
     """[H_1, ..., H_n] for the given generator."""
-    return sequence_for(cv).prefix(n)
+    return cv.sequence.prefix(n)
 
 
 def brown_gap(cv: CoefficientVector, n: int) -> int:
     """B_n = 1 + sum(H_1..H_{n-1}) - H_n for the given generator."""
-    return sequence_for(cv).gap(n)
+    return cv.sequence.gap(n)
 
 
 def brown_gap_series(cv: CoefficientVector, n: int) -> list[int]:
@@ -201,4 +207,4 @@ def brown_gap_series(cv: CoefficientVector, n: int) -> list[int]:
 
     Satisfies B_1 = 0 and the recurrence B_{n+1} - B_n = 2 H_n - H_{n+1}.
     """
-    return sequence_for(cv).gaps(n)
+    return cv.sequence.gaps(n)

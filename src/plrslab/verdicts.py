@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence as SequenceT
 
 from .errors import CapTooLargeError
-from .seqcore import CoefficientVector, brown_gap_series, sequence_for
+from .seqcore import CoefficientVector, brown_gap_series
 
 log = logging.getLogger(__name__)
 
@@ -116,17 +116,13 @@ class AnalysisConfig:
     horizon: scan depth; when None each vector uses max(2L-1, 2), and explicit
     values below that floor are raised to it, so the scan never undershoots
     the conjectured window.
-    oracle_cap: largest target the subset-sum oracle is asked to cross-check.
     """
 
     horizon: Optional[int] = None
-    oracle_cap: int = DEFAULT_ORACLE_CAP
 
     def __post_init__(self) -> None:
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.oracle_cap < 1:
-            raise ValueError("oracle_cap must be >= 1")
 
     def effective_horizon(self, length: int) -> int:
         floor = max(2 * length - 1, 2)
@@ -239,7 +235,7 @@ def is_complete_up_to(
     if cv.coefficients == (1,):
         # Constant ones: m is the sum of the first m terms.
         return True, None
-    seq = sequence_for(cv)
+    seq = cv.sequence
     terms: list[int] = []
     total = 0
     n = 0
@@ -258,7 +254,7 @@ def is_complete_up_to(
 
 
 def _incomplete_at(cv: CoefficientVector, n: int) -> CompletenessVerdict:
-    witness = 1 + sequence_for(cv).partial_sum(n - 1)
+    witness = 1 + cv.sequence.partial_sum(n - 1)
     return CompletenessVerdict.incomplete(n, witness)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence as SequenceT
 
 from .errors import CapExceededError, CapTooLargeError, NoLegalDecompositionError
-from .seqcore import CoefficientVector, sequence_for
+from .seqcore import CoefficientVector
 
 DigitString = tuple[int, ...]
 
@@ -62,7 +62,7 @@ def value_of(cv: CoefficientVector, digits: SequenceT[int]) -> int:
     m = len(digits)
     if m == 0:
         return 0
-    seq = sequence_for(cv)
+    seq = cv.sequence
     prefix = seq.prefix(m)
     return sum(d * prefix[m - 1 - i] for i, d in enumerate(digits))
 
@@ -108,7 +108,7 @@ class _LegalityTables:
 
     def __init__(self, cv: CoefficientVector) -> None:
         self.cv = cv
-        self.seq = sequence_for(cv)
+        self.seq = cv.sequence
         self.fresh: list[int] = [0]
         L = len(cv)
         self.mid: list[list[int]] = [[0] for _ in range(L)]  # mid[i], 1 <= i <= L-1
@@ -212,7 +212,7 @@ def enumerate_legal(
     if c == (1,):
         return []
     maxd = max(c)
-    seq = sequence_for(cv)
+    seq = cv.sequence
     values: list[int] = []  # H_1.. while <= n
     i = 1
     while True:
@@ -269,7 +269,7 @@ def distinct_decompose(
     if cv.coefficients == (1,):
         # All terms equal 1, so n ones (indices 1..n) always work.
         return DistinctDecomposition(tuple(range(1, n + 1)), (1,) * n)
-    seq = sequence_for(cv)
+    seq = cv.sequence
     terms: list[int] = []
     i = 1
     while True:
@@ -313,7 +313,7 @@ def render_decomposition(cv: CoefficientVector, digits: SequenceT[int]) -> str:
     m = len(digits)
     if m == 0 or all(d == 0 for d in digits):
         return "0 = 0"
-    prefix = sequence_for(cv).prefix(m)
+    prefix = cv.sequence.prefix(m)
     parts = [(d, prefix[m - 1 - i]) for i, d in enumerate(digits) if d > 0]
     if any(d > 1 for d, _ in parts):
         rhs = " + ".join(f"{d}·{t}" for d, t in parts)
@@ -325,7 +325,7 @@ def render_decomposition(cv: CoefficientVector, digits: SequenceT[int]) -> str:
 def decomposition_json(cv: CoefficientVector, digits: SequenceT[int]) -> dict:
     """Wire form of a digit string: {N, digits, terms, legal}."""
     m = len(digits)
-    prefix = sequence_for(cv).prefix(m) if m else []
+    prefix = cv.sequence.prefix(m) if m else []
     return {
         "N": value_of(cv, digits),
         "digits": list(digits),

@@ -126,6 +126,12 @@ class TestAnalyze:
         assert out == ""
         assert "budget" in err
 
+    def test_oracle_cap_below_one_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "1,0,4", "--oracle-cap", "0")
+        assert code == 2
+        assert out == ""
+        assert "--oracle-cap" in err
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "analyze", "1,0,4", "--format", "json")
         _, second, _ = run(capsys, "analyze", "1,0,4", "--format", "json")
@@ -247,6 +253,14 @@ class TestCensus:
             assert code == 2
             assert out == ""
             assert "census L=3 deep_horizon=12" in err
+
+    @pytest.mark.parametrize("given", ["--rows", "--checkpoint"])
+    def test_rows_and_checkpoint_only_together_exit_2(self, capsys, tmp_path, given):
+        code, out, err = run(capsys, "census", "--L", "3", given, str(tmp_path / "f"))
+        assert code == 2
+        assert out == ""
+        assert "together" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_text_summary(self, capsys):
         code, out, _ = run(capsys, "census", "--L", "3")

@@ -14,6 +14,7 @@ from plrslab import (
     max_n_g_ones,
     max_n_single_one,
 )
+from plrslab import families
 from plrslab.families import (
     FamilySpec,
     figure_rows_to_csv,
@@ -120,6 +121,19 @@ class TestEmpiricalMax:
     def test_proven_equals_inclusive_on_families(self):
         emp = empirical_max_n([1, 0, 0])
         assert emp.max_n == emp.proven_max_n == max_n_single_one(2).max_n
+
+    def test_each_probe_classified_once(self, monkeypatch):
+        probed = []
+
+        def counting(cv, config=None):
+            probed.append(cv.coefficients[-1])
+            return classify(cv, config)
+
+        monkeypatch.setattr(families, "classify", counting)
+        emp = empirical_max_n([1, 1, 0, 0])
+        assert emp.max_n == emp.proven_max_n == 6
+        # Doubling from 16, then bisection; the verdict at 6 is kept.
+        assert probed == [16, 8, 4, 6, 7]
 
     def test_prefix_with_no_complete_extension(self):
         emp = empirical_max_n([2])

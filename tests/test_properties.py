@@ -155,11 +155,14 @@ class TestDecompositionInvariants:
         assert every_target_hit == complete
 
 
-class TestSharedMemoConsistency:
-    def test_fresh_instance_agrees_with_shared(self):
+class TestVectorMemoConsistency:
+    """A vector's own memo, once extended, agrees with a Sequence built apart."""
+
+    def test_fresh_sequence_agrees_with_vector_memo(self):
         cv = CoefficientVector((1, 0, 2, 5))
+        assert terms_prefix(cv, 15) == cv.sequence.prefix(15)
         fresh = Sequence(cv)
-        assert fresh.prefix(15) == terms_prefix(cv, 15)
+        assert fresh.prefix(15) == cv.sequence.prefix(15)
         assert [fresh.gap(n) for n in range(1, 16)] == brown_gap_series(cv, 15)
 
 

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -151,6 +153,26 @@ class TestClassify:
         assert gaps[n - 1] < 0
         assert all(g >= 0 for g in gaps[: n - 1])
         assert v.witness == 1 + sum(terms_prefix(cv, n - 1))
+
+    def test_retained_memory_bounded_by_input(self):
+        # Terms live with the vector that holds them: once the vectors are
+        # dropped, classifying 2,000 of them leaves nothing behind, and
+        # nothing waits for the cyclic collector to be freed.
+        classify(CoefficientVector((1, 1, 0, 0, 1)))  # first-call imports
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(2, 2002):
+                classify(CoefficientVector((1, 1, 0, 0, n)))
+            cycles = gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert cycles == 0
+        assert retained < 64 * 1024
 
     def test_horizon_floor_applies(self):
         # an explicit horizon below max(2L-1, 2) is raised, not honored
