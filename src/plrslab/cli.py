@@ -319,9 +319,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    rows = families.figure1_table(
-        _parse_span(args.k_range), _parse_span(args.g_range), jobs=args.jobs
-    )
+    rows = families.figure1_table(_parse_span(args.k_range), _parse_span(args.g_range))
     payload = [asdict(r) for r in rows]
     envelope = _envelope(
         "figure",
@@ -400,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("figure", cmd_figure, "empirical vs closed-form table over (k, g)")
     p.add_argument("--k-range", dest="k_range", required=True, help="e.g. 1:4 or 2")
     p.add_argument("--g-range", dest="g_range", required=True, help="e.g. 1:8 or 3")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the cells")
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
 
     return parser
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class PLRSError(Exception):
     """Base class for every error raised by this package."""
@@ -53,13 +55,15 @@ class ConjectureViolation(PLRSError):
     """A first Brown failure past max(2L-1, 2): a reportable discovery, not a bug.
 
     Carries the offending vector and its first-failure index so the finding
-    survives into logs and exit-code handling.
+    survives into logs and exit-code handling; None if it is only known to
+    lie past the window.
     """
 
-    def __init__(self, vector: tuple[int, ...], first_failure: int) -> None:
+    def __init__(self, vector: tuple[int, ...], first_failure: Optional[int]) -> None:
         self.vector = tuple(vector)
         self.first_failure = first_failure
+        at = "" if first_failure is None else f" at term {first_failure}"
         super().__init__(
-            f"vector {list(self.vector)} first fails Brown's criterion at term "
-            f"{first_failure}, beyond the conjectured window"
+            f"vector {list(self.vector)} first fails Brown's criterion{at}, "
+            "beyond the conjectured window"
         )

@@ -13,18 +13,19 @@ The two g-ones expressions agree at the shared boundary g = k + ceil(log2 k)
 (the ceiling there is 1), so the regime split is unambiguous.  No closed
 form is known for 3 <= g < k.
 
-empirical_max_n recovers these bounds by binary search over verdicts, which
-is valid because decreasing the last coefficient of a complete generator
-preserves completeness (downward closure in N).
+empirical_max_n recovers these bounds from Brown's gaps, which are affine in
+N over the default window (horizon 2L - 1): two gap lists, at N = 1 and
+N = 2, give the largest passing N.  Only a horizon past 2L bisects over
+verdicts, valid because decreasing the last coefficient of a complete
+generator preserves completeness (downward closure in N).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence as SequenceT
 
-from .errors import OutOfRangeError
+from .errors import ConjectureViolation, OutOfRangeError
 from .seqcore import CoefficientVector
 from .verdicts import AnalysisConfig, ProofTag, classify
 
@@ -171,31 +172,55 @@ def _validated_prefix(prefix: Iterable[int]) -> tuple[int, ...]:
     return p
 
 
+def window_max_n(
+    prefix: tuple[int, ...], gaps_at_1: SequenceT[int], gaps_at_2: SequenceT[int]
+) -> int:
+    """Largest N >= 1 keeping every gap B_n(N) = alpha_n - beta_n N >= 0; 0 if none.
+
+    The gaps are B_1..B_h of [prefix, 1] and [prefix, 2], h <= 2L, so
+    beta_n = B_n(1) - B_n(2) and alpha_n = B_n(1) + beta_n.  The passing N
+    form an interval; if it starts above 1, downward closure puts the first
+    failure of its lower end past the window: ConjectureViolation, no guess.
+    """
+    lines = [(2 * b1 - b2, b1 - b2) for b1, b2 in zip(gaps_at_1, gaps_at_2)]
+    if any(beta == 0 and alpha < 0 for alpha, beta in lines):
+        return 0
+    hi = min(alpha // beta for alpha, beta in lines if beta > 0)
+    lo = max((-(alpha // -beta) for alpha, beta in lines if beta < 0), default=1)
+    if hi < max(lo, 1):
+        return 0
+    if lo > 1:
+        raise ConjectureViolation(prefix + (lo,), None)
+    return hi
+
+
 def empirical_max_n(
     prefix: Iterable[int], config: Optional[AnalysisConfig] = None
 ) -> EmpiricalMax:
-    """Binary-search the largest N with a non-Incomplete verdict for [prefix, N].
+    """The largest N with a non-Incomplete verdict for [prefix, N].
 
-    Downward closure in the last coefficient justifies the bisection.  The
-    initial bracket is 2^(k+2) for k trailing zeros in the prefix and doubles
-    while still not incomplete; the doubling stops because any complete
-    sequence is dominated by 2^(n-1), which caps N at 2^L.
+    For a horizon h <= 2L, N multiplies only H_1..H_{n-L} in the gaps, so
+    window_max_n finds N from two gap lists and classify runs once there.
+    Past 2L the gaps are polynomial in N: bisect below the N + 1 that fails
+    the window, as decreasing the last coefficient preserves completeness.
     """
     p = _validated_prefix(prefix)
     cfg = config or AnalysisConfig()
+    L = len(p) + 1
+    horizon = cfg.effective_horizon(L)
 
     def verdict_at(n: int):
         return classify(CoefficientVector(p + (n,)), cfg)
 
-    trailing_zeros = 0
-    for x in reversed(p):
-        if x != 0:
-            break
-        trailing_zeros += 1
-    hi = max(4, 2 ** (trailing_zeros + 2))
-    while not verdict_at(hi).is_incomplete:
-        hi *= 2
-    lo, top = 0, None  # N = 0 is not a valid generator; treated as vacuously fine
+    gaps = (CoefficientVector(p + (n,)).sequence.gaps(min(horizon, 2 * L)) for n in (1, 2))
+    max_n = window_max_n(p, *gaps)
+    shape = family_shape(p + (1,))
+    bound = family_bound(shape.g, shape.k) if shape else None
+    if bound is not None:
+        max_n = min(max_n, bound.max_n)
+    lo, hi, top = 0, max_n + 1, None
+    if horizon <= 2 * L and max_n:
+        lo, top = max_n, verdict_at(max_n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         v = verdict_at(mid)
@@ -223,9 +248,7 @@ class FigureRow:
     provenance: str
 
 
-def _figure_cell(args: tuple[int, int, Optional[int]]) -> FigureRow:
-    k, g, horizon = args
-    cfg = AnalysisConfig(horizon=horizon)
+def _figure_cell(k: int, g: int, cfg: AnalysisConfig) -> FigureRow:
     emp = empirical_max_n((1,) * g + (0,) * k, cfg)
     closed = max_n_g_ones(g, k)
     if emp.max_n == 0:
@@ -241,8 +264,6 @@ def figure1_table(
     k_values: Iterable[int],
     g_values: Iterable[int],
     config: Optional[AnalysisConfig] = None,
-    *,
-    jobs: int = 1,
 ) -> list[FigureRow]:
     """One row per (k, g): empirical max N next to the g-ones closed form.
 
@@ -257,11 +278,7 @@ def figure1_table(
     if any(k < 1 for k in ks) or any(g < 1 for g in gs):
         raise ValueError("k and g must be >= 1")
     cfg = config or AnalysisConfig()
-    cells = [(k, g, cfg.horizon) for k in ks for g in gs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_figure_cell, cells))
-    return [_figure_cell(c) for c in cells]
+    return [_figure_cell(k, g, cfg) for k in ks for g in gs]
 
 
 FIGURE_CSV_HEADER = ["k", "g", "empirical_max_n", "closed_form_max_n", "provenance"]

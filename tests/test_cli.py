@@ -218,6 +218,12 @@ class TestMaxn:
         code, _, _ = run(capsys, "maxn", "0,1")
         assert code == 2
 
+    @pytest.mark.parametrize("horizon", [[], ["--horizon", "60"]])
+    def test_horizon_past_2l_agrees(self, capsys, horizon):
+        # 60 > 2L = 10 bisects over verdicts instead of reading the gaps.
+        code, out, _ = run(capsys, "maxn", "1,0,1,0", *horizon)
+        assert code == 0 and out == "7\n"
+
 
 # sha256 prefixes of census stdout at --jobs 1 and --jobs 2 (the JSON
 # inputs echo --jobs), from the per-vector census these must keep matching.
@@ -289,6 +295,8 @@ class TestCensus:
 # sha256 of figure --k-range 1:24 --g-range 1:24 --format json; the JSON
 # inputs do not echo --jobs, so every --jobs value prints the same bytes.
 FIGURE_STDOUT = "8718ff905b5c8d47093cfa4b15dbd01f0f4b7333d4559243cf3dc0fad6b25f82"
+# The same for --k-range 1:48 --g-range 1:48.
+FIGURE_48_STDOUT = "dd672bdc96a2ff009b2ad4c2eafb361fd8e3f0b651030add073f2ca6a1b1b2b8"
 
 
 class TestFigure:
@@ -298,6 +306,12 @@ class TestFigure:
         code, out, _ = run(capsys, "figure", *argv, "--jobs", str(jobs))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_STDOUT
+
+    def test_48_grid_pinned(self, capsys):
+        argv = ["--k-range", "1:48", "--g-range", "1:48", "--format", "json"]
+        code, out, _ = run(capsys, "figure", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_48_STDOUT
 
     def test_csv_matches_module_parser(self, capsys):
         code, out, _ = run(capsys, "figure", "--k-range", "2", "--g-range", "2:4", "--format", "csv")

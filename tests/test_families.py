@@ -2,6 +2,8 @@ import pytest
 
 from plrslab import (
     AnalysisConfig,
+    CoefficientVector,
+    ConjectureViolation,
     OutOfRangeError,
     classify,
     corollary_shift_bound,
@@ -20,6 +22,7 @@ from plrslab.families import (
     figure_rows_to_csv,
     parse_figure_csv,
     shifted_one_vector,
+    window_max_n,
 )
 
 
@@ -112,6 +115,19 @@ class TestCorollaryShift:
             corollary_shift_bound(6, 1)
 
 
+@pytest.fixture
+def probed(monkeypatch):
+    """The last coefficients that empirical_max_n hands to classify, in order."""
+    seen = []
+
+    def counting(cv, config=None):
+        seen.append(cv.coefficients[-1])
+        return classify(cv, config)
+
+    monkeypatch.setattr(families, "classify", counting)
+    return seen
+
+
 class TestEmpiricalMax:
     def test_examples(self):
         assert empirical_max_n([1, 0]).max_n == 3
@@ -122,18 +138,17 @@ class TestEmpiricalMax:
         emp = empirical_max_n([1, 0, 0])
         assert emp.max_n == emp.proven_max_n == max_n_single_one(2).max_n
 
-    def test_each_probe_classified_once(self, monkeypatch):
-        probed = []
-
-        def counting(cv, config=None):
-            probed.append(cv.coefficients[-1])
-            return classify(cv, config)
-
-        monkeypatch.setattr(families, "classify", counting)
+    def test_each_probe_classified_once(self, probed):
         emp = empirical_max_n([1, 1, 0, 0])
         assert emp.max_n == emp.proven_max_n == 6
-        # Doubling from 16, then bisection; the verdict at 6 is kept.
-        assert probed == [16, 8, 4, 6, 7]
+        # The gaps give 6 directly; one classify there supplies the proof.
+        assert probed == [6]
+
+    def test_conjectural_max_steps_down_to_a_proof(self, probed):
+        emp = empirical_max_n([1, 1, 1, 0, 0, 0, 0, 0])
+        assert classify(CoefficientVector((1, 1, 1, 0, 0, 0, 0, 0, emp.max_n))).is_conjectural
+        assert emp.proven_max_n == emp.max_n - 1
+        assert probed == [emp.max_n, emp.max_n - 1]
 
     def test_prefix_with_no_complete_extension(self):
         emp = empirical_max_n([2])
@@ -144,6 +159,29 @@ class TestEmpiricalMax:
             empirical_max_n([])
         with pytest.raises(ValueError):
             empirical_max_n([0, 1])
+
+
+class TestWindowMaxN:
+    def test_negative_slope_that_does_not_bind(self):
+        # B_11 of [1,0,0,0,0,N] is 45, 50, 55 at N = 1, 2, 3: beta < 0.
+        prefix = (1, 0, 0, 0, 0)
+        at_1, at_2 = (CoefficientVector(prefix + (n,)).sequence.gaps(11) for n in (1, 2))
+        assert (at_1[10], at_2[10]) == (45, 50)
+        assert window_max_n(prefix, at_1, at_2) == max_n_single_one(4).max_n == 11
+
+    def test_lower_end_above_one_raises(self):
+        # B_2(N) = N - 3 rises with N and B_3(N) = 9 - N falls: N in [3, 9].
+        with pytest.raises(ConjectureViolation) as exc:
+            window_max_n((1, 0), [0, -2, 8], [0, -1, 7])
+        assert exc.value.vector == (1, 0, 3)
+        assert exc.value.first_failure is None
+
+    def test_empty_interval(self):
+        # N >= 3 from below, N <= 2 from above.
+        assert window_max_n((1, 0), [0, -2, 1], [0, -1, 0]) == 0
+
+    def test_flat_negative_gap(self):
+        assert window_max_n((1, 0), [0, -1, 8], [0, -1, 7]) == 0
 
 
 class TestFigureTable:
@@ -175,11 +213,6 @@ class TestFigureTable:
             figure1_table([], [1])
         with pytest.raises(ValueError):
             figure1_table([0], [1])
-
-    def test_parallel_matches_serial(self):
-        serial = figure1_table([1, 2], [1, 2])
-        parallel = figure1_table([1, 2], [1, 2], jobs=2)
-        assert serial == parallel
 
 
 def test_config_horizon_never_below_floor():

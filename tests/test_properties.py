@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plrslab import (
+    AnalysisConfig,
     CoefficientVector,
     brown_gap_series,
     brown_scan,
+    classify,
     distinct_decompose,
+    empirical_max_n,
     enumerate_legal,
     enumerate_vectors,
     is_complete_up_to,
@@ -184,3 +187,78 @@ class TestClassifierSoundness:
         for row in classified_rows["conjecturally_complete"]:
             ok, missing = is_complete_up_to(CoefficientVector(row.vector), 10**5)
             assert ok, (row.vector, missing)
+
+
+def bisection_max_n(prefix, cfg):
+    """The doubling-plus-bisection search over verdicts that the gap lists replaced.
+
+    Starts from 2^(k+2) for k trailing zeros in the prefix, doubles while
+    [prefix, hi] is not Incomplete, then bisects; proven_max_n is the largest
+    N at or below that with a Complete verdict.
+    """
+    p = tuple(prefix)
+
+    def verdict_at(n):
+        return classify(CoefficientVector(p + (n,)), cfg)
+
+    trailing_zeros = 0
+    for x in reversed(p):
+        if x != 0:
+            break
+        trailing_zeros += 1
+    hi = max(4, 2 ** (trailing_zeros + 2))
+    while not verdict_at(hi).is_incomplete:
+        hi *= 2
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if verdict_at(mid).is_incomplete:
+            hi = mid
+        else:
+            lo = mid
+    for n in range(lo, 0, -1):
+        v = verdict_at(n)
+        if v.is_complete:
+            return lo, n, v.proof
+    return lo, 0, None
+
+
+@st.composite
+def prefixes(draw, max_length=8):
+    length = draw(st.integers(1, max_length))
+    first = draw(st.integers(1, 3))
+    return (first, *draw(st.lists(st.integers(0, 3), min_size=length - 1, max_size=length - 1)))
+
+
+class TestEmpiricalMaxOracle:
+    """The gap-list maximum agrees with bisection over classify verdicts."""
+
+    @given(prefixes(), st.sampled_from([None, 0, 1, 5]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection(self, prefix, past_2l):
+        # None keeps the default 2L - 1; 2L is the widest affine window, and
+        # horizons past it take the bisection fallback.
+        L = len(prefix) + 1
+        cfg = AnalysisConfig(horizon=None if past_2l is None else 2 * L + past_2l)
+        emp = empirical_max_n(prefix, cfg)
+        assert (emp.max_n, emp.proven_max_n, emp.proof) == bisection_max_n(prefix, cfg)
+
+    @given(prefixes())
+    @settings(max_examples=200, deadline=None)
+    def test_max_n_is_the_last_n_not_incomplete(self, prefix):
+        n = empirical_max_n(prefix).max_n
+        if n:
+            assert not classify(CoefficientVector(prefix + (n,))).is_incomplete
+        assert classify(CoefficientVector(prefix + (n + 1,))).is_incomplete
+
+
+class TestDominantRootCrossCheck:
+    """P(2) = 2^L - sum c_i 2^(L-i) < 0 puts the dominant root above 2, so B goes negative."""
+
+    @given(coefficient_vectors(max_length=9, max_coeff=3))
+    @settings(max_examples=300, deadline=None)
+    def test_never_complete_when_p2_negative(self, cv):
+        L = len(cv)
+        p2 = 2**L - sum(c * 2 ** (L - i) for i, c in enumerate(cv, start=1))
+        if p2 < 0:
+            assert not classify(cv).is_complete, cv
