@@ -286,35 +286,30 @@ def cmd_census(args) -> int:
         checkpoint_path=args.checkpoint,
         rows_path=args.rows,
     )
-    # One dict per row: built only when the JSON envelope is printed.
-    payload = report.to_json() if args.format == "json" else None
-    envelope = _envelope(
-        "census",
-        {
-            "L": args.length,
-            "deep_horizon": report.deep_horizon,
-            "jobs": args.jobs,
-        },
-        payload,
-    )
-    lines = [
-        f"L: {report.length}",
-        f"vectors scanned: {report.vectors_scanned}",
-        f"max first failure: {report.max_first_failure}",
-        "extremal: " + "; ".join(str(list(v)) for v in report.extremal_vectors),
-        f"conjectural survivors: {report.equality_window_vectors}",
-    ]
-    lines.extend(f"note: {n}" for n in report.notes)
-    csv_rows = (
-        [
-            ",".join(str(c) for c in r.vector),
-            "" if r.first_failure is None else r.first_failure,
-            r.verdict,
-            r.proof,
+    if args.format == "json":
+        # The rows are written record by record into the encoded envelope.
+        envelope = _envelope(
+            "census",
+            {"L": args.length, "deep_horizon": report.deep_horizon, "jobs": args.jobs},
+            {**report.to_json(), "rows": []},
+        )
+        head, _, tail = json.dumps(envelope, ensure_ascii=False).partition('"rows": []')
+        sys.stdout.write(head + '"rows": [')
+        sys.stdout.writelines(report.json_rows())
+        sys.stdout.write("]" + tail + "\n")
+    elif args.format == "csv":
+        _print_csv(hunt.CENSUS_CSV_HEADER, [])
+        sys.stdout.writelines(report.csv_rows())
+    else:
+        lines = [
+            f"L: {report.length}",
+            f"vectors scanned: {report.vectors_scanned}",
+            f"max first failure: {report.max_first_failure}",
+            "extremal: " + "; ".join(str(list(v)) for v in report.extremal_vectors),
+            f"conjectural survivors: {report.equality_window_vectors}",
         ]
-        for r in report.rows()
-    )
-    _emit(args, envelope, lines, (hunt.CENSUS_CSV_HEADER, csv_rows))
+        lines.extend(f"note: {n}" for n in report.notes)
+        print("\n".join(lines))
     return EXIT_OK
 
 

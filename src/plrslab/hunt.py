@@ -18,8 +18,12 @@ The census is a list of prefix records.  A record is a CensusRow whose
 vector is a prefix p of length <= L; it stands for every completion of p,
 all of which share its first failure, verdict and proof.  The search yields
 one record per failing prefix and one per classified vector, in
-lexicographic order; CensusReport.rows() expands them to one row per vector
-only for output that lists every vector.
+lexicographic order.  Output that lists every vector is written per record:
+CensusReport.json_rows() and csv_rows() join the record's fields to the
+texts of its completions, built once per prefix length, so no per-vector
+object is made and memory is bounded by the largest record.
+CensusReport.rows() expands the records to one CensusRow per vector for
+callers that inspect rows one by one.
 
 Work is split into shards, one per top-level prefix (c_1, c_2), run
 in-process.  A checkpoint, whose first line names L and the deep horizon,
@@ -32,16 +36,16 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector, Sequence
 from .verdicts import AnalysisConfig, brown_scan, classify
-from . import families
 from .families import empirical_max_n
 
 log = logging.getLogger(__name__)
@@ -100,6 +104,50 @@ def _expand(length: int, records: Iterable[CensusRow]) -> Iterator[CensusRow]:
             yield CensusRow(rec.vector + suffix, rec.first_failure, rec.verdict, rec.proof)
 
 
+def _record_texts(
+    length: int,
+    records: Iterable[CensusRow],
+    sep: str,
+    head: str,
+    tail: Callable[[CensusRow], str],
+    row_sep: str = "",
+) -> Iterator[str]:
+    """The rows of every record, as text pieces joined by row_sep.
+
+    A row is head + c_1 sep ... sep c_L + tail(record), and rows are joined
+    by row_sep.  The suffixes "sep c_{j+1} ... sep c_L" that complete a
+    prefix of length j are built once per j, as one "\0"-joined block per
+    value of c_{j+1}, and shared by every record of that length; each block
+    becomes one piece, so a piece holds at most the rows of one prefix of
+    length j + 1.
+    """
+    ranges = coefficient_ranges(length)
+    tables: dict[int, list[str]] = {length: [""]}
+
+    def blocks(j: int) -> list[str]:
+        if j not in tables:
+            below = "\0".join(blocks(j + 1))
+            tables[j] = [
+                sep + str(c) + below.replace("\0", "\0" + sep + str(c)) for c in ranges[j]
+            ]
+        return tables[j]
+
+    first = True
+    for rec in records:
+        start = head + sep.join(str(c) for c in rec.vector)
+        end = tail(rec)
+        for block in blocks(len(rec.vector)):
+            text = start + block.replace("\0", end + row_sep + start) + end
+            yield text if first else row_sep + text
+            first = False
+
+
+def _csv_line(fields: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class CensusReport:
     length: int
@@ -112,10 +160,15 @@ class CensusReport:
     records: tuple[CensusRow, ...]
 
     def rows(self) -> Iterator[CensusRow]:
-        """One row per vector, in lexicographic order."""
+        """One CensusRow per vector, in lexicographic order.
+
+        For callers that inspect rows one by one; the JSON and CSV output
+        is written per record by json_rows() and csv_rows().
+        """
         return _expand(self.length, self.records)
 
     def to_json(self) -> dict:
+        """The JSON summary; its "rows" array is written by json_rows()."""
         return {
             "L": self.length,
             "max_first_failure": self.max_first_failure,
@@ -124,34 +177,50 @@ class CensusReport:
             "equality_window_vectors": self.equality_window_vectors,
             "deep_horizon": self.deep_horizon,
             "notes": list(self.notes),
-            "rows": [
-                {
-                    "vector": list(r.vector),
-                    "first_failure": r.first_failure,
-                    "verdict": r.verdict,
-                    "proof_tag": r.proof,
-                }
-                for r in self.rows()
-            ],
         }
+
+    def json_rows(self) -> Iterator[str]:
+        """The text inside the JSON "rows" array, in pieces.
+
+        Joined, the pieces are the json.dumps(..., ensure_ascii=False) text
+        of one {"vector", "first_failure", "verdict", "proof_tag"} object per
+        vector, in lexicographic order.
+        """
+
+        def tail(rec: CensusRow) -> str:
+            fields = {"first_failure": rec.first_failure, "verdict": rec.verdict, "proof_tag": rec.proof}
+            return "], " + json.dumps(fields, ensure_ascii=False)[1:]
+
+        return _record_texts(self.length, self.records, ", ", '{"vector": [', tail, ", ")
+
+    def csv_rows(self) -> Iterator[str]:
+        """The CSV data lines, in pieces, as csv.writer writes them."""
+        # csv.writer quotes the vector field exactly when it holds a comma.
+        quote = '"' if self.length > 1 else ""
+
+        def tail(rec: CensusRow) -> str:
+            return quote + "," + _csv_line(_csv_fields(rec)[1:])
+
+        return _record_texts(self.length, self.records, ",", quote, tail)
 
 
 CENSUS_CSV_HEADER = ["vector", "first_failure", "verdict", "proof_tag"]
+
+
+def _csv_fields(r: CensusRow) -> list:
+    return [
+        ",".join(str(c) for c in r.vector),
+        "" if r.first_failure is None else r.first_failure,
+        r.verdict,
+        r.proof,
+    ]
 
 
 def census_rows_to_csv(rows: list[CensusRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CENSUS_CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                ",".join(str(c) for c in r.vector),
-                "" if r.first_failure is None else r.first_failure,
-                r.verdict,
-                r.proof,
-            ]
-        )
+    writer.writerows(_csv_fields(r) for r in rows)
     return buf.getvalue()
 
 
@@ -442,8 +511,12 @@ def add_front_ones_scan(
 
     For each g < g_max and each N up to the empirical maximum for the
     prefix (1 x g, 0 x k), any non-Incomplete verdict for [1 x g, 0 x k, N]
-    must survive at [1 x (g+1), 0 x k, N].  Violations are evidence against
-    the front-ones monotonicity conjecture and are reported, not raised.
+    must survive at [1 x (g+1), 0 x k, N].  empirical_max_n takes the
+    non-Incomplete N of a prefix to be exactly 1..max_n (over the default
+    window it raises when they are not), so the violations are the N in
+    (max_n(g+1), max_n(g)].  They are evidence
+    against the front-ones monotonicity conjecture and are reported, not
+    raised.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -455,13 +528,9 @@ def add_front_ones_scan(
         AddFrontOnesRow(g, maxima[g].max_n, maxima[g].proven_max_n)
         for g in range(1, g_max + 1)
     )
-    violations: list[tuple[int, int]] = []
-    for g in range(1, g_max):
-        for n in range(1, maxima[g].max_n + 1):
-            base = classify(families.FamilySpec(g, k, n).to_vector(), cfg)
-            if base.is_incomplete:
-                continue
-            lifted = classify(families.FamilySpec(g + 1, k, n).to_vector(), cfg)
-            if lifted.is_incomplete:
-                violations.append((g, n))
-    return AddFrontOnesReport(k, g_max, rows, tuple(violations))
+    violations = tuple(
+        (g, n)
+        for g in range(1, g_max)
+        for n in range(maxima[g + 1].max_n + 1, maxima[g].max_n + 1)
+    )
+    return AddFrontOnesReport(k, g_max, rows, violations)

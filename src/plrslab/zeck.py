@@ -14,15 +14,15 @@ Zeckendorf decomposition), with one degenerate exception: the constant
 generator [1] admits no nonempty legal string at all, because a block must
 open with a digit below c_1 = 1.
 
-Construction here is greedy, most significant digit first.  Legality of a
-partial string is tracked by a small automaton whose state is either
-"between blocks" or "matched the first i coefficients of the current
-block"; a table of maximal completable values per (state, positions left)
-tells the greedy loop which digit choices still extend to a legal string
-of the exact remaining value.  The exhaustive enumerator below is kept
-deliberately independent of that machinery (it filters raw digit strings
-through the legality predicate) so it can serve as the oracle for the
-constructive path.
+Construction here is greedy, most significant digit first.  Its state is
+either "between blocks" or "matched the first s coefficients of the
+current block".  The largest value a legal completion of P digits can take
+is H_{P+1} - 1 between blocks, and that minus the matched digits' value
+inside a block, so the greedy loop needs no lookahead table: it takes the
+next coefficient whenever it fits and closes the block otherwise.  The
+exhaustive enumerator below is kept deliberately independent of that
+machinery (it filters raw digit strings through the legality predicate) so
+it can serve as the oracle for the constructive path.
 """
 
 from __future__ import annotations
@@ -95,53 +95,15 @@ def is_legal(cv: CoefficientVector, digits: SequenceT[int]) -> bool:
     return True
 
 
-class _LegalityTables:
-    """Maximal completable values per automaton state and positions left.
-
-    fresh[j] is the largest value a legal completion can take using j
-    trailing digit positions when the automaton sits between blocks;
-    mid[i][j] is the same when the current block has already matched
-    c_1..c_i.  Ending is allowed in either state, so all entries at j = 0
-    are 0.  Positions are counted from the least significant end: the digit
-    written with j positions left multiplies H_j.
-    """
-
-    def __init__(self, cv: CoefficientVector) -> None:
-        self.cv = cv
-        self.seq = cv.sequence
-        self.fresh: list[int] = [0]
-        L = len(cv)
-        self.mid: list[list[int]] = [[0] for _ in range(L)]  # mid[i], 1 <= i <= L-1
-
-    def grow_to(self, positions: int) -> None:
-        c = self.cv.coefficients
-        L = len(c)
-        while len(self.fresh) <= positions:
-            j = len(self.fresh)
-            h = self.seq.term(j)
-            prev_fresh = self.fresh[j - 1]
-            best = (c[0] - 1) * h + prev_fresh
-            if L >= 2:
-                best = max(best, c[0] * h + self.mid[1][j - 1])
-            self.fresh.append(best)
-            for i in range(1, L):
-                ci = c[i]  # coefficient c_{i+1}
-                if ci == 0:
-                    # forced zero digit; c_L >= 1 guarantees i + 1 < L here
-                    val = self.mid[i + 1][j - 1]
-                else:
-                    val = (ci - 1) * h + prev_fresh
-                    if i + 1 <= L - 1:
-                        val = max(val, ci * h + self.mid[i + 1][j - 1])
-                self.mid[i].append(val)
-
-
 def legal_decompose(cv: CoefficientVector, n: int) -> DigitString:
     """The legal digit string with value n, built greedily.
 
-    At each position the largest digit is chosen that still leaves the
-    remaining value completable from the resulting automaton state.  n = 0
-    maps to the empty string.
+    The string has m digits for the m with H_m <= n < H_{m+1}.  Between
+    blocks with P positions left the remainder stays below H_{P+1}, the
+    largest value a legal completion of P digits can take; so with c_1..c_s
+    matched, the next block digit c_{s+1} is taken whenever s + 1 < L and
+    c_{s+1} * H_j still fits, and otherwise remainder // H_j closes the block
+    (it is below c_{s+1}).  n = 0 maps to the empty string.
     """
     if n < 0:
         raise ValueError("target must be >= 0")
@@ -154,39 +116,28 @@ def legal_decompose(cv: CoefficientVector, n: int) -> DigitString:
         )
     c = cv.coefficients
     L = len(c)
-    tables = _LegalityTables(cv)
+    seq = cv.sequence
     m = 1
-    tables.grow_to(m)
-    while tables.fresh[m] < n:
+    while seq.term(m + 1) <= n:
         m += 1
-        tables.grow_to(m)
+    terms = seq.prefix(m + 1)  # H_1 .. H_{m+1}
 
     digits: list[int] = []
     remaining = n
-    state = 0  # 0 = between blocks, i >= 1 = matched c_1..c_i in current block
+    state = 0  # 0 = between blocks, s >= 1 = matched c_1..c_s in current block
     for j in range(m, 0, -1):
-        h = tables.seq.term(j)
+        h = terms[j - 1]
+        if state == 0 and remaining >= terms[j]:
+            raise RuntimeError(f"no legal continuation for {n} under {cv}")
         cnext = c[state]
-        cont = state + 1 if state + 1 <= L - 1 else None
-        chosen: Optional[int] = None
-        if (
-            cnext >= 1
-            and cont is not None
-            and cnext * h <= remaining
-            and remaining - cnext * h <= tables.mid[cont][j - 1]
-        ):
-            chosen, state = cnext, cont
-        elif cnext == 0:
-            if cont is None or remaining > tables.mid[cont][j - 1]:
-                raise RuntimeError(f"no legal continuation for {n} under {cv}")
-            chosen, state = 0, cont
+        if state + 1 < L and cnext * h <= remaining:
+            d, state = cnext, state + 1
         else:
-            d = min(cnext - 1, remaining // h)
-            if remaining - d * h > tables.fresh[j - 1]:
+            d, state = remaining // h, 0
+            if d >= cnext:
                 raise RuntimeError(f"no legal continuation for {n} under {cv}")
-            chosen, state = d, 0
-        digits.append(chosen)
-        remaining -= chosen * h
+        digits.append(d)
+        remaining -= d * h
     if remaining != 0:
         raise RuntimeError(f"greedy construction missed {n} under {cv}")
     return tuple(digits)

@@ -1,10 +1,13 @@
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,9 @@ import pytest
 import plrslab
 from plrslab import cli
 from plrslab.cli import main
+from plrslab import first_failure_census
 from plrslab.families import parse_figure_csv
-from plrslab.hunt import parse_census_csv
+from plrslab.hunt import CENSUS_CSV_HEADER, parse_census_csv
 
 
 def run(capsys, *argv):
@@ -238,7 +242,87 @@ CENSUS_STDOUT = {
 }
 
 
+def _census_envelope_per_row(report, jobs: int) -> str:
+    """The census JSON envelope built from one dict per vector and encoded whole."""
+    results = report.to_json()
+    results["rows"] = [
+        {
+            "vector": list(r.vector),
+            "first_failure": r.first_failure,
+            "verdict": r.verdict,
+            "proof_tag": r.proof,
+        }
+        for r in report.rows()
+    ]
+    envelope = {
+        "command": "census",
+        "inputs": {"L": report.length, "deep_horizon": report.deep_horizon, "jobs": jobs},
+        "results": results,
+        "tool_version": plrslab.__version__,
+    }
+    return json.dumps(envelope, ensure_ascii=False) + "\n"
+
+
+def _census_csv_per_row(report) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CENSUS_CSV_HEADER)
+    for r in report.rows():
+        ff = "" if r.first_failure is None else r.first_failure
+        writer.writerow([",".join(str(c) for c in r.vector), ff, r.verdict, r.proof])
+    return buf.getvalue()
+
+
+def _assert_same_text(got: str, expected: str) -> None:
+    # A long one-line text: report where it first differs, not a full diff.
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+        at = min(len(got), len(expected)) if at is None else at
+        lo = max(at - 40, 0)
+        raise AssertionError(
+            f"differs at {at} of {len(expected)}: "
+            f"{got[lo:at + 40]!r} != {expected[lo:at + 40]!r}"
+        )
+
+
+class _HashingSink(io.TextIOBase):
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode())
+        return len(text)
+
+
 class TestCensus:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    def test_rows_written_per_record_match_per_row_encoding(self, capsys, L):
+        argv = ["census", "--L", str(L), "--deep", "--jobs", "2"]
+        report = first_failure_census(L)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        _assert_same_text(out, _census_envelope_per_row(report, 2))
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        _assert_same_text(out, _census_csv_per_row(report))
+
+    def test_json_memory_bounded_by_largest_record(self):
+        # Building one dict per vector, then the whole text, peaks at ~24 MB
+        # here; written per record the peak stays well under 4 MB.
+        sink = _HashingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["census", "--L", "5", "--deep", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.sha.hexdigest()[:16] == CENSUS_STDOUT["--L 5 --deep --format json"][0]
+        assert peak < 4 * 2**20
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("command", list(CENSUS_STDOUT))
     def test_stdout_pinned(self, capsys, tmp_path, command, jobs):

@@ -1,3 +1,4 @@
+import json
 import os
 from collections import Counter
 
@@ -8,10 +9,12 @@ from plrslab import (
     ConjectureViolation,
     add_front_ones_scan,
     check_fail_at_2l_minus_1,
+    classify,
     enumerate_vectors,
     first_failure_census,
     hunt,
 )
+from plrslab.families import EmpiricalMax, FamilySpec, empirical_max_n
 from plrslab.hunt import (
     CensusRow,
     _aggregate,
@@ -89,10 +92,15 @@ class TestCensus:
             assert parse_census_csv(census_rows_to_csv(rows)) == rows
 
     def test_json_shape(self, census_reports):
-        payload = census_reports[3].to_json()
+        report = census_reports[3]
+        payload = report.to_json()
         assert payload["L"] == 3
         assert payload["max_first_failure"] == 5
-        assert payload["rows"][0].keys() == {"vector", "first_failure", "verdict", "proof_tag"}
+        assert "rows" not in payload
+        rows = json.loads("[" + "".join(report.json_rows()) + "]")
+        assert len(rows) == 80
+        assert rows[0].keys() == {"vector", "first_failure", "verdict", "proof_tag"}
+        assert [tuple(r["vector"]) for r in rows] == [r.vector for r in report.rows()]
 
     def test_violation_raised_on_late_failure(self):
         rows = [CensusRow((1, 3), 3, "incomplete", ""), CensusRow((1, 4), 9, "incomplete", "")]
@@ -276,7 +284,43 @@ class TestTwoLMinusOneFamily:
             check_fail_at_2l_minus_1(0)
 
 
+def add_front_ones_violations_by_classify(k, g_max, cfg):
+    """Every (g, N) with N <= max_n(g) not Incomplete at g but Incomplete at g + 1."""
+    violations = []
+    for g in range(1, g_max):
+        max_n = empirical_max_n((1,) * g + (0,) * k, cfg).max_n
+        for n in range(1, max_n + 1):
+            if classify(FamilySpec(g, k, n).to_vector(), cfg).is_incomplete:
+                continue
+            if classify(FamilySpec(g + 1, k, n).to_vector(), cfg).is_incomplete:
+                violations.append((g, n))
+    return violations
+
+
 class TestAddFrontOnes:
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("horizon", ["default", "2L+5"])
+    def test_violations_match_classify_oracle(self, k, horizon):
+        g_max = 5
+        # the longest vector scanned is [1 x g_max, 0 x k, N]
+        cfg = AnalysisConfig(None if horizon == "default" else 2 * (g_max + k + 1) + 5)
+        for top in range(2, g_max + 1):
+            report = add_front_ones_scan(k, top, cfg)
+            # no prefix here loses completeness, so both sides are empty; the
+            # next test covers a falling maximum
+            assert list(report.violations) == add_front_ones_violations_by_classify(k, top, cfg)
+
+    def test_violations_read_off_a_falling_maximum(self, monkeypatch):
+        maxima = {1: 5, 2: 3, 3: 4}
+
+        def fake_max_n(prefix, cfg):
+            return EmpiricalMax(maxima[prefix.count(1)], maxima[prefix.count(1)], None)
+
+        monkeypatch.setattr(hunt, "empirical_max_n", fake_max_n)
+        report = add_front_ones_scan(2, 3)
+        assert not report.holds
+        assert report.violations == ((1, 4), (1, 5))
+
     def test_k1_no_violations(self):
         report = add_front_ones_scan(1, 5)
         assert report.holds
