@@ -5,8 +5,8 @@ data rows in csv mode, or plain lines in text mode (the default).  Results
 go to stdout only; diagnostics go to stderr, so pipelines stay clean.
 
 Exit codes: 0 success / Complete, 2 invalid arguments or vector,
-3 Incomplete, 4 ConjecturallyComplete, 5 cap exceeded, 6 conjecture
-violation discovered by the census.
+3 Incomplete, 4 ConjecturallyComplete, 5 cap exceeded, 6 a first failure
+past the max(2L - 1, 2) window (a conjecture violation) found by any command.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     NoLegalDecompositionError,
     OutOfRangeError,
     PLRSError,
-    VectorValidationError,
 )
 from .seqcore import CoefficientVector, terms_prefix
 from .verdicts import (
@@ -259,10 +258,12 @@ def cmd_bound(args) -> int:
 def cmd_maxn(args) -> int:
     prefix = [int(p) for p in args.prefix.split(",")]
     cfg = AnalysisConfig(horizon=args.horizon)
-    try:
-        emp = families.empirical_max_n(prefix, cfg)
-    except ValueError as exc:
-        raise VectorValidationError(str(exc)) from exc
+    # H_{L+1} >= N gives B_{L+1} <= 1 + H_1 + ... + H_L - N, and H_1..H_L do
+    # not depend on N: no larger N passes the window, so none is classified.
+    head = CoefficientVector(prefix + [1])
+    n_top = 1 + head.sequence.partial_sum(len(head))
+    _check_prefix_size(CoefficientVector(prefix + [n_top]), cfg.effective_horizon(len(head)))
+    emp = families.empirical_max_n(prefix, cfg)
     results = {
         "prefix": prefix,
         "max_n": emp.max_n,
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector")
     p.add_argument("n", type=int)
     p.add_argument("--mode", choices=["legal", "distinct", "both"], default="both")
-    p.add_argument("--oracle-cap", type=int, default=zeck.DEFAULT_DISTINCT_CAP)
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
 
     p = add("bound", cmd_bound, "closed-form maximal last coefficients")
     p.add_argument("--single-one", dest="single_one", action="store_true")

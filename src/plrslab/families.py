@@ -14,10 +14,10 @@ The two g-ones expressions agree at the shared boundary g = k + ceil(log2 k)
 form is known for 3 <= g < k.
 
 empirical_max_n recovers these bounds from Brown's gaps, which are affine in
-N over the default window (horizon 2L - 1): two gap lists, at N = 1 and
-N = 2, give the largest passing N.  Only a horizon past 2L bisects over
-verdicts, valid because decreasing the last coefficient of a complete
-generator preserves completeness (downward closure in N).
+N up to term 2L: two gap lists, at N = 1 and N = 2, give the largest N
+passing the window, and one classify call there supplies the proof.  A
+deeper horizon only rechecks that N; a first failure it finds past the
+window is a ConjectureViolation, not a reason to search lower.
 """
 
 from __future__ import annotations
@@ -199,10 +199,13 @@ def empirical_max_n(
 ) -> EmpiricalMax:
     """The largest N with a non-Incomplete verdict for [prefix, N].
 
-    For a horizon h <= 2L, N multiplies only H_1..H_{n-L} in the gaps, so
-    window_max_n finds N from two gap lists and classify runs once there.
-    Past 2L the gaps are polynomial in N: bisect below the N + 1 that fails
-    the window, as decreasing the last coefficient preserves completeness.
+    For n <= 2L, N multiplies only H_1..H_{n-L} in the gaps, so
+    window_max_n finds the largest N passing B_1..B_{min(h, 2L)} from two
+    gap lists, capped by the family bound, and classify runs once there.
+    Every smaller N passes the same gaps.  A horizon h past 2L can make
+    that verdict Incomplete only by a first failure past 2L, which raises
+    ConjectureViolation.  A conjectural verdict steps down to the largest
+    N with a proof.
     """
     p = _validated_prefix(prefix)
     cfg = config or AnalysisConfig()
@@ -218,25 +221,18 @@ def empirical_max_n(
     bound = family_bound(shape.g, shape.k) if shape else None
     if bound is not None:
         max_n = min(max_n, bound.max_n)
-    lo, hi, top = 0, max_n + 1, None
-    if horizon <= 2 * L and max_n:
-        lo, top = max_n, verdict_at(max_n)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        v = verdict_at(mid)
-        if v.is_incomplete:
-            hi = mid
-        else:
-            lo, top = mid, v
-    if top is None:
+    if not max_n:
         return EmpiricalMax(0, 0, None)
+    top = verdict_at(max_n)
+    if top.is_incomplete:
+        raise ConjectureViolation(p + (max_n,), top.first_failure_index)
     if top.is_complete:
-        return EmpiricalMax(lo, lo, top.proof)
-    for n in range(lo - 1, 0, -1):
+        return EmpiricalMax(max_n, max_n, top.proof)
+    for n in range(max_n - 1, 0, -1):
         v = verdict_at(n)
         if v.is_complete:
-            return EmpiricalMax(lo, n, v.proof)
-    return EmpiricalMax(lo, 0, None)
+            return EmpiricalMax(max_n, n, v.proof)
+    return EmpiricalMax(max_n, 0, None)
 
 
 @dataclass(frozen=True)
@@ -284,17 +280,8 @@ def figure1_table(
 FIGURE_CSV_HEADER = ["k", "g", "empirical_max_n", "closed_form_max_n", "provenance"]
 
 
-def figure_rows_to_csv(rows: Iterable[FigureRow]) -> str:
-    """CSV with header k,g,empirical_max_n,closed_form_max_n,provenance."""
-    lines = [",".join(FIGURE_CSV_HEADER)]
-    for r in rows:
-        closed = "" if r.closed_form_max_n is None else str(r.closed_form_max_n)
-        lines.append(f"{r.k},{r.g},{r.empirical_max_n},{closed},{r.provenance}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_figure_csv(text: str) -> list[FigureRow]:
-    """Inverse of figure_rows_to_csv."""
+    """Parse the CSV that `figure --format csv` prints."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != ",".join(FIGURE_CSV_HEADER):
         raise ValueError("unexpected figure CSV header")

@@ -511,10 +511,10 @@ def add_front_ones_scan(
 
     For each g < g_max and each N up to the empirical maximum for the
     prefix (1 x g, 0 x k), any non-Incomplete verdict for [1 x g, 0 x k, N]
-    must survive at [1 x (g+1), 0 x k, N].  empirical_max_n takes the
-    non-Incomplete N of a prefix to be exactly 1..max_n (over the default
-    window it raises when they are not), so the violations are the N in
-    (max_n(g+1), max_n(g)].  They are evidence
+    must survive at [1 x (g+1), 0 x k, N].  The non-Incomplete N of a
+    prefix are exactly 1..max_n (empirical_max_n raises ConjectureViolation
+    when a first failure past the window would break that), so the
+    violations are the N in (max_n(g+1), max_n(g)].  They are evidence
     against the front-ones monotonicity conjecture and are reported, not
     raised.
     """

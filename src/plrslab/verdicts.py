@@ -21,19 +21,17 @@ truth on bounded ranges.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence as SequenceT
 
-from .errors import CapTooLargeError
+from .errors import CapTooLargeError, ConjectureViolation
 from .seqcore import CoefficientVector, brown_gap_series
 
-log = logging.getLogger(__name__)
-
-#: Default ceiling for subset-sum cross-checks (largest target probed).
+#: Default ceiling (largest target) for subset-sum cross-checks and
+#: distinct-term decompositions.
 DEFAULT_ORACLE_CAP = 10**6
 
-#: Default memory budget for reachability bitmaps, in bits.
+#: Memory budget, in bits, for reachability and back-trace bitmaps.
 BITMAP_BUDGET_BITS = 2**28
 
 
@@ -45,7 +43,6 @@ class ProofRule(str, enum.Enum):
     FAMILY_SINGLE_ONE = "family_single_one"
     FAMILY_DOUBLE_ONE = "family_double_one"
     FAMILY_G_ONES = "family_g_ones"
-    DECREASE_LAST = "decrease_last"
     MERGE_LAST = "merge_last"
     WEAK_WINDOW = "weak_window"
 
@@ -189,9 +186,7 @@ class Reachability:
         return [m for m in range(1, self.cap + 1) if not (self.bitmap >> m) & 1]
 
 
-def subset_sum_reachable(
-    terms: SequenceT[int], cap: int, *, budget_bits: int = BITMAP_BUDGET_BITS
-) -> Reachability:
+def subset_sum_reachable(terms: SequenceT[int], cap: int) -> Reachability:
     """Which targets in [1, cap] are sums of distinct listed terms.
 
     Bit-vector dynamic program: each term is folded in once with a single
@@ -200,9 +195,9 @@ def subset_sum_reachable(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if cap + 1 > budget_bits:
+    if cap + 1 > BITMAP_BUDGET_BITS:
         raise CapTooLargeError(
-            f"cap {cap} needs {cap + 1} bits, over the {budget_bits}-bit budget"
+            f"cap {cap} needs {cap + 1} bits, over the {BITMAP_BUDGET_BITS}-bit budget"
         )
     prev = 0
     for t in terms:
@@ -220,9 +215,7 @@ def subset_sum_reachable(
     return Reachability(cap, bits)
 
 
-def is_complete_up_to(
-    cv: CoefficientVector, cap: int, *, budget_bits: int = BITMAP_BUDGET_BITS
-) -> tuple[bool, Optional[int]]:
+def is_complete_up_to(cv: CoefficientVector, cap: int) -> tuple[bool, Optional[int]]:
     """Ground-truth completeness over [1, cap], plus the smallest missing target.
 
     Materializes terms until their running sum reaches cap and runs the
@@ -244,7 +237,7 @@ def is_complete_up_to(
         t = seq.term(n)
         terms.append(t)
         total += t
-    reach = subset_sum_reachable(terms, cap, budget_bits=budget_bits)
+    reach = subset_sum_reachable(terms, cap)
     miss = reach.smallest_missing()
     return miss is None, miss
 
@@ -256,34 +249,6 @@ def is_complete_up_to(
 def _incomplete_at(cv: CoefficientVector, n: int) -> CompletenessVerdict:
     witness = 1 + cv.sequence.partial_sum(n - 1)
     return CompletenessVerdict.incomplete(n, witness)
-
-
-def _incomplete_beyond(cv: CoefficientVector, horizon: int) -> CompletenessVerdict:
-    """Locate the failure index of a theorem-certified incomplete vector.
-
-    Reached only when a closed-form rule proves incompleteness but the scan
-    to `horizon` found no negative gap, i.e. the failure lies beyond the
-    conjectured window.  The gap must go negative eventually, so keep
-    doubling the scan depth (with a generous stop to surface logic errors).
-    """
-    L = len(cv)
-    depth = max(2 * horizon, 4 * L)
-    limit = max(4096, 256 * L)
-    while depth <= limit:
-        scan = brown_scan(cv, depth)
-        if scan.first_failure is not None:
-            if scan.first_failure > max(2 * L - 1, 2):
-                log.warning(
-                    "vector %s first fails at term %d, beyond max(2L-1, 2) = %d",
-                    cv,
-                    scan.first_failure,
-                    max(2 * L - 1, 2),
-                )
-            return _incomplete_at(cv, scan.first_failure)
-        depth *= 2
-    raise RuntimeError(
-        f"{cv} is certified incomplete but shows no negative gap within {limit} terms"
-    )
 
 
 def _all_positive_complete_shape(coeffs: tuple[int, ...]) -> bool:
@@ -306,7 +271,8 @@ def classify(
 
     Rule order is fixed: (a) gap scan to the horizon, (b) the all-positive
     characterization, (c) exact bounds for the [1 x g, 0 x k, N] families
-    (completeness below the bound, certified incompleteness above it),
+    (completeness up to the bound; above it the scan must have failed, else
+    the first failure lies past the window: ConjectureViolation),
     (d) completeness of the merged generator [c_1, ..., c_{L-1} + c_L]
     implies completeness here, (e) the strict-window criterion, and
     otherwise (f) ConjecturallyComplete at the scanned horizon.
@@ -326,10 +292,9 @@ def classify(
 
     if min(coeffs) >= 1:
         if not _all_positive_complete_shape(coeffs):
-            # Characterization says incomplete; the scan above must already
-            # have caught it (failure lands by term L+1), so this is a
-            # defensive fallback.
-            return _incomplete_beyond(cv, horizon)
+            # The first c_i != 1 gives B_{i+1} < 0 (or B_{L+1} < 0 after
+            # L - 1 ones and c_L >= 3), inside the horizon scanned above.
+            raise RuntimeError(f"{cv} is not all-positive complete yet passed the scan")
         if coeffs == (2,):
             return CompletenessVerdict.complete(ProofTag.make(ProofRule.GEOMETRIC_L1))
         return CompletenessVerdict.complete(ProofTag.make(ProofRule.ALL_POSITIVE))
@@ -347,7 +312,9 @@ def classify(
                     bound=bound.max_n,
                 )
                 return CompletenessVerdict.complete(tag)
-            return _incomplete_beyond(cv, horizon)
+            # Proven incomplete, yet B_1..B_horizon >= 0: the first failure
+            # lies past the window.
+            raise ConjectureViolation(coeffs, None)
 
     if L >= 2:
         merged = CoefficientVector(coeffs[:-2] + (coeffs[-2] + coeffs[-1],))

@@ -32,17 +32,12 @@ from typing import Optional, Sequence as SequenceT
 
 from .errors import CapExceededError, CapTooLargeError, NoLegalDecompositionError
 from .seqcore import CoefficientVector
+from .verdicts import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP
 
 DigitString = tuple[int, ...]
 
-#: Default ceiling for the brute-force enumeration oracle.
-DEFAULT_ENUM_CAP = 200
-
-#: Default ceiling for subset-sum back-traced distinct decompositions.
-DEFAULT_DISTINCT_CAP = 10**6
-
-#: Memory budget (bits) for the stack of back-trace bitmaps.
-BACKTRACE_BUDGET_BITS = 2**28
+#: Ceiling for the brute-force enumeration oracle.
+ENUM_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -143,9 +138,7 @@ def legal_decompose(cv: CoefficientVector, n: int) -> DigitString:
     return tuple(digits)
 
 
-def enumerate_legal(
-    cv: CoefficientVector, n: int, *, cap: int = DEFAULT_ENUM_CAP
-) -> list[DigitString]:
+def enumerate_legal(cv: CoefficientVector, n: int) -> list[DigitString]:
     """All legal digit strings with value n, by brute force.
 
     Enumerates raw digit strings (digits up to max c_i, length up to the
@@ -155,8 +148,8 @@ def enumerate_legal(
     """
     if n < 0:
         raise ValueError("target must be >= 0")
-    if n > cap:
-        raise CapExceededError(f"target {n} above the enumeration cap {cap}")
+    if n > ENUM_CAP:
+        raise CapExceededError(f"target {n} above the enumeration cap {ENUM_CAP}")
     if n == 0:
         return [()]
     c = cv.coefficients
@@ -202,11 +195,7 @@ def enumerate_legal(
 
 
 def distinct_decompose(
-    cv: CoefficientVector,
-    n: int,
-    *,
-    cap: int = DEFAULT_DISTINCT_CAP,
-    budget_bits: int = BACKTRACE_BUDGET_BITS,
+    cv: CoefficientVector, n: int, *, cap: int = DEFAULT_ORACLE_CAP
 ) -> Optional[DistinctDecomposition]:
     """A set of distinct terms summing to n, or None when no such set exists.
 
@@ -229,7 +218,7 @@ def distinct_decompose(
             break
         terms.append(h)
         i += 1
-    if (len(terms) + 1) * (n + 1) > budget_bits:
+    if (len(terms) + 1) * (n + 1) > BITMAP_BUDGET_BITS:
         raise CapTooLargeError(
             f"back-trace over {len(terms)} terms at cap {n} exceeds the bitmap budget"
         )

@@ -5,6 +5,8 @@ Every test prints a single `[acceptance] criterion NN PASS` line on success
 test failing, so each criterion has exactly one pass/fail line either way.
 """
 
+import contextlib
+import io
 from itertools import product
 
 from plrslab import (
@@ -24,11 +26,20 @@ from plrslab import (
     terms_prefix,
     value_of,
 )
-from plrslab.families import figure1_table, figure_rows_to_csv, parse_figure_csv
+from plrslab.cli import main
+from plrslab.families import figure1_table, parse_figure_csv
 
 
 def _report(number: int, detail: str) -> None:
     print(f"[acceptance] criterion {number:02d} PASS: {detail}")
+
+
+def _figure_csv(k_range: str, g_range: str) -> str:
+    """stdout of `plrslab figure --format csv` over the given ranges."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["figure", "--k-range", k_range, "--g-range", g_range, "--format", "csv"]) == 0
+    return out.getvalue()
 
 
 def test_criterion_01_worked_examples():
@@ -113,9 +124,7 @@ def test_criterion_05_g_ones_regimes_as_csv():
         assert values == sorted(values)
         plateau = [r.empirical_max_n for r in rows if r.g >= k + log2k]
         assert len(set(plateau)) == 1
-
-    csv_text = figure_rows_to_csv(all_rows)
-    assert parse_figure_csv(csv_text) == all_rows
+        assert parse_figure_csv(_figure_csv(str(k), f"{g_values[0]}:{g_values[-1]}")) == rows
     _report(5, f"g-ones regimes match for k = 1..4 ({len(all_rows)} CSV rows round-trip)")
 
 

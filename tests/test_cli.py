@@ -222,9 +222,18 @@ class TestMaxn:
         code, _, _ = run(capsys, "maxn", "0,1")
         assert code == 2
 
+    def test_oversized_horizon_exit_five(self, capsys, monkeypatch):
+        # [1,1,N] fails at term 4 once N > 1 + H_1 + H_2 + H_3 = 8; 20,000
+        # terms of [1,1,8] may pass the bitmap budget.
+        monkeypatch.setattr(cli.families, "empirical_max_n", _no_work)
+        code, out, err = run(capsys, "maxn", "1,1", "--horizon", "20000")
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+
     @pytest.mark.parametrize("horizon", [[], ["--horizon", "60"]])
     def test_horizon_past_2l_agrees(self, capsys, horizon):
-        # 60 > 2L = 10 bisects over verdicts instead of reading the gaps.
+        # 60 > 2L = 10 reclassifies the window's maximum at the deeper horizon.
         code, out, _ = run(capsys, "maxn", "1,0,1,0", *horizon)
         assert code == 0 and out == "7\n"
 

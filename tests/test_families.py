@@ -3,6 +3,7 @@ import pytest
 from plrslab import (
     AnalysisConfig,
     CoefficientVector,
+    CompletenessVerdict,
     ConjectureViolation,
     OutOfRangeError,
     classify,
@@ -17,9 +18,9 @@ from plrslab import (
     max_n_single_one,
 )
 from plrslab import families
+from plrslab.cli import main
 from plrslab.families import (
     FamilySpec,
-    figure_rows_to_csv,
     parse_figure_csv,
     shifted_one_vector,
     window_max_n,
@@ -150,6 +151,19 @@ class TestEmpiricalMax:
         assert emp.proven_max_n == emp.max_n - 1
         assert probed == [emp.max_n, emp.max_n - 1]
 
+    def test_failure_past_the_window_is_a_violation(self, monkeypatch):
+        # [1,1,0,0,6] passes B_1..B_10; pretend a horizon of 15 finds B_13 < 0.
+        def fails_at_13(cv, config=None):
+            if cv.coefficients[-1] == 6:
+                return CompletenessVerdict.incomplete(13, 1 + cv.sequence.partial_sum(12))
+            return classify(cv, config)
+
+        monkeypatch.setattr(families, "classify", fails_at_13)
+        with pytest.raises(ConjectureViolation) as exc:
+            empirical_max_n([1, 1, 0, 0], AnalysisConfig(horizon=15))
+        assert exc.value.vector == (1, 1, 0, 0, 6)
+        assert exc.value.first_failure == 13
+
     def test_prefix_with_no_complete_extension(self):
         emp = empirical_max_n([2])
         assert emp.max_n == 0 and emp.proven_max_n == 0 and emp.proof is None
@@ -202,9 +216,10 @@ class TestFigureTable:
         assert row.closed_form_max_n is None
         assert row.empirical_max_n == max_n_single_one(3).max_n  # still measured
 
-    def test_csv_roundtrip(self):
+    def test_csv_roundtrip(self, capsys):
         rows = figure1_table([1, 2], [1, 2, 3])
-        text = figure_rows_to_csv(rows)
+        assert main(["figure", "--k-range", "1:2", "--g-range", "1:3", "--format", "csv"]) == 0
+        text = capsys.readouterr().out
         assert text.splitlines()[0] == "k,g,empirical_max_n,closed_form_max_n,provenance"
         assert parse_figure_csv(text) == rows
 

@@ -237,7 +237,7 @@ class TestEmpiricalMaxOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_bisection(self, prefix, past_2l):
         # None keeps the default 2L - 1; 2L is the widest affine window, and
-        # horizons past it take the bisection fallback.
+        # horizons past it reclassify the window's maximum deeper.
         L = len(prefix) + 1
         cfg = AnalysisConfig(horizon=None if past_2l is None else 2 * L + past_2l)
         emp = empirical_max_n(prefix, cfg)

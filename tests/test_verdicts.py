@@ -6,8 +6,10 @@ import pytest
 
 from plrslab import (
     AnalysisConfig,
+    BoundResult,
     CapTooLargeError,
     CoefficientVector,
+    ConjectureViolation,
     ProofRule,
     brown_scan,
     classify,
@@ -16,6 +18,7 @@ from plrslab import (
     terms_prefix,
     weak_window_check,
 )
+from plrslab import families
 from plrslab.verdicts import verdict_to_json
 
 
@@ -130,6 +133,17 @@ class TestClassify:
         v = classify(CoefficientVector((1, 0, 3)))
         assert v.is_complete and v.proof.rule is ProofRule.FAMILY_SINGLE_ONE
         assert v.proof.params["bound"] == 3
+
+    def test_family_bound_violated_past_the_window(self, monkeypatch):
+        # [1,0,3] passes every gap it is scanned for; a bound of 2 claims it
+        # fails, so the failure would lie past the window.
+        too_low = BoundResult(2, "single_one", exact=True)
+        monkeypatch.setattr(families, "family_bound", lambda g, k: too_low)
+        for horizon in (None, 40):
+            with pytest.raises(ConjectureViolation) as exc:
+                classify(CoefficientVector((1, 0, 3)), AnalysisConfig(horizon=horizon))
+            assert exc.value.vector == (1, 0, 3)
+            assert exc.value.first_failure is None
 
     def test_merge_rule_fires(self):
         # merging the last two gives [1,0,3], complete by the single-one bound
