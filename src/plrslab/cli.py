@@ -64,8 +64,15 @@ def _envelope(command: str, inputs: dict, results) -> dict:
     }
 
 
-def _print_json(envelope: dict) -> None:
-    print(json.dumps(envelope, ensure_ascii=False))
+def _print_json(envelope: dict, *slots: tuple[str, Iterable[str]]) -> None:
+    """Write the envelope as one JSON line.  Each (marker, pieces) slot's pieces
+    go right after the marker's next occurrence, so no large value is one string."""
+    text = json.dumps(envelope, ensure_ascii=False)
+    for marker, pieces in slots:
+        head, _, text = text.partition(marker)
+        sys.stdout.write(head + marker)
+        sys.stdout.writelines(pieces)
+    sys.stdout.write(text + "\n")
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
@@ -75,9 +82,9 @@ def _print_csv(header: list[str], rows: Iterable[list]) -> None:
         writer.writerow(row)
 
 
-def _emit(args, envelope: dict, text_lines: list[str], csv_table=None) -> None:
+def _emit(args, envelope: dict, text_lines: list[str], csv_table=None, slots=()) -> None:
     if args.format == "json":
-        _print_json(envelope)
+        _print_json(envelope, *slots)
     elif args.format == "csv":
         if csv_table is None:
             raise OutOfRangeError(f"{envelope['command']} has no CSV form")
@@ -180,6 +187,7 @@ def cmd_decompose(args) -> int:
         raise OutOfRangeError("N must be >= 0")
     results: dict = {"N": args.n}
     lines: list[str] = []
+    slots: list = []
     if args.mode in ("legal", "both"):
         try:
             digits = zeck.legal_decompose(cv, args.n)
@@ -187,10 +195,17 @@ def cmd_decompose(args) -> int:
             results["legal"] = None
             lines.append("legal: none")
         else:
-            results["legal"] = zeck.decomposition_json(cv, digits)
-            rendered = zeck.render_decomposition(cv, digits)
-            results["legal"]["rendered"] = rendered
-            lines.append(f"legal: {rendered}" if args.n else "legal: empty")
+            if args.format == "json":
+                # Each term turns into decimal once, for "terms" and "rendered".
+                texts = [str(t) for t in reversed(cv.sequence.prefix(len(digits)))] if digits else []
+                total = zeck.value_of(cv, digits)
+                results["legal"] = {"N": total, "digits": list(digits), "terms": [],
+                                    "legal": zeck.is_legal(cv, digits), "rendered": ""}
+                slots = [('"terms": [', (f", {t}" if i else t for i, t in enumerate(texts))),
+                         ('"rendered": "', zeck.render_pieces(total, digits, texts))]
+            else:
+                rendered = zeck.render_decomposition(cv, digits)
+                lines.append(f"legal: {rendered}" if args.n else "legal: empty")
     if args.mode in ("distinct", "both"):
         if args.n == 0:
             results["distinct"] = {"indices": [], "terms": []}
@@ -209,7 +224,7 @@ def cmd_decompose(args) -> int:
         {"vector": list(cv), "N": args.n, "mode": args.mode},
         results,
     )
-    _emit(args, envelope, lines)
+    _emit(args, envelope, lines, slots=slots)
     return EXIT_OK
 
 
@@ -288,16 +303,12 @@ def cmd_census(args) -> int:
         rows_path=args.rows,
     )
     if args.format == "json":
-        # The rows are written record by record into the encoded envelope.
         envelope = _envelope(
             "census",
             {"L": args.length, "deep_horizon": report.deep_horizon, "jobs": args.jobs},
             {**report.to_json(), "rows": []},
         )
-        head, _, tail = json.dumps(envelope, ensure_ascii=False).partition('"rows": []')
-        sys.stdout.write(head + '"rows": [')
-        sys.stdout.writelines(report.json_rows())
-        sys.stdout.write("]" + tail + "\n")
+        _print_json(envelope, ('"rows": [', report.json_rows()))
     elif args.format == "csv":
         _print_csv(hunt.CENSUS_CSV_HEADER, [])
         sys.stdout.writelines(report.csv_rows())

@@ -23,12 +23,16 @@ next coefficient whenever it fits and closes the block otherwise.  The
 exhaustive enumerator below is kept deliberately independent of that
 machinery (it filters raw digit strings through the legality predicate) so
 it can serve as the oracle for the constructive path.
+
+All three searches bisect the terms <= N, refused once they could pass the
+memory budget.  render_pieces also takes terms already in decimal.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence as SequenceT
+from typing import Iterator, Optional, Sequence as SequenceT
 
 from .errors import CapExceededError, CapTooLargeError, NoLegalDecompositionError
 from .seqcore import CoefficientVector
@@ -57,48 +61,64 @@ def value_of(cv: CoefficientVector, digits: SequenceT[int]) -> int:
     m = len(digits)
     if m == 0:
         return 0
-    seq = cv.sequence
-    prefix = seq.prefix(m)
+    prefix = cv.sequence.prefix(m)
     return sum(d * prefix[m - 1 - i] for i, d in enumerate(digits))
 
 
 def is_legal(cv: CoefficientVector, digits: SequenceT[int]) -> bool:
-    """Decide legality of a digit string by direct block recursion."""
+    """Decide legality of a digit string by direct block recursion, in one pass."""
     c = cv.coefficients
     L = len(c)
-    a = tuple(digits)
+    a, m = digits, len(digits)
     if any(d < 0 for d in a):
         return False
-    while a:
-        if a[0] == 0:
+    i = 0  # start of the current block
+    while i < m:
+        if a[i] == 0:
             return False
-        m = len(a)
         j = 0
-        while j < m and j < L and a[j] == c[j]:
+        while i + j < m and j < L and a[i + j] == c[j]:
             j += 1
-        if j == m:
-            return m < L  # exact coefficient prefix may only end a string
+        if i + j == m:
+            return j < L  # exact coefficient prefix may only end a string
         if j == L:
             return False  # matched all L coefficients with digits left over
-        if a[j] > c[j]:
+        if a[i + j] > c[j]:
             return False
-        # Block closes at position j+1 with a[j] < c[j]; skip trailing zeros.
-        t = j + 1
-        while t < m and a[t] == 0:
-            t += 1
-        a = a[t:]
+        # Block closes at offset j with a digit below c_{j+1}; skip trailing zeros.
+        i += j + 1
+        while i < m and a[i] == 0:
+            i += 1
     return True
+
+
+def _terms_upto(cv: CoefficientVector, n: int) -> list[int]:
+    """[H_1, ..., H_k] for the largest k with H_k <= n (n >= 1, cv not [1]).
+
+    Grows the memo L terms at a time, as H_{k+L} >= 2 H_k, then bisects;
+    refused once its k terms of up to bits(H_k) bits pass the budget."""
+    step = k = len(cv)
+    while (h := cv.sequence.term(k)) <= n:
+        if k * h.bit_length() > BITMAP_BUDGET_BITS:
+            raise CapExceededError(
+                f"the terms of {list(cv)} up to a {n.bit_length()}-bit N may need "
+                f"over the {BITMAP_BUDGET_BITS}-bit budget"
+            )
+        k += step
+    terms = cv.sequence.prefix(k)
+    return terms[:bisect_right(terms, n)]
 
 
 def legal_decompose(cv: CoefficientVector, n: int) -> DigitString:
     """The legal digit string with value n, built greedily.
 
-    The string has m digits for the m with H_m <= n < H_{m+1}.  Between
-    blocks with P positions left the remainder stays below H_{P+1}, the
-    largest value a legal completion of P digits can take; so with c_1..c_s
-    matched, the next block digit c_{s+1} is taken whenever s + 1 < L and
-    c_{s+1} * H_j still fits, and otherwise remainder // H_j closes the block
-    (it is below c_{s+1}).  n = 0 maps to the empty string.
+    The string has m digits for the m with H_m <= n < H_{m+1} (refused when
+    those terms could pass the memory budget).  Between blocks with P
+    positions left the remainder stays below H_{P+1}, the largest value a
+    legal completion of P digits can take; so with c_1..c_s matched, the
+    next block digit c_{s+1} is taken whenever s + 1 < L and c_{s+1} * H_j
+    still fits, and otherwise remainder // H_j closes the block (it is below
+    c_{s+1}).  n = 0 maps to the empty string.
     """
     if n < 0:
         raise ValueError("target must be >= 0")
@@ -111,11 +131,9 @@ def legal_decompose(cv: CoefficientVector, n: int) -> DigitString:
         )
     c = cv.coefficients
     L = len(c)
-    seq = cv.sequence
-    m = 1
-    while seq.term(m + 1) <= n:
-        m += 1
-    terms = seq.prefix(m + 1)  # H_1 .. H_{m+1}
+    terms = _terms_upto(cv, n)
+    m = len(terms)
+    terms.append(cv.sequence.term(m + 1))  # H_1 .. H_{m+1}
 
     digits: list[int] = []
     remaining = n
@@ -156,15 +174,7 @@ def enumerate_legal(cv: CoefficientVector, n: int) -> list[DigitString]:
     if c == (1,):
         return []
     maxd = max(c)
-    seq = cv.sequence
-    values: list[int] = []  # H_1.. while <= n
-    i = 1
-    while True:
-        h = seq.term(i)
-        if h > n:
-            break
-        values.append(h)
-        i += 1
+    values = _terms_upto(cv, n)
 
     found: list[DigitString] = []
 
@@ -209,15 +219,7 @@ def distinct_decompose(
     if cv.coefficients == (1,):
         # All terms equal 1, so n ones (indices 1..n) always work.
         return DistinctDecomposition(tuple(range(1, n + 1)), (1,) * n)
-    seq = cv.sequence
-    terms: list[int] = []
-    i = 1
-    while True:
-        h = seq.term(i)
-        if h > n:
-            break
-        terms.append(h)
-        i += 1
+    terms = _terms_upto(cv, n)
     if (len(terms) + 1) * (n + 1) > BITMAP_BUDGET_BITS:
         raise CapTooLargeError(
             f"back-trace over {len(terms)} terms at cap {n} exceeds the bitmap budget"
@@ -249,26 +251,20 @@ def render_decomposition(cv: CoefficientVector, digits: SequenceT[int]) -> str:
     Multipliers are spelled out whenever any digit exceeds 1; a pure 0/1
     string prints as a plain sum of terms.
     """
-    total = value_of(cv, digits)
-    m = len(digits)
-    if m == 0 or all(d == 0 for d in digits):
-        return "0 = 0"
-    prefix = cv.sequence.prefix(m)
-    parts = [(d, prefix[m - 1 - i]) for i, d in enumerate(digits) if d > 0]
-    if any(d > 1 for d, _ in parts):
-        rhs = " + ".join(f"{d}·{t}" for d, t in parts)
-    else:
-        rhs = " + ".join(str(t) for _, t in parts)
-    return f"{total} = {rhs}"
+    terms = reversed(cv.sequence.prefix(len(digits))) if digits else ()
+    return "".join(render_pieces(value_of(cv, digits), digits, terms))
 
 
-def decomposition_json(cv: CoefficientVector, digits: SequenceT[int]) -> dict:
-    """Wire form of a digit string: {N, digits, terms, legal}."""
-    m = len(digits)
-    prefix = cv.sequence.prefix(m) if m else []
-    return {
-        "N": value_of(cv, digits),
-        "digits": list(digits),
-        "terms": [prefix[m - 1 - i] for i in range(m)],
-        "legal": is_legal(cv, digits),
-    }
+def render_pieces(total: int, digits: SequenceT[int], terms) -> Iterator[str]:
+    """render_decomposition's text in pieces, none needing JSON escapes; terms[i]
+    (H_{m-i}, under digits[i]) may be an int or its decimal text."""
+    yield f"{total} = "
+    multipliers = any(d > 1 for d in digits)
+    sep = ""
+    for d, t in zip(digits, terms):
+        if d:
+            yield f"{sep}{d}·" if multipliers else sep
+            yield str(t)
+            sep = " + "
+    if not sep:  # no nonzero digit, so the total is 0
+        yield "0"

@@ -13,9 +13,18 @@ from pathlib import Path
 import pytest
 
 import plrslab
-from plrslab import cli
+from plrslab import (
+    CoefficientVector,
+    NoLegalDecompositionError,
+    cli,
+    distinct_decompose,
+    first_failure_census,
+    is_legal,
+    legal_decompose,
+    terms_prefix,
+    value_of,
+)
 from plrslab.cli import main
-from plrslab import first_failure_census
 from plrslab.families import parse_figure_csv
 from plrslab.hunt import CENSUS_CSV_HEADER, parse_census_csv
 
@@ -178,6 +187,118 @@ class TestDecompose:
         assert results["legal"]["digits"] == [1, 0, 0, 1, 0]
         assert results["legal"]["terms"] == [8, 5, 3, 2, 1]
         assert results["distinct"]["terms"] == [2, 8]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("mode", ["legal", "distinct", "both"])
+    @pytest.mark.parametrize(
+        "vector,n",
+        [("1,3", 9), ("1,1", 10), ("1,1", 0), ("1", 0), ("1", 5), ("2,0,3", 12345), ("3,1,1", 0)],
+    )
+    def test_stdout_matches_whole_dict_encoding(self, capsys, vector, n, mode, fmt):
+        code, out, _ = run(capsys, "decompose", vector, str(n), "--mode", mode, "--format", fmt)
+        assert code == 0
+        _assert_same_text(out, _decompose_stdout_by_dict(vector, n, mode, fmt))
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("vector", ["2,1", "1,1", "2,1,3,0,0,0,2"])
+    def test_stdout_for_a_4096_bit_n_matches_whole_dict_encoding(self, capsys, vector, fmt):
+        n = (1 << 4095) + 0x9E3779B97F4A7C15 ** 50
+        with _no_digit_limit():
+            text = str(n)
+            code, out, _ = run(capsys, "decompose", vector, text, "--mode", "legal", "--format", fmt)
+            expected = _decompose_stdout_by_dict(vector, n, "legal", fmt)
+        assert code == 0
+        _assert_same_text(out, expected)
+
+    def test_legal_json_memory_streamed(self):
+        # Whole, the envelope of a 4096-bit N under [2, 1] (2.9 MB) peaked
+        # at ~13 MB here, as it did concatenated from streamed pieces;
+        # streamed it peaks at ~4.5 MB: the decimal terms and the term memo.
+        n = (1 << 4095) + 0x9E3779B97F4A7C15 ** 50
+        with _no_digit_limit():
+            text = str(n)
+            digest = hashlib.sha256(_decompose_stdout_by_dict("2,1", n, "legal", "json").encode())
+        sink = _HashingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["decompose", "2,1", text, "--mode", "legal", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.sha.hexdigest() == digest.hexdigest()
+        assert peak < 6 * 2**20
+
+    def test_oversized_n_exit_five(self, capsys):
+        # Its terms could pass the 2^28-bit budget: about 15,700 terms of up
+        # to 20,000 bits, and 71 MB of JSON.
+        with _no_digit_limit():
+            text = str(2**20000 + 12345)
+        for mode in ("legal", "both"):
+            code, out, err = run(capsys, "decompose", "2,1", text, "--mode", mode, "--format", "json")
+            assert code == 5
+            assert out == ""
+            assert "budget" in err
+
+
+def _render_by_parts(cv, digits) -> str:
+    """The former render_decomposition, which joins one string per part."""
+    m = len(digits)
+    if m == 0 or all(d == 0 for d in digits):
+        return "0 = 0"
+    prefix = terms_prefix(cv, m)
+    parts = [(d, prefix[m - 1 - i]) for i, d in enumerate(digits) if d > 0]
+    if any(d > 1 for d, _ in parts):
+        rhs = " + ".join(f"{d}·{t}" for d, t in parts)
+    else:
+        rhs = " + ".join(str(t) for _, t in parts)
+    return f"{value_of(cv, digits)} = {rhs}"
+
+
+def _decompose_stdout_by_dict(vector: str, n: int, mode: str, fmt: str) -> str:
+    """decompose stdout built as one dict per result and encoded whole."""
+    cv = CoefficientVector.parse(vector)
+    results: dict = {"N": n}
+    lines = []
+    if mode in ("legal", "both"):
+        try:
+            digits = legal_decompose(cv, n)
+        except NoLegalDecompositionError:
+            results["legal"] = None
+            lines.append("legal: none")
+        else:
+            m = len(digits)
+            prefix = terms_prefix(cv, m) if m else []
+            rendered = _render_by_parts(cv, digits)
+            results["legal"] = {
+                "N": value_of(cv, digits),
+                "digits": list(digits),
+                "terms": [prefix[m - 1 - i] for i in range(m)],
+                "legal": is_legal(cv, digits),
+                "rendered": rendered,
+            }
+            lines.append(f"legal: {rendered}" if n else "legal: empty")
+    if mode in ("distinct", "both"):
+        dd = distinct_decompose(cv, n) if n else None
+        if not n:
+            results["distinct"] = {"indices": [], "terms": []}
+            lines.append("distinct: empty")
+        elif dd is None:
+            results["distinct"] = None
+            lines.append("distinct: none")
+        else:
+            results["distinct"] = {"indices": list(dd.indices), "terms": list(dd.terms)}
+            lines.append(f"distinct: {n} = " + " + ".join(str(t) for t in reversed(dd.terms)))
+    if fmt == "text":
+        return "".join(line + "\n" for line in lines)
+    envelope = {
+        "command": "decompose",
+        "inputs": {"vector": list(cv), "N": n, "mode": mode},
+        "results": results,
+        "tool_version": plrslab.__version__,
+    }
+    return json.dumps(envelope, ensure_ascii=False) + "\n"
 
 
 class TestBound:

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plrslab import (
     AnalysisConfig,
@@ -119,6 +119,53 @@ class TestSubsetSumOracle:
 DECOMPOSITION_SET = [
     CoefficientVector(c) for c in [(1, 1), (1, 3), (2, 1), (1, 0, 4), (3,), (1, 1, 2)]
 ]
+
+
+def _is_legal_by_slicing(cv, digits) -> bool:
+    """The former is_legal, which copies the tail at every block: the oracle."""
+    c = cv.coefficients
+    L = len(c)
+    a = tuple(digits)
+    if any(d < 0 for d in a):
+        return False
+    while a:
+        if a[0] == 0:
+            return False
+        m = len(a)
+        j = 0
+        while j < m and j < L and a[j] == c[j]:
+            j += 1
+        if j == m:
+            return m < L
+        if j == L:
+            return False
+        if a[j] > c[j]:
+            return False
+        t = j + 1
+        while t < m and a[t] == 0:
+            t += 1
+        a = a[t:]
+    return True
+
+
+class TestIsLegalOracle:
+    @given(coefficient_vectors(), st.lists(st.integers(-1, 6), max_size=30))
+    @settings(max_examples=400, deadline=None)
+    def test_random_strings(self, cv, digits):
+        assert is_legal(cv, digits) == _is_legal_by_slicing(cv, digits)
+
+    @given(coefficient_vectors(max_length=8), st.one_of(st.integers(1, 64), st.integers(1024, 4096)), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_long_legal_strings_and_their_mutants(self, cv, bits, data):
+        assume(cv.coefficients != (1,))
+        n = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        digits = legal_decompose(cv, n)
+        assert is_legal(cv, digits) and _is_legal_by_slicing(cv, digits)
+        at = data.draw(st.integers(0, len(digits) - 1))
+        new = data.draw(st.integers(-1, max(cv) + 1))
+        cut = data.draw(st.integers(0, len(digits)))
+        for mutant in (digits[:at] + (new,) + digits[at + 1:], digits[:cut], digits[cut:]):
+            assert is_legal(cv, mutant) == _is_legal_by_slicing(cv, mutant)
 
 
 class TestDecompositionInvariants:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from plrslab import (
@@ -11,7 +13,7 @@ from plrslab import (
     render_decomposition,
     value_of,
 )
-from plrslab.zeck import decomposition_json
+from plrslab.cli import main
 
 FIB = CoefficientVector((1, 1))
 ONE_THREE = CoefficientVector((1, 3))
@@ -142,11 +144,13 @@ class TestRendering:
     def test_zero(self):
         assert render_decomposition(FIB, ()) == "0 = 0"
 
-    def test_json_shape(self):
-        payload = decomposition_json(ONE_THREE, (1, 2, 0))
+    def test_json_shape(self, capsys):
+        assert main(["decompose", "1,3", "9", "--mode", "legal", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["results"]["legal"]
         assert payload == {
             "N": 9,
             "digits": [1, 2, 0],
             "terms": [5, 2, 1],
             "legal": True,
+            "rendered": "9 = 1·5 + 2·2",
         }
