@@ -185,6 +185,9 @@ def cmd_decompose(args) -> int:
     cv = CoefficientVector.parse(args.vector)
     if args.n < 0:
         raise OutOfRangeError("N must be >= 0")
+    if args.mode in ("distinct", "both") and args.n:
+        # Refuse before any legal work: the distinct part would refuse anyway.
+        zeck.check_distinct_cap(args.n, args.oracle_cap)
     results: dict = {"N": args.n}
     lines: list[str] = []
     slots: list = []
@@ -327,7 +330,8 @@ def cmd_census(args) -> int:
 
 def cmd_figure(args) -> int:
     rows = families.figure1_table(_parse_span(args.k_range), _parse_span(args.g_range))
-    payload = [asdict(r) for r in rows]
+    # Only the form that --format prints is built.
+    payload = [asdict(r) for r in rows] if args.format == "json" else []
     envelope = _envelope(
         "figure",
         {"k_range": args.k_range, "g_range": args.g_range},
@@ -338,8 +342,8 @@ def cmd_figure(args) -> int:
         f"closed={'-' if r.closed_form_max_n is None else r.closed_form_max_n} "
         f"({r.provenance})"
         for r in rows
-    ]
-    csv_rows = [astuple(r) for r in rows]  # csv writes None as ""
+    ] if args.format == "text" else []
+    csv_rows = (astuple(r) for r in rows)  # csv writes None as ""
     _emit(args, envelope, lines, (families.FIGURE_CSV_HEADER, csv_rows))
     return EXIT_OK
 

@@ -14,21 +14,26 @@ computes one new term per node; once B_{j+1} < 0, that prefix first fails at
 term j + 1 whatever follows, and so does the prefix with any larger c_j.
 Only the prefixes that reach length L with no negative gap are classified.
 
-The census is a list of prefix records.  A record is a CensusRow whose
-vector is a prefix p of length <= L; it stands for every completion of p,
-all of which share its first failure, verdict and proof.  The search yields
-one record per failing prefix and one per classified vector, in
-lexicographic order.  Output that lists every vector is written per record:
+The census is a list of records.  A record is a CensusRow whose vector is
+a prefix p of length <= L; it stands for every completion of p, all of
+which share its first failure, verdict and proof.  A run record (run set)
+stands as well for every prefix that raises p's last coefficient within its
+range: once c_{j+1} fails at term j + 2, so does every larger value.  The
+search yields one run record per failing run, one per classified vector and
+one per shard that fails inside its own prefix, in lexicographic order.
+Output that lists every vector is written per record:
 CensusReport.json_rows() and csv_rows() join the record's fields to the
 texts of its completions, built once per prefix length, so no per-vector
-object is made and memory is bounded by the largest record.
+object is made and memory is bounded by the completions of one prefix.
 CensusReport.rows() expands the records to one CensusRow per vector for
 callers that inspect rows one by one.
 
 Work is split into shards, one per top-level prefix (c_1, c_2), run
-in-process.  A checkpoint, whose first line names L and the deep horizon,
-lists the finished shards and the rows file holds their records, so a long
-run resumes where it stopped; a torn last line in either file is dropped.
+in-process; no record spans two shards.  A checkpoint, whose first line
+names L and the deep horizon, lists the finished shards and the rows file
+holds their records under a "record,..." header, a run marked by a "+"
+after its last coefficient, so a long run resumes where it stopped; a torn
+last line in either file is dropped.
 """
 
 from __future__ import annotations
@@ -85,23 +90,35 @@ def _completion_counts(length: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class CensusRow:
-    """A prefix record: every completion of `vector` shares the other fields.
+    """A census record: every vector it stands for shares the other fields.
 
-    At full length the record is the row of that one vector.
+    It stands for every completion of `vector`, and with `run` set for every
+    completion of `vector` with its last coefficient raised up to the top of
+    that coefficient's range.  At full length and without `run` it is the
+    row of that one vector.
     """
 
     vector: tuple[int, ...]
     first_failure: Optional[int]
     verdict: str
     proof: str
+    run: bool = False
+
+
+def _run_width(ranges: list[range], rec: CensusRow) -> int:
+    """How many values of its last coefficient the record stands for."""
+    return ranges[len(rec.vector) - 1].stop - rec.vector[-1] if rec.run else 1
 
 
 def _expand(length: int, records: Iterable[CensusRow]) -> Iterator[CensusRow]:
-    """One row per completion of each record, in record order."""
+    """One row per vector of each record, in record order."""
     ranges = coefficient_ranges(length)
     for rec in records:
-        for suffix in itertools.product(*ranges[len(rec.vector):]):
-            yield CensusRow(rec.vector + suffix, rec.first_failure, rec.verdict, rec.proof)
+        j = len(rec.vector) - 1
+        for c in range(rec.vector[j], rec.vector[j] + _run_width(ranges, rec)):
+            prefix = rec.vector[:j] + (c,)
+            for suffix in itertools.product(*ranges[j + 1:]):
+                yield CensusRow(prefix + suffix, rec.first_failure, rec.verdict, rec.proof)
 
 
 def _record_texts(
@@ -117,9 +134,11 @@ def _record_texts(
     A row is head + c_1 sep ... sep c_L + tail(record), and rows are joined
     by row_sep.  The suffixes "sep c_{j+1} ... sep c_L" that complete a
     prefix of length j are built once per j, as one "\0"-joined block per
-    value of c_{j+1}, and shared by every record of that length; each block
-    becomes one piece, so a piece holds at most the rows of one prefix of
-    length j + 1.
+    value of c_{j+1}, and shared by every record of that length.  A record
+    of prefix length j takes all of them; a run record takes the slice from
+    its last coefficient on, after its first j - 1 coefficients.  Each
+    block becomes one piece, so a piece holds at most the rows of one
+    prefix of length j + 1.
     """
     ranges = coefficient_ranges(length)
     tables: dict[int, list[str]] = {length: [""]}
@@ -134,9 +153,11 @@ def _record_texts(
 
     first = True
     for rec in records:
-        start = head + sep.join(str(c) for c in rec.vector)
+        j = len(rec.vector) - rec.run
+        start = head + sep.join(str(c) for c in rec.vector[:j])
         end = tail(rec)
-        for block in blocks(len(rec.vector)):
+        pieces = blocks(j)[rec.vector[-1] - ranges[j].start:] if rec.run else blocks(j)
+        for block in pieces:
             text = start + block.replace("\0", end + row_sep + start) + end
             yield text if first else row_sep + text
             first = False
@@ -205,11 +226,14 @@ class CensusReport:
 
 
 CENSUS_CSV_HEADER = ["vector", "first_failure", "verdict", "proof_tag"]
+# The rows file of a checkpointed census: one line per record, a run record's
+# prefix ending in "+" ("1,0,3+" stands for every c_3 >= 3).
+RECORDS_CSV_HEADER = ["record", *CENSUS_CSV_HEADER[1:]]
 
 
 def _csv_fields(r: CensusRow) -> list:
     return [
-        ",".join(str(c) for c in r.vector),
+        ",".join(str(c) for c in r.vector) + "+" * r.run,
         "" if r.first_failure is None else r.first_failure,
         r.verdict,
         r.proof,
@@ -217,27 +241,30 @@ def _csv_fields(r: CensusRow) -> list:
 
 
 def census_rows_to_csv(rows: list[CensusRow]) -> str:
+    """Records as the rows file holds them, header first."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CENSUS_CSV_HEADER)
+    writer.writerow(RECORDS_CSV_HEADER)
     writer.writerows(_csv_fields(r) for r in rows)
     return buf.getvalue()
 
 
 def parse_census_csv(text: str) -> list[CensusRow]:
+    """Records from a rows file, or rows from `census --format csv`."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if header != CENSUS_CSV_HEADER:
-        raise ValueError("unexpected census CSV header")
+    if header not in (RECORDS_CSV_HEADER, CENSUS_CSV_HEADER):
+        raise ValueError(f"unexpected census CSV header {header}")
     rows = []
-    for rec in reader:
-        vec, ff, verdict, proof = rec
+    for vec, ff, verdict, proof in reader:
+        run = vec.endswith("+")
         rows.append(
             CensusRow(
-                tuple(int(x) for x in vec.split(",")),
+                tuple(int(x) for x in vec.rstrip("+").split(",")),
                 int(ff) if ff else None,
                 verdict,
                 proof,
+                run,
             )
         )
     return rows
@@ -257,7 +284,9 @@ def _shards(length: int) -> list[tuple[int, ...]]:
 def _shard_records(length: int, deep_horizon: int, shard: tuple[int, ...]) -> list[CensusRow]:
     """Records covering every completion of `shard`, by prefix-pruned search.
 
-    Expanded, they equal classifying each of those vectors in turn.
+    Expanded, they equal classifying each of those vectors in turn.  A node
+    stops at its first failing c_{j+1}: one run record stands for it and
+    every larger value.
     """
     ranges = [range(c, c + 1) for c in shard] + coefficient_ranges(length)[len(shard):]
     cfg = AnalysisConfig(horizon=deep_horizon)
@@ -273,13 +302,15 @@ def _shard_records(length: int, deep_horizon: int, shard: tuple[int, ...]) -> li
         base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
         for c in ranges[j]:
             term = base + c
-            if term <= 1 + total:
-                walk(prefix + (c,), terms + [term], total + term)
-            else:
+            if term > 1 + total:
                 # A record never spans shards: a prefix that fails above the
                 # shard's depth is recorded as the shard itself.
-                failed = prefix + (c,) if j >= len(shard) else shard
-                records.append(CensusRow(failed, j + 2, "incomplete", ""))
+                if j < len(shard):
+                    records.append(CensusRow(shard, j + 2, "incomplete", ""))
+                else:
+                    records.append(CensusRow(prefix + (c,), j + 2, "incomplete", "", run=True))
+                return
+            walk(prefix + (c,), terms + [term], total + term)
 
     walk((), [1], 1)
     return records
@@ -312,12 +343,13 @@ def _aggregate(
 ) -> CensusReport:
     window = max(2 * length - 1, 2)
     counts = _completion_counts(length)
+    ranges = coefficient_ranges(length)
     max_ff = 0
     extremal: list[CensusRow] = []
     scanned = 0
     survivors = 0
     for rec in records:
-        covered = counts[len(rec.vector)]
+        covered = counts[len(rec.vector)] * _run_width(ranges, rec)
         scanned += covered
         if rec.first_failure is not None:
             if rec.first_failure > window:
@@ -374,8 +406,9 @@ def _load_checkpoint(
 
     Drops torn last lines and the records of unfinished shards, rewriting a
     file only when that changes it.  Rejects a checkpoint of another census,
-    a record outside the enumeration or misstating its prefix's failure,
-    and a finished shard whose records do not cover it.
+    a rows file in another encoding, a record outside the enumeration or
+    misstating its prefix's failure, and a finished shard whose records do
+    not cover it in order, each vector once.
     """
     header = f"census L={length} deep_horizon={deep_horizon}"
     text, whole = _read_whole_lines(ckpt)
@@ -393,25 +426,45 @@ def _load_checkpoint(
         done[shard] = []
 
     text, whole = _read_whole_lines(rows_file)
+    if whole and not whole.startswith(",".join(RECORDS_CSV_HEADER) + "\n"):
+        raise ValueError(
+            f"rows file {rows_file} does not start with the run-record header "
+            f"{','.join(RECORDS_CSV_HEADER)!r}; remove it and the checkpoint to rerun"
+        )
     records = parse_census_csv(whole) if whole else []
     ranges = coefficient_ranges(length)
+    counts = _completion_counts(length)
     depth = len(shards[0])
+
+    def rank(vec: tuple[int, ...]) -> int:
+        # How many vectors of the enumeration come before vec's first completion.
+        return sum((c - r.start) * n for c, r, n in zip(vec, ranges, counts[1:]))
+
+    # The rank at which each finished shard's next record must start.
+    next_rank = {shard: rank(shard) for shard in done}
     for rec in records:
         vec = rec.vector
-        if not depth <= len(vec) <= length or any(c not in r for c, r in zip(vec, ranges)):
+        # A run record stands below the shard prefix, so never spans shards.
+        inside = depth + rec.run <= len(vec) <= length
+        if not inside or any(c not in r for c, r in zip(vec, ranges)):
             raise ValueError(f"record {list(vec)} lies outside the L = {length} enumeration")
-        if len(vec) < length:
-            # Every completion shares B_1..B_{len(vec)+1}: check them on the first.
+        if len(vec) < length or rec.run:
+            # Every vector of the record shares B_1..B_{len(vec)}, and a run's
+            # B_{len(vec)+1} only falls as its last coefficient rises: the
+            # first vector fails where they all do.
             first = vec + tuple(r.start for r in ranges[len(vec):])
             gaps = Sequence(CoefficientVector(first)).gaps(len(vec) + 1)
             fails = next((n for n, gap in enumerate(gaps, 1) if gap < 0), None)
             if (rec.verdict, rec.first_failure) != ("incomplete", fails):
                 raise ValueError(f"record {list(vec)} does not fail where it says")
-        if vec[:depth] in done:
-            done[vec[:depth]].append(rec)
-    counts = _completion_counts(length)
-    for shard, recs in done.items():
-        covered = sum(counts[len(r.vector)] for r in recs)
+        shard = vec[:depth]
+        if shard in done:
+            if rank(vec) != next_rank[shard]:
+                raise ValueError(f"record {list(vec)} does not follow the records before it")
+            next_rank[shard] += counts[len(vec)] * _run_width(ranges, rec)
+            done[shard].append(rec)
+    for shard in done:
+        covered = next_rank[shard] - rank(shard)
         if covered != counts[depth]:
             raise ValueError(
                 f"checkpointed shard {list(shard)} has records for {covered} "

@@ -204,6 +204,12 @@ def enumerate_legal(cv: CoefficientVector, n: int) -> list[DigitString]:
     return found
 
 
+def check_distinct_cap(n: int, cap: int) -> None:
+    """Refuse a distinct-sum target above cap, naming it by its bit length."""
+    if n > cap:
+        raise CapExceededError(f"target of {n.bit_length()} bits above the distinct-sum cap {cap}")
+
+
 def distinct_decompose(
     cv: CoefficientVector, n: int, *, cap: int = DEFAULT_ORACLE_CAP
 ) -> Optional[DistinctDecomposition]:
@@ -214,15 +220,15 @@ def distinct_decompose(
     """
     if n < 1:
         raise ValueError("target must be >= 1")
-    if n > cap:
-        raise CapExceededError(f"target {n} above the distinct-sum cap {cap}")
+    check_distinct_cap(n, cap)
     if cv.coefficients == (1,):
         # All terms equal 1, so n ones (indices 1..n) always work.
         return DistinctDecomposition(tuple(range(1, n + 1)), (1,) * n)
     terms = _terms_upto(cv, n)
     if (len(terms) + 1) * (n + 1) > BITMAP_BUDGET_BITS:
         raise CapTooLargeError(
-            f"back-trace over {len(terms)} terms at cap {n} exceeds the bitmap budget"
+            f"back-trace over {len(terms)} terms for a {n.bit_length()}-bit target "
+            "exceeds the bitmap budget"
         )
     full = (1 << (n + 1)) - 1
     layers = [1]

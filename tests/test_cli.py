@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,7 +27,13 @@ from plrslab import (
 )
 from plrslab.cli import main
 from plrslab.families import parse_figure_csv
-from plrslab.hunt import CENSUS_CSV_HEADER, parse_census_csv
+from plrslab.hunt import (
+    CENSUS_CSV_HEADER,
+    _run_width,
+    census_rows_to_csv,
+    coefficient_ranges,
+    parse_census_csv,
+)
 
 
 def run(capsys, *argv):
@@ -230,16 +237,29 @@ class TestDecompose:
         assert sink.sha.hexdigest() == digest.hexdigest()
         assert peak < 6 * 2**20
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("mode", ["both", "distinct"])
+    def test_distinct_cap_refuses_before_legal_work(self, capsys, monkeypatch, mode, fmt):
+        monkeypatch.setattr(plrslab.zeck, "legal_decompose", _no_work)
+        with _no_digit_limit():
+            text = str(2**4095 + 12345)
+        code, out, err = run(capsys, "decompose", "2,1", text, "--mode", mode, "--format", fmt)
+        assert code == 5
+        assert out == ""
+        assert "4096 bits" in err  # N's size, not its 1,233 digits
+        assert len(err) < 200
+
     def test_oversized_n_exit_five(self, capsys):
         # Its terms could pass the 2^28-bit budget: about 15,700 terms of up
-        # to 20,000 bits, and 71 MB of JSON.
+        # to 20,000 bits, and 71 MB of JSON.  With both modes the distinct
+        # cap refuses it first, before any legal work.
         with _no_digit_limit():
             text = str(2**20000 + 12345)
-        for mode in ("legal", "both"):
+        for mode, reason in (("legal", "budget"), ("both", "distinct-sum cap")):
             code, out, err = run(capsys, "decompose", "2,1", text, "--mode", mode, "--format", "json")
             assert code == 5
             assert out == ""
-            assert "budget" in err
+            assert reason in err
 
 
 def _render_by_parts(cv, digits) -> str:
@@ -372,6 +392,14 @@ CENSUS_STDOUT = {
 }
 
 
+# Full sha256 of census --L 6 --deep stdout, from the census with one record
+# per failing value; L = 6 is the first length with runs at every depth.
+CENSUS_L6_STDOUT = {
+    "json": "20a6f46d7b7603dba3f96ef6cc3b2f3b25bebac5b4cdc31dc34beece9eafd536",
+    "csv": "11548aba4d25a46f3ece0afde53925a4121b2176174e4753d00a4e01189361f0",
+}
+
+
 def _census_envelope_per_row(report, jobs: int) -> str:
     """The census JSON envelope built from one dict per vector and encoded whole."""
     results = report.to_json()
@@ -465,6 +493,26 @@ class TestCensus:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_l6_stdout_pinned(self, fmt):
+        # 310 MB of JSON, 97 MB of CSV: hashed as written, never held.
+        sink = _HashingSink()
+        with contextlib.redirect_stdout(sink):
+            code = main(["census", "--L", "6", "--deep", "--format", fmt])
+        assert code == 0
+        assert sink.sha.hexdigest() == CENSUS_L6_STDOUT[fmt]
+
+    def test_l7_text_summary_pinned(self, capsys):
+        code, out, _ = run(capsys, "census", "--L", "7", "--deep")
+        assert code == 0
+        assert out == (
+            "L: 7\n"
+            "vectors scanned: 420076800\n"
+            "max first failure: 13\n"
+            "extremal: [1, 1, 1, 1, 1, 0, 4]\n"
+            "conjectural survivors: 661\n"
+        )
+
     def test_resume_with_other_parameters_exit_2(self, capsys, tmp_path):
         files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
         assert run(capsys, "census", "--L", "3", *files)[0] == 0
@@ -473,6 +521,45 @@ class TestCensus:
             assert code == 2
             assert out == ""
             assert "census L=3 deep_horizon=12" in err
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ("run starts one value too low", "does not fail where it says"),
+            ("run starts one value too high", "does not follow the records before it"),
+            ("per-value encoding", "run-record header"),
+        ],
+    )
+    def test_resume_refuses_misstated_rows_exit_2(self, capsys, tmp_path, change, message):
+        ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
+        files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
+        assert run(capsys, "census", "--L", "4", *files)[0] == 0
+        ranges = coefficient_ranges(4)
+        records = parse_census_csv(rows.read_text())
+        if change == "per-value encoding":
+            # one record per failing value, under the old header
+            per_value = [
+                dataclasses.replace(r, vector=r.vector[:-1] + (c,), run=False)
+                for r in records
+                for c in range(r.vector[-1], r.vector[-1] + _run_width(ranges, r))
+            ]
+            text = census_rows_to_csv(per_value).replace("record,", "vector,", 1)
+        else:
+            # a run with room on both sides inside its coefficient's range
+            at = next(
+                i for i, r in enumerate(records)
+                if r.run and r.vector[-1] - 1 > ranges[len(r.vector) - 1].start
+                and r.vector[-1] + 1 < ranges[len(r.vector) - 1].stop
+            )
+            shift = -1 if "low" in change else 1
+            vec = records[at].vector
+            records[at] = dataclasses.replace(records[at], vector=vec[:-1] + (vec[-1] + shift,))
+            text = census_rows_to_csv(records)
+        rows.write_text(text)
+        code, out, err = run(capsys, "census", "--L", "4", *files)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("given", ["--rows", "--checkpoint"])
     def test_rows_and_checkpoint_only_together_exit_2(self, capsys, tmp_path, given):

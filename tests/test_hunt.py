@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from collections import Counter
@@ -6,8 +7,10 @@ import pytest
 
 from plrslab import (
     AnalysisConfig,
+    CoefficientVector,
     ConjectureViolation,
     add_front_ones_scan,
+    brown_scan,
     check_fail_at_2l_minus_1,
     classify,
     enumerate_vectors,
@@ -16,6 +19,7 @@ from plrslab import (
 )
 from plrslab.families import EmpiricalMax, FamilySpec, empirical_max_n
 from plrslab.hunt import (
+    RECORDS_CSV_HEADER,
     CensusRow,
     _aggregate,
     _expand,
@@ -23,6 +27,7 @@ from plrslab.hunt import (
     _shard_records,
     _shards,
     census_rows_to_csv,
+    coefficient_ranges,
     enumeration_size,
     parse_census_csv,
 )
@@ -74,7 +79,7 @@ class TestCensus:
     def test_length_six(self):
         report = first_failure_census(6)
         assert report.vectors_scanned == 3_231_360
-        assert len(report.records) == 7_567
+        assert len(report.records) == 797
         assert report.max_first_failure == 11
         assert report.extremal_vectors == ((1, 0, 2, 2, 2, 4), (1, 1, 1, 1, 0, 4))
         assert report.equality_window_vectors == 102
@@ -153,7 +158,7 @@ class TestPrunedCensus:
         monkeypatch.setattr(hunt, "_row_for", counting_row_for)
         report = first_failure_census(5)
         assert report.vectors_scanned == 48_960
-        assert len(report.records) == 804
+        assert len(report.records) == 145
         assert len(leaves) == 107
         assert Counter(r.proof or r.verdict for r in leaves) == {
             "weak_window": 27,
@@ -165,6 +170,46 @@ class TestPrunedCensus:
             "family_g_ones": 3,
             "all_positive": 2,
         }
+
+
+def _oracle_rows(L: int) -> list[CensusRow]:
+    """The census row of every capped vector, each scanned and classified alone."""
+    ranges = [range(1, 3)] + [range(0, 2**i + 1) for i in range(2, L)]
+    ranges += [range(1, 2**L + 1)] * (L > 1)
+    cfg = AnalysisConfig(horizon=4 * L)
+    rows = []
+    for vec in itertools.product(*ranges):
+        cv = CoefficientVector(vec)
+        verdict = classify(cv, cfg)
+        first = brown_scan(cv, 4 * L).first_failure
+        assert first == verdict.first_failure_index
+        proof = verdict.proof.rule.value if verdict.proof is not None else ""
+        rows.append(CensusRow(vec, first, verdict.status.value, proof))
+    return rows
+
+
+class TestRunRecords:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_expanded_records_match_per_vector_oracle(self, census_reports, L):
+        expected = _oracle_rows(L)
+        rows = list(census_reports[L].rows())
+        assert len(rows) == len(expected) + (L == 1)  # and the L = 1 witness [3]
+        assert rows[: len(expected)] == expected
+
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    def test_runs_start_at_first_failing_value(self, census_reports, L):
+        report = census_reports.get(L) or first_failure_census(L)
+        ranges = coefficient_ranges(L)
+        runs = [r for r in report.records if r.run]
+        assert runs
+        for rec in runs:
+            j = len(rec.vector)
+            assert j > 2  # below the shard prefix (c_1, c_2)
+            assert (rec.first_failure, rec.verdict, rec.proof) == (j + 1, "incomplete", "")
+            if rec.vector[-1] > ranges[j - 1].start:
+                below = rec.vector[:-1] + (rec.vector[-1] - 1,)
+                below += tuple(r.start for r in ranges[j:])
+                assert brown_scan(CoefficientVector(below), j + 1).first_failure is None
 
 
 def _shard_text(report, shards) -> str:
@@ -250,16 +295,28 @@ class TestCensusCheckpoint:
         assert rows.read_bytes() == before
         assert rows.stat().st_mtime_ns == 0
 
-    @pytest.mark.parametrize("vector", ["1,0,9", "1,5", "1,1", "2,0", "1", "1,0,4,1"])
+    @pytest.mark.parametrize(
+        "vector", ["1,0,9", "1,5", "1,1", "2,0", "1", "1,0,4,1", "1,0,4+", "1,1+", "1,0,9+"]
+    )
     def test_foreign_row_rejected(self, tmp_path, vector):
         # one record no L = 3 census writes: out of the cap, a prefix that
-        # does not first fail at term 3, shorter than a shard or too long
+        # does not first fail at term 3, shorter than a shard or too long, a
+        # run whose first value passes B_4, a run spanning shards
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
         ckpt.write_text("")
-        rows.write_text(f'vector,first_failure,verdict,proof_tag\n"{vector}",3,incomplete,\n')
+        rows.write_text(",".join(RECORDS_CSV_HEADER) + f'\n"{vector}",3,incomplete,\n')
         with pytest.raises(ValueError):
             first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+
+    def test_rows_file_in_run_encoding(self, tmp_path, census_reports):
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+        text = rows.read_text()
+        assert text.startswith("record,first_failure,verdict,proof_tag\n")
+        assert '"1,0,5+",4,incomplete,\n' in text  # every c_3 >= 5 after (1, 0)
+        assert parse_census_csv(text) == list(census_reports[3].records)
 
     def test_checkpoint_requires_rows_file(self, tmp_path):
         with pytest.raises(ValueError):
