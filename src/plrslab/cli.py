@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import astuple
 from typing import Iterable, Optional
 
 from . import __version__, families, hunt, zeck
@@ -331,7 +332,7 @@ def cmd_census(args) -> int:
 def cmd_figure(args) -> int:
     rows = families.figure1_table(_parse_span(args.k_range), _parse_span(args.g_range))
     # Only the form that --format prints is built.
-    payload = [asdict(r) for r in rows] if args.format == "json" else []
+    payload = [vars(r) for r in rows] if args.format == "json" else []  # flat rows, field order
     envelope = _envelope(
         "figure",
         {"k_range": args.k_range, "g_range": args.g_range},
@@ -352,7 +353,9 @@ def cmd_figure(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: built on the first call, reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="plrslab",
         description="Completeness lab for positive linear recurrence sequences",
@@ -428,13 +431,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(argv: Optional[list[str]]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    args = build_parser().parse_args(argv)
+    # Logging is set per call, on the package logger only: a host's root
+    # handlers stay as they are, and -v of one call does not carry over.
+    log = logging.getLogger("plrslab")
+    level = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
+    log.addHandler(handler)
     try:
         return args.func(args)
     except (CapTooLargeError, CapExceededError) as exc:
@@ -446,6 +451,9 @@ def _run(argv: Optional[list[str]]) -> int:
     except (PLRSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -631,6 +632,124 @@ class TestFigure:
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "figure", "--k-range", "3:1", "--g-range", "1")
         assert code == 2
+
+
+COMMANDS = ["gen", "analyze", "decompose", "bound", "maxn", "census", "figure"]
+
+# Later calls leave out options that earlier calls set; two are argparse errors.
+REUSE_SEQUENCE = [
+    ["decompose", "1,3", "9", "--mode", "legal"],
+    ["decompose", "1,3", "9"],
+    ["decompose", "1,3", "9", "--mode", "distinct", "--format", "json"],
+    ["decompose", "1,3", "9", "--format", "json"],
+    ["analyze", "1,0,2,3", "--horizon", "40", "--format", "json"],
+    ["analyze", "1,0,2,3", "--format", "json"],
+    ["analyze", "1,3", "--oracle-cap", "3", "--format", "json"],
+    ["analyze", "1,3", "--format", "json"],
+    ["decompose", "1,3", "--mode", "legal"],  # N missing
+    ["decompose", "1,3", "9"],
+    ["gen", "1,3", "--count", "4", "--format", "csv"],
+    ["gen", "1,3"],
+    ["bound", "--single-one", "--k", "5"],
+    ["bound", "--double-one", "--k", "5"],
+    ["census", "--L", "3", "--jobs", "2", "--format", "json"],
+    ["census", "--L", "3", "--format", "json"],
+    ["-v", "census", "--L", "2"],
+    ["census", "--L", "2"],
+    ["maxn", "1,1,0,0", "--horizon", "20", "--format", "json"],
+    ["maxn", "1,1,0,0", "--format", "json"],
+    ["figure", "--k-range", "1", "--g-range", "1:2", "--format", "json"],
+    ["figure", "--k-range", "1", "--g-range", "1:2"],
+    ["gen", "1,3", "--bogus"],  # unknown option
+    ["gen", "1,3"],
+]
+
+
+def _outcome(capsys, argv):
+    """Exit code (or argparse's SystemExit code), stdout and stderr of one call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parser_not_built_at_import(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(plrslab.__file__).resolve().parents[1])}
+        code = "import plrslab.cli as c; print(c.build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
+        reused = [_outcome(capsys, argv) for argv in REUSE_SEQUENCE]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [_outcome(capsys, argv) for argv in REUSE_SEQUENCE]
+        for argv, got, expected in zip(REUSE_SEQUENCE, reused, fresh):
+            assert got == expected, argv
+        codes = [code for code, _, _ in reused]
+        assert codes.count(("SystemExit", 2)) == 2
+        assert codes.count(cli.EXIT_CONJECTURAL) == 2  # 1,0,2,3 at both horizons
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help(self, capsys, command):
+        outs = []
+        for _ in range(2):
+            code, out, err = _outcome(capsys, [command, "--help"])
+            assert (code, err) == (("SystemExit", 0), "")
+            outs.append(out)
+        assert outs[0].startswith(f"usage: plrslab {command} ")
+        assert outs[0] == outs[1]
+
+    def test_version(self, capsys):
+        code, out, err = _outcome(capsys, ["--version"])
+        assert (code, out, err) == (("SystemExit", 0), f"plrslab {plrslab.__version__}\n", "")
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("flags", [(False, True, False), (True, False, True)])
+    def test_debug_lines_only_for_the_verbose_call(self, capsys, flags):
+        outs = []
+        for verbose in flags:
+            code, out, err = run(capsys, *(["-v"] if verbose else []), "census", "--L", "3")
+            assert code == 0
+            lines = err.splitlines()
+            if verbose:
+                assert lines and all(line.startswith("DEBUG plrslab.hunt: ") for line in lines)
+            else:
+                assert err == ""
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2] != ""
+
+    def test_records_go_to_the_stderr_of_each_call(self):
+        sinks = [io.StringIO(), io.StringIO()]
+        for sink in sinks:
+            with contextlib.redirect_stderr(sink), contextlib.redirect_stdout(io.StringIO()):
+                assert main(["-v", "census", "--L", "3"]) == 0
+        assert "DEBUG plrslab.hunt: census L=3" in sinks[0].getvalue()
+        assert sinks[0].getvalue() == sinks[1].getvalue()
+
+    def test_host_logging_left_alone(self, capsys, caplog):
+        root = logging.getLogger()
+        package = logging.getLogger("plrslab")
+        host_level = package.level
+        package.setLevel(logging.INFO)  # a host's own setting
+        try:
+            before = (list(root.handlers), root.level, list(package.handlers))
+            code, _, err = run(capsys, "-v", "census", "--L", "3")
+            assert code == 0 and "DEBUG plrslab.hunt" in err
+            assert (list(root.handlers), root.level, list(package.handlers)) == before
+            assert package.level == logging.INFO
+        finally:
+            package.setLevel(host_level)
+        # Records still reach the host's own root handlers.
+        assert any(r.name == "plrslab.hunt" and r.levelno == logging.DEBUG for r in caplog.records)
 
 
 def test_results_only_on_stdout(capsys):
