@@ -22,17 +22,8 @@ from .errors import (
     TrailingZeroError,
     VectorValidationError,
 )
-from .seqcore import (
-    CoefficientVector,
-    Sequence,
-    brown_gap,
-    brown_gap_series,
-    term,
-    terms_prefix,
-    validate_coefficients,
-)
+from .seqcore import CoefficientVector, Sequence, terms_prefix
 from .verdicts import (
-    AnalysisConfig,
     CompletenessVerdict,
     ProofRule,
     ProofTag,
@@ -77,7 +68,6 @@ from .hunt import (
 
 __all__ = [
     "__version__",
-    "AnalysisConfig",
     "AddFrontOnesReport",
     "BoundResult",
     "CapExceededError",
@@ -102,8 +92,6 @@ __all__ = [
     "TrailingZeroError",
     "VectorValidationError",
     "add_front_ones_scan",
-    "brown_gap",
-    "brown_gap_series",
     "brown_scan",
     "check_fail_at_2l_minus_1",
     "classify",
@@ -125,9 +113,7 @@ __all__ = [
     "max_n_single_one",
     "render_decomposition",
     "subset_sum_reachable",
-    "term",
     "terms_prefix",
-    "validate_coefficients",
     "value_of",
     "weak_window_check",
 ]

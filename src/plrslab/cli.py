@@ -34,10 +34,10 @@ from .seqcore import CoefficientVector, terms_prefix
 from .verdicts import (
     BITMAP_BUDGET_BITS,
     DEFAULT_ORACLE_CAP,
-    AnalysisConfig,
     VerdictStatus,
     brown_scan,
     classify,
+    effective_horizon,
     is_complete_up_to,
     verdict_to_json,
 )
@@ -87,8 +87,6 @@ def _emit(args, envelope: dict, text_lines: list[str], csv_table=None, slots=())
     if args.format == "json":
         _print_json(envelope, *slots)
     elif args.format == "csv":
-        if csv_table is None:
-            raise OutOfRangeError(f"{envelope['command']} has no CSV form")
         _print_csv(*csv_table)
     else:
         for line in text_lines:
@@ -146,10 +144,9 @@ def cmd_analyze(args) -> int:
     cv = CoefficientVector.parse(args.vector)
     if args.oracle_cap < 1:
         raise OutOfRangeError("--oracle-cap must be >= 1")
-    cfg = AnalysisConfig(horizon=args.horizon)
-    horizon = cfg.effective_horizon(len(cv))
+    horizon = effective_horizon(len(cv), args.horizon)
     _check_prefix_size(cv, horizon)
-    verdict = classify(cv, cfg)
+    verdict = classify(cv, args.horizon)
     gaps = brown_scan(cv, horizon).gaps
     payload = verdict_to_json(cv, verdict, gaps)
     payload["witness_verified"] = None
@@ -276,13 +273,13 @@ def cmd_bound(args) -> int:
 
 def cmd_maxn(args) -> int:
     prefix = [int(p) for p in args.prefix.split(",")]
-    cfg = AnalysisConfig(horizon=args.horizon)
+    horizon = effective_horizon(len(prefix) + 1, args.horizon)
     # H_{L+1} >= N gives B_{L+1} <= 1 + H_1 + ... + H_L - N, and H_1..H_L do
     # not depend on N: no larger N passes the window, so none is classified.
     head = CoefficientVector(prefix + [1])
     n_top = 1 + head.sequence.partial_sum(len(head))
-    _check_prefix_size(CoefficientVector(prefix + [n_top]), cfg.effective_horizon(len(head)))
-    emp = families.empirical_max_n(prefix, cfg)
+    _check_prefix_size(CoefficientVector(prefix + [n_top]), horizon)
+    emp = families.empirical_max_n(prefix, args.horizon)
     results = {
         "prefix": prefix,
         "max_n": emp.max_n,
@@ -309,7 +306,7 @@ def cmd_census(args) -> int:
     if args.format == "json":
         envelope = _envelope(
             "census",
-            {"L": args.length, "deep_horizon": report.deep_horizon, "jobs": args.jobs},
+            {"L": args.length, "deep_horizon": report.deep_horizon},
             {**report.to_json(), "rows": []},
         )
         _print_json(envelope, ('"rows": [', report.json_rows()))
@@ -364,28 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str):
+    def add(name: str, help_text: str, formats=("text", "json", "csv")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.set_defaults(func=func)
+        p.add_argument("--format", choices=formats, default="text")
         return p
 
-    p = add("gen", cmd_gen, "print sequence terms")
+    p = add("gen", "print sequence terms")
     p.add_argument("vector", help="comma-separated coefficients, e.g. 1,0,4")
     p.add_argument("--count", type=int, default=10)
 
-    p = add("analyze", cmd_analyze, "classify a generator as complete/incomplete")
+    p = add("analyze", "classify a generator as complete/incomplete")
     p.add_argument("vector")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
 
-    p = add("decompose", cmd_decompose, "legal and distinct decompositions of N")
+    p = add("decompose", "legal and distinct decompositions of N", formats=("text", "json"))
     p.add_argument("vector")
     p.add_argument("n", type=int)
     p.add_argument("--mode", choices=["legal", "distinct", "both"], default="both")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
 
-    p = add("bound", cmd_bound, "closed-form maximal last coefficients")
+    p = add("bound", "closed-form maximal last coefficients", formats=("text", "json"))
     p.add_argument("--single-one", dest="single_one", action="store_true")
     p.add_argument("--double-one", dest="double_one", action="store_true")
     p.add_argument("--g-ones", dest="g_ones", action="store_true")
@@ -395,21 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", dest="length", type=int)
     p.add_argument("--i", dest="i", type=int)
 
-    p = add("maxn", cmd_maxn, "empirical maximal last coefficient for a prefix")
+    p = add("maxn", "empirical maximal last coefficient for a prefix", formats=("text", "json"))
     p.add_argument("prefix", help="comma-separated prefix, e.g. 1,1,0,0")
     p.add_argument("--horizon", type=int, default=None)
 
-    p = add("census", cmd_census, "exhaustive first-failure census at length L")
+    p = add("census", "exhaustive first-failure census at length L")
     p.add_argument("--L", dest="length", type=int, required=True)
     p.add_argument("--deep-horizon", dest="deep_horizon", type=int, default=None)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="accepted and echoed; the census runs in-process"
-    )
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--deep", action="store_true", help="allow L >= 5")
     p.add_argument("--checkpoint", default=None, help="shard checkpoint file")
     p.add_argument("--rows", default=None, help="incremental rows CSV (with --checkpoint)")
 
-    p = add("figure", cmd_figure, "empirical vs closed-form table over (k, g)")
+    p = add("figure", "empirical vs closed-form table over (k, g)")
     p.add_argument("--k-range", dest="k_range", required=True, help="e.g. 1:4 or 2")
     p.add_argument("--g-range", dest="g_range", required=True, help="e.g. 1:8 or 3")
     p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
@@ -441,7 +435,8 @@ def _run(argv: Optional[list[str]]) -> int:
     log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     log.addHandler(handler)
     try:
-        return args.func(args)
+        # Looked up per call, so a rebound cmd_<name> is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (CapTooLargeError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence as SequenceT
 
 from .errors import ConjectureViolation, OutOfRangeError
 from .seqcore import CoefficientVector
-from .verdicts import AnalysisConfig, ProofTag, classify
+from .verdicts import ProofTag, classify, effective_horizon
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,7 @@ def window_max_n(
     return hi
 
 
-def empirical_max_n(
-    prefix: Iterable[int], config: Optional[AnalysisConfig] = None
-) -> EmpiricalMax:
+def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> EmpiricalMax:
     """The largest N with a non-Incomplete verdict for [prefix, N].
 
     For n <= 2L, N multiplies only H_1..H_{n-L} in the gaps, so
@@ -208,14 +206,13 @@ def empirical_max_n(
     N with a proof.
     """
     p = _validated_prefix(prefix)
-    cfg = config or AnalysisConfig()
     L = len(p) + 1
-    horizon = cfg.effective_horizon(L)
+    depth = effective_horizon(L, horizon)
 
     def verdict_at(n: int):
-        return classify(CoefficientVector(p + (n,)), cfg)
+        return classify(CoefficientVector(p + (n,)), horizon)
 
-    gaps = (CoefficientVector(p + (n,)).sequence.gaps(min(horizon, 2 * L)) for n in (1, 2))
+    gaps = (CoefficientVector(p + (n,)).sequence.gaps(min(depth, 2 * L)) for n in (1, 2))
     max_n = window_max_n(p, *gaps)
     shape = family_shape(p + (1,))
     bound = family_bound(shape.g, shape.k) if shape else None
@@ -244,8 +241,8 @@ class FigureRow:
     provenance: str
 
 
-def _figure_cell(k: int, g: int, cfg: AnalysisConfig) -> FigureRow:
-    emp = empirical_max_n((1,) * g + (0,) * k, cfg)
+def _figure_cell(k: int, g: int) -> FigureRow:
+    emp = empirical_max_n((1,) * g + (0,) * k)
     closed = max_n_g_ones(g, k)
     if emp.max_n == 0:
         provenance = "none"
@@ -256,11 +253,7 @@ def _figure_cell(k: int, g: int, cfg: AnalysisConfig) -> FigureRow:
     return FigureRow(k, g, emp.max_n, closed.max_n if closed else None, provenance)
 
 
-def figure1_table(
-    k_values: Iterable[int],
-    g_values: Iterable[int],
-    config: Optional[AnalysisConfig] = None,
-) -> list[FigureRow]:
+def figure1_table(k_values: Iterable[int], g_values: Iterable[int]) -> list[FigureRow]:
     """One row per (k, g): empirical max N next to the g-ones closed form.
 
     The closed-form column is filled only where the g-ones bound applies
@@ -273,8 +266,7 @@ def figure1_table(
         raise ValueError("k and g ranges must be nonempty")
     if any(k < 1 for k in ks) or any(g < 1 for g in gs):
         raise ValueError("k and g must be >= 1")
-    cfg = config or AnalysisConfig()
-    return [_figure_cell(k, g, cfg) for k in ks for g in gs]
+    return [_figure_cell(k, g) for k in ks for g in gs]
 
 
 FIGURE_CSV_HEADER = ["k", "g", "empirical_max_n", "closed_form_max_n", "provenance"]

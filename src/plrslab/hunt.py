@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector, Sequence
-from .verdicts import AnalysisConfig, brown_scan, classify
+from .verdicts import brown_scan, classify
 from .families import empirical_max_n
 
 log = logging.getLogger(__name__)
@@ -270,8 +270,8 @@ def parse_census_csv(text: str) -> list[CensusRow]:
     return rows
 
 
-def _row_for(cv: CoefficientVector, cfg: AnalysisConfig) -> CensusRow:
-    v = classify(cv, cfg)
+def _row_for(cv: CoefficientVector, horizon: int) -> CensusRow:
+    v = classify(cv, horizon)
     proof = v.proof.rule.value if v.proof is not None else ""
     return CensusRow(cv.coefficients, v.first_failure_index, v.status.value, proof)
 
@@ -289,14 +289,13 @@ def _shard_records(length: int, deep_horizon: int, shard: tuple[int, ...]) -> li
     every larger value.
     """
     ranges = [range(c, c + 1) for c in shard] + coefficient_ranges(length)[len(shard):]
-    cfg = AnalysisConfig(horizon=deep_horizon)
     records: list[CensusRow] = []
 
     def walk(prefix: tuple[int, ...], terms: list[int], total: int) -> None:
         # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0.
         j = len(prefix)
         if j == length:
-            records.append(_row_for(CoefficientVector(prefix), cfg))
+            records.append(_row_for(CoefficientVector(prefix), deep_horizon))
             return
         # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff H_{j+2} <= 1 + total.
         base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
@@ -520,8 +519,7 @@ def first_failure_census(
         records.extend(found)
         log.debug("census L=%d shard %s done (%d records)", length, list(shard), len(found))
 
-    cfg = AnalysisConfig(horizon=deep_horizon)
-    records.extend(_row_for(cv, cfg) for cv in _supplemental_vectors(length))
+    records.extend(_row_for(cv, deep_horizon) for cv in _supplemental_vectors(length))
     return _aggregate(length, records, deep_horizon)
 
 
@@ -557,9 +555,7 @@ class AddFrontOnesReport:
         return not self.violations
 
 
-def add_front_ones_scan(
-    k: int, g_max: int, config: Optional[AnalysisConfig] = None
-) -> AddFrontOnesReport:
+def add_front_ones_scan(k: int, g_max: int, horizon: Optional[int] = None) -> AddFrontOnesReport:
     """Check that prepending a 1 preserves (conjectural) completeness.
 
     For each g < g_max and each N up to the empirical maximum for the
@@ -575,8 +571,7 @@ def add_front_ones_scan(
         raise ValueError("k must be >= 1")
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
-    cfg = config or AnalysisConfig()
-    maxima = {g: empirical_max_n((1,) * g + (0,) * k, cfg) for g in range(1, g_max + 1)}
+    maxima = {g: empirical_max_n((1,) * g + (0,) * k, horizon) for g in range(1, g_max + 1)}
     rows = tuple(
         AddFrontOnesRow(g, maxima[g].max_n, maxima[g].proven_max_n)
         for g in range(1, g_max + 1)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     EmptyVectorError,
@@ -70,10 +70,6 @@ class CoefficientVector:
             raise VectorValidationError(f"cannot parse coefficient vector {text!r}") from None
         return cls(tuple(raw))
 
-    @property
-    def length(self) -> int:
-        return len(self.coefficients)
-
     def __len__(self) -> int:
         return len(self.coefficients)
 
@@ -90,15 +86,6 @@ class CoefficientVector:
     def sequence(self) -> "Sequence":
         """The memo of this generator's terms, shared by every caller of this vector."""
         return Sequence(self)
-
-
-def validate_coefficients(raw: Iterable[int]) -> CoefficientVector:
-    """Validate a raw coefficient list and freeze it into a CoefficientVector.
-
-    Accepts exactly the nonempty lists of nonnegative integers whose first
-    and last entries are positive.
-    """
-    return CoefficientVector(tuple(raw))
 
 
 class Sequence:
@@ -170,15 +157,8 @@ class Sequence:
             self._extend_to(n)
         return self._sums[n]
 
-    def gap(self, n: int) -> int:
-        """Brown's gap B_n = 1 + (H_1 + ... + H_{n-1}) - H_n; may be negative."""
-        if n < 1:
-            raise ValueError("gap index must be >= 1")
-        self._extend_to(n)
-        return 1 + self._sums[n - 1] - self._terms[n - 1]
-
     def gaps(self, n: int) -> list[int]:
-        """[B_1, ..., B_n].  B_1 = 0 always."""
+        """[B_1, ..., B_n]: B_1 = 0 and B_{n+1} - B_n = 2 H_n - H_{n+1}."""
         if n < 1:
             raise ValueError("gap count must be >= 1")
         self._extend_to(n)
@@ -187,24 +167,6 @@ class Sequence:
         return [1 + sums[i] - terms[i] for i in range(n)]
 
 
-def term(cv: CoefficientVector, n: int) -> int:
-    """H_n for the given generator."""
-    return cv.sequence.term(n)
-
-
 def terms_prefix(cv: CoefficientVector, n: int) -> list[int]:
     """[H_1, ..., H_n] for the given generator."""
     return cv.sequence.prefix(n)
-
-
-def brown_gap(cv: CoefficientVector, n: int) -> int:
-    """B_n = 1 + sum(H_1..H_{n-1}) - H_n for the given generator."""
-    return cv.sequence.gap(n)
-
-
-def brown_gap_series(cv: CoefficientVector, n: int) -> list[int]:
-    """[B_1, ..., B_n], aligned with terms_prefix(cv, n).
-
-    Satisfies B_1 = 0 and the recurrence B_{n+1} - B_n = 2 H_n - H_{n+1}.
-    """
-    return cv.sequence.gaps(n)

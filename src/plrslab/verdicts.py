@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence as SequenceT
 
 from .errors import CapTooLargeError, ConjectureViolation
-from .seqcore import CoefficientVector, brown_gap_series
+from .seqcore import CoefficientVector
 
 #: Default ceiling (largest target) for subset-sum cross-checks and
 #: distinct-term decompositions.
@@ -106,26 +106,13 @@ class CompletenessVerdict:
         return self.status is VerdictStatus.CONJECTURALLY_COMPLETE
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Tunables for classification.
-
-    horizon: scan depth; when None each vector uses max(2L-1, 2), and explicit
-    values below that floor are raised to it, so the scan never undershoots
-    the conjectured window.
-    """
-
-    horizon: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-    def effective_horizon(self, length: int) -> int:
-        floor = max(2 * length - 1, 2)
-        if self.horizon is None:
-            return floor
-        return max(self.horizon, floor)
+def effective_horizon(length: int, horizon: Optional[int] = None) -> int:
+    """Scan depth for a generator of this length: max(2L - 1, 2), or a deeper
+    requested horizon, so the scan never undershoots the conjectured window."""
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    floor = max(2 * length - 1, 2)
+    return floor if horizon is None else max(horizon, floor)
 
 
 @dataclass(frozen=True)
@@ -138,7 +125,7 @@ def brown_scan(cv: CoefficientVector, horizon: int) -> ScanResult:
     """Scan B_1..B_horizon and report the least index with a negative gap."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    gaps = brown_gap_series(cv, horizon)
+    gaps = cv.sequence.gaps(horizon)
     first = next((i + 1 for i, g in enumerate(gaps) if g < 0), None)
     return ScanResult(first, tuple(gaps))
 
@@ -153,7 +140,7 @@ def weak_window_check(cv: CoefficientVector) -> bool:
     L = len(cv)
     if L == 1:
         return cv.coefficients[0] <= 2
-    gaps = brown_gap_series(cv, 2 * L - 1)
+    gaps = cv.sequence.gaps(2 * L - 1)
     head_ok = all(g >= 0 for g in gaps[: L - 1])
     window_ok = all(g > 0 for g in gaps[L - 1 :])
     return head_ok and window_ok
@@ -264,13 +251,12 @@ _BOUND_RULE_TAGS = {
 }
 
 
-def classify(
-    cv: CoefficientVector, config: Optional[AnalysisConfig] = None
-) -> CompletenessVerdict:
+def classify(cv: CoefficientVector, horizon: Optional[int] = None) -> CompletenessVerdict:
     """Classify a generator as complete, incomplete, or conjecturally complete.
 
-    Rule order is fixed: (a) gap scan to the horizon, (b) the all-positive
-    characterization, (c) exact bounds for the [1 x g, 0 x k, N] families
+    Rule order is fixed: (a) gap scan to effective_horizon(L, horizon),
+    (b) the all-positive characterization, (c) exact bounds for the
+    [1 x g, 0 x k, N] families
     (completeness up to the bound; above it the scan must have failed, else
     the first failure lies past the window: ConjectureViolation),
     (d) completeness of the merged generator [c_1, ..., c_{L-1} + c_L]
@@ -281,12 +267,11 @@ def classify(
     # searches through classify.
     from . import families
 
-    cfg = config or AnalysisConfig()
     L = len(cv)
-    horizon = cfg.effective_horizon(L)
+    depth = effective_horizon(L, horizon)
     coeffs = cv.coefficients
 
-    scan = brown_scan(cv, horizon)
+    scan = brown_scan(cv, depth)
     if scan.first_failure is not None:
         return _incomplete_at(cv, scan.first_failure)
 
@@ -318,7 +303,9 @@ def classify(
 
     if L >= 2:
         merged = CoefficientVector(coeffs[:-2] + (coeffs[-2] + coeffs[-1],))
-        inner = classify(merged, cfg)
+        # The caller's horizon, not this depth: the merged vector's own floor
+        # is 2L - 3, and scanning it to 2L - 1 would be deeper than asked.
+        inner = classify(merged, horizon)
         if inner.is_complete:
             tag = ProofTag.make(
                 ProofRule.MERGE_LAST, merged_last=coeffs[-2] + coeffs[-1]
@@ -329,7 +316,7 @@ def classify(
         tag = ProofTag.make(ProofRule.WEAK_WINDOW, window_end=max(2 * L - 1, 2))
         return CompletenessVerdict.complete(tag)
 
-    return CompletenessVerdict.conjecturally_complete(horizon)
+    return CompletenessVerdict.conjecturally_complete(depth)
 
 
 def verdict_to_json(

@@ -250,6 +250,14 @@ class TestDecompose:
         assert "4096 bits" in err  # N's size, not its 1,233 digits
         assert len(err) < 200
 
+    def test_csv_refused_before_legal_work(self, monkeypatch):
+        monkeypatch.setattr(plrslab.zeck, "legal_decompose", _no_work)
+        with _no_digit_limit():
+            text = str(2**16000 + 12345)
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "2,1", text, "--mode", "legal", "--format", "csv"])
+        assert exc.value.code == 2
+
     def test_oversized_n_exit_five(self, capsys):
         # Its terms could pass the 2^28-bit budget: about 15,700 terms of up
         # to 20,000 bits, and 71 MB of JSON.  With both modes the distinct
@@ -380,28 +388,28 @@ class TestMaxn:
         assert code == 0 and out == "7\n"
 
 
-# sha256 prefixes of census stdout at --jobs 1 and --jobs 2 (the JSON
-# inputs echo --jobs), from the per-vector census these must keep matching.
+# sha256 prefixes of census stdout, the same at every --jobs value, from the
+# per-vector census these must keep matching.
 CENSUS_STDOUT = {
-    "--L 1 --format json": ("799dafa3bb6341bc", "3201cbde8556154e"),
-    "--L 2 --format json": ("7626c0511b976ad8", "1f409b2dc76f9c55"),
-    "--L 3 --format json": ("7dfb027359c74062", "9291d5877a5d85c1"),
-    "--L 4 --format json": ("82809382cecad09a", "3a623de601cd5f87"),
-    "--L 5 --deep --format json": ("98bdbbf941e33ca2", "a0d903105e7d1ade"),
-    "--L 4 --format csv": ("845013ea6a5d6130", "845013ea6a5d6130"),
-    "--L 5 --deep": ("33073dfa6e118802", "33073dfa6e118802"),
+    "--L 1 --format json": "aa2857a6ff1bf793",
+    "--L 2 --format json": "d5b22ffb33a94676",
+    "--L 3 --format json": "3d6a7fb3e0c62cd7",
+    "--L 4 --format json": "a1d64ec34c8043fc",
+    "--L 5 --deep --format json": "6aa11501982b9af4",
+    "--L 4 --format csv": "845013ea6a5d6130",
+    "--L 5 --deep": "33073dfa6e118802",
 }
 
 
 # Full sha256 of census --L 6 --deep stdout, from the census with one record
 # per failing value; L = 6 is the first length with runs at every depth.
 CENSUS_L6_STDOUT = {
-    "json": "20a6f46d7b7603dba3f96ef6cc3b2f3b25bebac5b4cdc31dc34beece9eafd536",
+    "json": "17dd2a5e5ed8da7501b975ab788943d56f67c5360e3e7620529c51fe2ab0bba5",
     "csv": "11548aba4d25a46f3ece0afde53925a4121b2176174e4753d00a4e01189361f0",
 }
 
 
-def _census_envelope_per_row(report, jobs: int) -> str:
+def _census_envelope_per_row(report) -> str:
     """The census JSON envelope built from one dict per vector and encoded whole."""
     results = report.to_json()
     results["rows"] = [
@@ -415,7 +423,7 @@ def _census_envelope_per_row(report, jobs: int) -> str:
     ]
     envelope = {
         "command": "census",
-        "inputs": {"L": report.length, "deep_horizon": report.deep_horizon, "jobs": jobs},
+        "inputs": {"L": report.length, "deep_horizon": report.deep_horizon},
         "results": results,
         "tool_version": plrslab.__version__,
     }
@@ -462,7 +470,7 @@ class TestCensus:
         report = first_failure_census(L)
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        _assert_same_text(out, _census_envelope_per_row(report, 2))
+        _assert_same_text(out, _census_envelope_per_row(report))
         code, out, _ = run(capsys, *argv, "--format", "csv")
         assert code == 0
         _assert_same_text(out, _census_csv_per_row(report))
@@ -479,13 +487,13 @@ class TestCensus:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert sink.sha.hexdigest()[:16] == CENSUS_STDOUT["--L 5 --deep --format json"][0]
+        assert sink.sha.hexdigest()[:16] == CENSUS_STDOUT["--L 5 --deep --format json"]
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("command", list(CENSUS_STDOUT))
     def test_stdout_pinned(self, capsys, tmp_path, command, jobs):
-        digest = CENSUS_STDOUT[command][jobs - 1]
+        digest = CENSUS_STDOUT[command]
         argv = ["census", *command.split(), "--jobs", str(jobs)]
         files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
         # plain, writing a checkpoint, then resuming the finished one
@@ -493,6 +501,11 @@ class TestCensus:
             code, out, _ = run(capsys, *argv, *extra)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_json_same_at_every_jobs_value(self, capsys):
+        argv = ["census", "--L", "3", "--format", "json", "--jobs"]
+        outs = [run(capsys, *argv, jobs) for jobs in ("1", "2")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_l6_stdout_pinned(self, fmt):
@@ -678,6 +691,17 @@ def _outcome(capsys, argv):
 class TestParserReuse:
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_dispatch_reaches_a_rebound_command(self, capsys, monkeypatch):
+        assert main(["gen", "1,3"]) == 0
+        monkeypatch.setattr(cli, "cmd_gen", lambda args: 42)
+        assert main(["gen", "1,3"]) == 42
+
+    @pytest.mark.parametrize("argv", [["bound", "--single-one", "--k", "5"], ["maxn", "1,0"]])
+    def test_no_csv_form_is_an_argparse_error(self, capsys, argv):
+        code, out, err = _outcome(capsys, [*argv, "--format", "csv"])
+        assert (code, out) == (("SystemExit", 2), "")
+        assert "invalid choice: 'csv'" in err
 
     def test_parser_not_built_at_import(self):
         env = {**os.environ, "PYTHONPATH": str(Path(plrslab.__file__).resolve().parents[1])}

@@ -1,7 +1,6 @@
 import pytest
 
 from plrslab import (
-    AnalysisConfig,
     CoefficientVector,
     CompletenessVerdict,
     ConjectureViolation,
@@ -25,6 +24,7 @@ from plrslab.families import (
     shifted_one_vector,
     window_max_n,
 )
+from plrslab.verdicts import effective_horizon
 
 
 class TestFib:
@@ -121,9 +121,9 @@ def probed(monkeypatch):
     """The last coefficients that empirical_max_n hands to classify, in order."""
     seen = []
 
-    def counting(cv, config=None):
+    def counting(cv, horizon=None):
         seen.append(cv.coefficients[-1])
-        return classify(cv, config)
+        return classify(cv, horizon)
 
     monkeypatch.setattr(families, "classify", counting)
     return seen
@@ -153,16 +153,28 @@ class TestEmpiricalMax:
 
     def test_failure_past_the_window_is_a_violation(self, monkeypatch):
         # [1,1,0,0,6] passes B_1..B_10; pretend a horizon of 15 finds B_13 < 0.
-        def fails_at_13(cv, config=None):
+        def fails_at_13(cv, horizon=None):
             if cv.coefficients[-1] == 6:
                 return CompletenessVerdict.incomplete(13, 1 + cv.sequence.partial_sum(12))
-            return classify(cv, config)
+            return classify(cv, horizon)
 
         monkeypatch.setattr(families, "classify", fails_at_13)
         with pytest.raises(ConjectureViolation) as exc:
-            empirical_max_n([1, 1, 0, 0], AnalysisConfig(horizon=15))
+            empirical_max_n([1, 1, 0, 0], horizon=15)
         assert exc.value.vector == (1, 1, 0, 0, 6)
         assert exc.value.first_failure == 13
+
+    @pytest.mark.parametrize("horizon", [None, 15])
+    def test_classify_gets_the_callers_horizon(self, monkeypatch, horizon):
+        seen = []
+
+        def spy(cv, h=None):
+            seen.append(h)
+            return classify(cv, h)
+
+        monkeypatch.setattr(families, "classify", spy)
+        empirical_max_n([1, 1, 1, 0, 0, 0, 0, 0], horizon)
+        assert seen and set(seen) == {horizon}
 
     def test_prefix_with_no_complete_extension(self):
         emp = empirical_max_n([2])
@@ -231,7 +243,6 @@ class TestFigureTable:
 
 
 def test_config_horizon_never_below_floor():
-    cfg = AnalysisConfig(horizon=3)
-    assert cfg.effective_horizon(5) == 9
-    assert cfg.effective_horizon(1) == 3
-    assert AnalysisConfig().effective_horizon(4) == 7
+    assert effective_horizon(5, horizon=3) == 9
+    assert effective_horizon(1, horizon=3) == 3
+    assert effective_horizon(4) == 7

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from plrslab import (
-    AnalysisConfig,
     CoefficientVector,
     ConjectureViolation,
     add_front_ones_scan,
@@ -120,8 +119,7 @@ def brute_force_rows():
     """Census rows for L = 1..5 by classifying every vector in turn."""
     rows = {}
     for L in range(1, 6):
-        cfg = AnalysisConfig(horizon=4 * L)
-        rows[L] = [_row_for(cv, cfg) for cv in enumerate_vectors(L)]
+        rows[L] = [_row_for(cv, 4 * L) for cv in enumerate_vectors(L)]
     return rows
 
 
@@ -150,8 +148,8 @@ class TestPrunedCensus:
     def test_only_survivors_are_classified(self, monkeypatch):
         leaves = []
 
-        def counting_row_for(cv, cfg):
-            row = _row_for(cv, cfg)
+        def counting_row_for(cv, horizon):
+            row = _row_for(cv, horizon)
             leaves.append(row)
             return row
 
@@ -176,11 +174,10 @@ def _oracle_rows(L: int) -> list[CensusRow]:
     """The census row of every capped vector, each scanned and classified alone."""
     ranges = [range(1, 3)] + [range(0, 2**i + 1) for i in range(2, L)]
     ranges += [range(1, 2**L + 1)] * (L > 1)
-    cfg = AnalysisConfig(horizon=4 * L)
     rows = []
     for vec in itertools.product(*ranges):
         cv = CoefficientVector(vec)
-        verdict = classify(cv, cfg)
+        verdict = classify(cv, 4 * L)
         first = brown_scan(cv, 4 * L).first_failure
         assert first == verdict.first_failure_index
         proof = verdict.proof.rule.value if verdict.proof is not None else ""
@@ -341,15 +338,15 @@ class TestTwoLMinusOneFamily:
             check_fail_at_2l_minus_1(0)
 
 
-def add_front_ones_violations_by_classify(k, g_max, cfg):
+def add_front_ones_violations_by_classify(k, g_max, horizon):
     """Every (g, N) with N <= max_n(g) not Incomplete at g but Incomplete at g + 1."""
     violations = []
     for g in range(1, g_max):
-        max_n = empirical_max_n((1,) * g + (0,) * k, cfg).max_n
+        max_n = empirical_max_n((1,) * g + (0,) * k, horizon).max_n
         for n in range(1, max_n + 1):
-            if classify(FamilySpec(g, k, n).to_vector(), cfg).is_incomplete:
+            if classify(FamilySpec(g, k, n).to_vector(), horizon).is_incomplete:
                 continue
-            if classify(FamilySpec(g + 1, k, n).to_vector(), cfg).is_incomplete:
+            if classify(FamilySpec(g + 1, k, n).to_vector(), horizon).is_incomplete:
                 violations.append((g, n))
     return violations
 
@@ -360,17 +357,17 @@ class TestAddFrontOnes:
     def test_violations_match_classify_oracle(self, k, horizon):
         g_max = 5
         # the longest vector scanned is [1 x g_max, 0 x k, N]
-        cfg = AnalysisConfig(None if horizon == "default" else 2 * (g_max + k + 1) + 5)
+        h = None if horizon == "default" else 2 * (g_max + k + 1) + 5
         for top in range(2, g_max + 1):
-            report = add_front_ones_scan(k, top, cfg)
+            report = add_front_ones_scan(k, top, h)
             # no prefix here loses completeness, so both sides are empty; the
             # next test covers a falling maximum
-            assert list(report.violations) == add_front_ones_violations_by_classify(k, top, cfg)
+            assert list(report.violations) == add_front_ones_violations_by_classify(k, top, h)
 
     def test_violations_read_off_a_falling_maximum(self, monkeypatch):
         maxima = {1: 5, 2: 3, 3: 4}
 
-        def fake_max_n(prefix, cfg):
+        def fake_max_n(prefix, horizon):
             return EmpiricalMax(maxima[prefix.count(1)], maxima[prefix.count(1)], None)
 
         monkeypatch.setattr(hunt, "empirical_max_n", fake_max_n)

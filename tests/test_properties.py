@@ -6,9 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from plrslab import (
-    AnalysisConfig,
     CoefficientVector,
-    brown_gap_series,
     brown_scan,
     classify,
     distinct_decompose,
@@ -53,7 +51,7 @@ class TestSequenceIdentities:
     @given(coefficient_vectors(), st.integers(2, 25))
     @settings(max_examples=150, deadline=None)
     def test_gap_recurrence(self, cv, depth):
-        gaps = brown_gap_series(cv, depth)
+        gaps = cv.sequence.gaps(depth)
         prefix = terms_prefix(cv, depth)
         for n in range(1, depth):
             assert gaps[n] - gaps[n - 1] == 2 * prefix[n - 1] - prefix[n]
@@ -79,7 +77,7 @@ class TestFiniteBrownEquivalence:
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_over_enumeration(self, length):
         for cv in enumerate_vectors(length):
-            gaps = brown_gap_series(cv, 12)
+            gaps = cv.sequence.gaps(12)
             prefix = terms_prefix(cv, 12)
             for n in range(1, 13):
                 total = sum(prefix[:n])
@@ -213,7 +211,7 @@ class TestVectorMemoConsistency:
         assert terms_prefix(cv, 15) == cv.sequence.prefix(15)
         fresh = Sequence(cv)
         assert fresh.prefix(15) == cv.sequence.prefix(15)
-        assert [fresh.gap(n) for n in range(1, 16)] == brown_gap_series(cv, 15)
+        assert fresh.gaps(15) == cv.sequence.gaps(15)
 
 
 class TestClassifierSoundness:
@@ -236,7 +234,7 @@ class TestClassifierSoundness:
             assert ok, (row.vector, missing)
 
 
-def bisection_max_n(prefix, cfg):
+def bisection_max_n(prefix, horizon):
     """The doubling-plus-bisection search over verdicts that the gap lists replaced.
 
     Starts from 2^(k+2) for k trailing zeros in the prefix, doubles while
@@ -246,7 +244,7 @@ def bisection_max_n(prefix, cfg):
     p = tuple(prefix)
 
     def verdict_at(n):
-        return classify(CoefficientVector(p + (n,)), cfg)
+        return classify(CoefficientVector(p + (n,)), horizon)
 
     trailing_zeros = 0
     for x in reversed(p):
@@ -286,9 +284,9 @@ class TestEmpiricalMaxOracle:
         # None keeps the default 2L - 1; 2L is the widest affine window, and
         # horizons past it reclassify the window's maximum deeper.
         L = len(prefix) + 1
-        cfg = AnalysisConfig(horizon=None if past_2l is None else 2 * L + past_2l)
-        emp = empirical_max_n(prefix, cfg)
-        assert (emp.max_n, emp.proven_max_n, emp.proof) == bisection_max_n(prefix, cfg)
+        horizon = None if past_2l is None else 2 * L + past_2l
+        emp = empirical_max_n(prefix, horizon)
+        assert (emp.max_n, emp.proven_max_n, emp.proof) == bisection_max_n(prefix, horizon)
 
     @given(prefixes())
     @settings(max_examples=200, deadline=None)

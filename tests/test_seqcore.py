@@ -9,11 +9,7 @@ from plrslab import (
     Sequence,
     TrailingZeroError,
     VectorValidationError,
-    brown_gap,
-    brown_gap_series,
-    term,
     terms_prefix,
-    validate_coefficients,
 )
 
 
@@ -32,31 +28,31 @@ def naive_terms(coeffs, n):
 
 class TestValidation:
     def test_accepts_paper_style_vectors(self):
-        cv = validate_coefficients([1, 3])
-        assert cv.length == 2
+        cv = CoefficientVector([1, 3])
+        assert len(cv) == 2
         assert cv.coefficients == (1, 3)
 
     def test_accepts_degenerate_one(self):
-        assert validate_coefficients([1]).coefficients == (1,)
+        assert CoefficientVector([1]).coefficients == (1,)
 
     def test_interior_zeros_fine(self):
-        assert validate_coefficients([1, 0, 0, 7]).length == 4
+        assert len(CoefficientVector([1, 0, 0, 7])) == 4
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyVectorError):
-            validate_coefficients([])
+            CoefficientVector([])
 
     def test_leading_zero_rejected(self):
         with pytest.raises(LeadingZeroError):
-            validate_coefficients([0, 1])
+            CoefficientVector([0, 1])
 
     def test_trailing_zero_rejected(self):
         with pytest.raises(TrailingZeroError):
-            validate_coefficients([1, 0])
+            CoefficientVector([1, 0])
 
     def test_negative_rejected_with_index(self):
         with pytest.raises(NegativeCoefficientError) as exc:
-            validate_coefficients([1, -2, 1])
+            CoefficientVector([1, -2, 1])
         assert exc.value.index == 2
 
     def test_parse(self):
@@ -65,8 +61,8 @@ class TestValidation:
             CoefficientVector.parse("1,x")
 
     def test_immutable_and_hashable(self):
-        cv = validate_coefficients([1, 3])
-        assert hash(cv) == hash(validate_coefficients((1, 3)))
+        cv = CoefficientVector([1, 3])
+        assert hash(cv) == hash(CoefficientVector((1, 3)))
         with pytest.raises(Exception):
             cv.coefficients = (2,)
 
@@ -82,7 +78,7 @@ class TestTerms:
         ],
     )
     def test_single_terms(self, coeffs, n, expected):
-        assert term(CoefficientVector(coeffs), n) == expected
+        assert CoefficientVector(coeffs).sequence.term(n) == expected
 
     def test_prefixes(self):
         assert terms_prefix(CoefficientVector((1, 1)), 5) == [1, 2, 3, 5, 8]
@@ -140,7 +136,7 @@ class TestTerms:
     def test_prefix_consistent_with_term(self):
         cv = CoefficientVector((1, 2, 3))
         prefix = terms_prefix(cv, 10)
-        assert prefix == [term(cv, i) for i in range(1, 11)]
+        assert prefix == [cv.sequence.term(i) for i in range(1, 11)]
 
     def test_memo_extends_lazily(self):
         seq = Sequence(CoefficientVector((1, 1)))
@@ -150,27 +146,27 @@ class TestTerms:
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            term(CoefficientVector((1, 1)), 0)
+            CoefficientVector((1, 1)).sequence.term(0)
 
 
 class TestBrownGaps:
     @pytest.mark.parametrize("coeffs", [(1,), (2,), (1, 3), (1, 0, 4), (4, 4)])
     def test_first_gap_always_zero(self, coeffs):
-        assert brown_gap(CoefficientVector(coeffs), 1) == 0
+        assert CoefficientVector(coeffs).sequence.gaps(1)[0] == 0
 
     def test_doubling_sequence_gap_zero(self):
         # direct summation oracle: 1 + (2^5 - 1) - 2^5
         cv = CoefficientVector((2,))
-        assert brown_gap(cv, 6) == 1 + sum(terms_prefix(cv, 5)) - term(cv, 6) == 0
+        assert cv.sequence.gaps(6)[5] == 1 + sum(terms_prefix(cv, 5)) - cv.sequence.term(6) == 0
 
     def test_one_zero_four_gap(self):
         cv = CoefficientVector((1, 0, 4))
-        assert brown_gap(cv, 5) == 1 + sum(terms_prefix(cv, 4)) - term(cv, 5) == -1
+        assert cv.sequence.gaps(5)[4] == 1 + sum(terms_prefix(cv, 4)) - cv.sequence.term(5) == -1
 
     @pytest.mark.parametrize("coeffs", [(1, 3), (1, 0, 4), (2,), (1, 1, 1, 1)])
     def test_series_matches_direct_sums(self, coeffs):
         cv = CoefficientVector(coeffs)
-        series = brown_gap_series(cv, 10)
+        series = cv.sequence.gaps(10)
         prefix = terms_prefix(cv, 10)
         for n in range(1, 11):
             assert series[n - 1] == 1 + sum(prefix[: n - 1]) - prefix[n - 1]
@@ -178,7 +174,7 @@ class TestBrownGaps:
     def test_gap_recurrence(self):
         # B_{n+1} - B_n = 2 H_n - H_{n+1}
         cv = CoefficientVector((1, 0, 2, 5))
-        series = brown_gap_series(cv, 15)
+        series = cv.sequence.gaps(15)
         prefix = terms_prefix(cv, 15)
         for n in range(1, 15):
             assert series[n] - series[n - 1] == 2 * prefix[n - 1] - prefix[n]

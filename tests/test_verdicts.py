@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from plrslab import (
-    AnalysisConfig,
     BoundResult,
     CapTooLargeError,
     CoefficientVector,
@@ -18,7 +17,7 @@ from plrslab import (
     terms_prefix,
     weak_window_check,
 )
-from plrslab import families
+from plrslab import families, verdicts
 from plrslab.verdicts import verdict_to_json
 
 
@@ -141,7 +140,7 @@ class TestClassify:
         monkeypatch.setattr(families, "family_bound", lambda g, k: too_low)
         for horizon in (None, 40):
             with pytest.raises(ConjectureViolation) as exc:
-                classify(CoefficientVector((1, 0, 3)), AnalysisConfig(horizon=horizon))
+                classify(CoefficientVector((1, 0, 3)), horizon)
             assert exc.value.vector == (1, 0, 3)
             assert exc.value.first_failure is None
 
@@ -149,6 +148,21 @@ class TestClassify:
         # merging the last two gives [1,0,3], complete by the single-one bound
         v = classify(CoefficientVector((1, 0, 1, 2)))
         assert v.is_complete and v.proof.rule is ProofRule.MERGE_LAST
+
+    @pytest.mark.parametrize("horizon", [None, 40])
+    def test_merged_vector_gets_the_callers_horizon(self, monkeypatch, horizon):
+        # The merged vector is one shorter, so its own floor is 2L - 3; it is
+        # handed the caller's horizon, not the 2L - 1 the outer vector scans.
+        calls = []
+
+        def spy(cv, h=None):
+            calls.append((cv.coefficients, h))
+            return classify(cv, h)
+
+        monkeypatch.setattr(verdicts, "classify", spy)
+        v = classify(CoefficientVector((1, 0, 1, 2)), horizon)
+        assert v.is_complete and v.proof.rule is ProofRule.MERGE_LAST
+        assert calls == [((1, 0, 3), horizon)]
 
     def test_weak_window_fires(self):
         v = classify(CoefficientVector((1, 0, 1, 0, 0, 11)))
@@ -190,8 +204,7 @@ class TestClassify:
 
     def test_horizon_floor_applies(self):
         # an explicit horizon below max(2L-1, 2) is raised, not honored
-        cfg = AnalysisConfig(horizon=1)
-        v = classify(CoefficientVector((3,)), cfg)
+        v = classify(CoefficientVector((3,)), horizon=1)
         assert v.is_incomplete and v.first_failure_index == 2
 
     def test_json_schema(self):
