@@ -297,12 +297,15 @@ def cmd_maxn(args) -> int:
 def cmd_census(args) -> int:
     if args.length >= 5 and not args.deep:
         raise OutOfRangeError(f"census at L = {args.length} needs --deep (large enumeration)")
-    report = hunt.first_failure_census(
-        args.length,
-        args.deep_horizon,
-        checkpoint_path=args.checkpoint,
-        rows_path=args.rows,
-    )
+    # The largest capped vector, [2, 4, ..., 2^L], has the largest terms.
+    top = CoefficientVector([r.stop - 1 for r in hunt.coefficient_ranges(args.length)])
+    _check_prefix_size(top, args.deep_horizon or 4 * args.length)
+    try:
+        report = hunt.first_failure_census(
+            args.length, args.deep_horizon, checkpoint_path=args.checkpoint, rows_path=args.rows
+        )
+    except OSError as exc:  # an unusable --checkpoint or --rows path
+        raise OutOfRangeError(str(exc)) from exc
     if args.format == "json":
         envelope = _envelope(
             "census",
@@ -400,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deep-horizon", dest="deep_horizon", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--deep", action="store_true", help="allow L >= 5")
-    p.add_argument("--checkpoint", default=None, help="shard checkpoint file")
+    p.add_argument("--checkpoint", default=None, help="checkpoint file (with --rows)")
     p.add_argument("--rows", default=None, help="incremental rows CSV (with --checkpoint)")
 
     p = add("figure", "empirical vs closed-form table over (k, g)")

@@ -19,8 +19,8 @@ a prefix p of length <= L; it stands for every completion of p, all of
 which share its first failure, verdict and proof.  A run record (run set)
 stands as well for every prefix that raises p's last coefficient within its
 range: once c_{j+1} fails at term j + 2, so does every larger value.  The
-search yields one run record per failing run, one per classified vector and
-one per shard that fails inside its own prefix, in lexicographic order.
+search yields one run record per failing run and one per classified
+vector, in lexicographic order, so the records tile the enumeration.
 Output that lists every vector is written per record:
 CensusReport.json_rows() and csv_rows() join the record's fields to the
 texts of its completions, built once per prefix length, so no per-vector
@@ -28,12 +28,11 @@ object is made and memory is bounded by the completions of one prefix.
 CensusReport.rows() expands the records to one CensusRow per vector for
 callers that inspect rows one by one.
 
-Work is split into shards, one per top-level prefix (c_1, c_2), run
-in-process; no record spans two shards.  A checkpoint, whose first line
-names L and the deep horizon, lists the finished shards and the rows file
-holds their records under a "record,..." header, a run marked by a "+"
-after its last coefficient, so a long run resumes where it stopped; a torn
-last line in either file is dropped.
+A checkpointed census appends each record to a rows file as the search
+finds it, one line per record under a "record,..." header, a run marked by
+a "+" after its last coefficient; the checkpoint file names L and the deep
+horizon.  A rerun reloads and re-checks the records, drops a torn last
+line, and resumes the search at the rank where they end.
 """
 
 from __future__ import annotations
@@ -110,14 +109,22 @@ def _run_width(ranges: list[range], rec: CensusRow) -> int:
     return ranges[len(rec.vector) - 1].stop - rec.vector[-1] if rec.run else 1
 
 
-def _expand(length: int, records: Iterable[CensusRow]) -> Iterator[CensusRow]:
-    """One row per vector of each record, in record order."""
+def _expand(length: int, records: Iterable[CensusRow], depth: int = 0) -> Iterator[CensusRow]:
+    """The records split into one per prefix of length `depth`, in order.
+
+    The default depth, L, gives one row per vector.  A record that fixes
+    `depth` coefficients or more, a run's last one not counted, is left whole.
+    """
     ranges = coefficient_ranges(length)
+    depth = depth or length
     for rec in records:
         j = len(rec.vector) - 1
+        if j + 1 - rec.run >= depth:
+            yield rec
+            continue
         for c in range(rec.vector[j], rec.vector[j] + _run_width(ranges, rec)):
             prefix = rec.vector[:j] + (c,)
-            for suffix in itertools.product(*ranges[j + 1:]):
+            for suffix in itertools.product(*ranges[j + 1:depth]):
                 yield CensusRow(prefix + suffix, rec.first_failure, rec.verdict, rec.proof)
 
 
@@ -137,8 +144,9 @@ def _record_texts(
     value of c_{j+1}, and shared by every record of that length.  A record
     of prefix length j takes all of them; a run record takes the slice from
     its last coefficient on, after its first j - 1 coefficients.  Each
-    block becomes one piece, so a piece holds at most the rows of one
-    prefix of length j + 1.
+    block becomes one piece, and a record fixing fewer than 2 coefficients
+    is first split into one per prefix (c_1, c_2), so a piece holds at most
+    the rows of one prefix of length 3.
     """
     ranges = coefficient_ranges(length)
     tables: dict[int, list[str]] = {length: [""]}
@@ -152,7 +160,7 @@ def _record_texts(
         return tables[j]
 
     first = True
-    for rec in records:
+    for rec in _expand(length, records, min(2, length)):
         j = len(rec.vector) - rec.run
         start = head + sep.join(str(c) for c in rec.vector[:j])
         end = tail(rec)
@@ -276,43 +284,41 @@ def _row_for(cv: CoefficientVector, horizon: int) -> CensusRow:
     return CensusRow(cv.coefficients, v.first_failure_index, v.status.value, proof)
 
 
-def _shards(length: int) -> list[tuple[int, ...]]:
-    """The top-level prefixes (c_1, c_2), or (c_1,) at L = 1, in order."""
-    return list(itertools.product(*coefficient_ranges(length)[:2]))
-
-
-def _shard_records(length: int, deep_horizon: int, shard: tuple[int, ...]) -> list[CensusRow]:
-    """Records covering every completion of `shard`, by prefix-pruned search.
+def _census_records(length: int, deep_horizon: int, start: int = 0) -> Iterator[CensusRow]:
+    """Records covering the enumeration from rank `start` on, in order.
 
     Expanded, they equal classifying each of those vectors in turn.  A node
     stops at its first failing c_{j+1}: one run record stands for it and
-    every larger value.
+    every larger value.  Children ranked wholly below `start` are skipped
+    untested; a start strictly inside a failing prefix raises ValueError.
     """
-    ranges = [range(c, c + 1) for c in shard] + coefficient_ranges(length)[len(shard):]
-    records: list[CensusRow] = []
+    ranges = coefficient_ranges(length)
+    counts = _completion_counts(length)
 
-    def walk(prefix: tuple[int, ...], terms: list[int], total: int) -> None:
-        # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0.
+    def walk(prefix: tuple[int, ...], terms: list[int], total: int, rank: int):
+        # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0;
+        # rank is the rank of the next child's first completion.
         j = len(prefix)
         if j == length:
-            records.append(_row_for(CoefficientVector(prefix), deep_horizon))
+            yield _row_for(CoefficientVector(prefix), deep_horizon)
             return
         # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff H_{j+2} <= 1 + total.
         base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
         for c in ranges[j]:
-            term = base + c
-            if term > 1 + total:
-                # A record never spans shards: a prefix that fails above the
-                # shard's depth is recorded as the shard itself.
-                if j < len(shard):
-                    records.append(CensusRow(shard, j + 2, "incomplete", ""))
-                else:
-                    records.append(CensusRow(prefix + (c,), j + 2, "incomplete", "", run=True))
-                return
-            walk(prefix + (c,), terms + [term], total + term)
+            if rank + counts[j + 1] > start:
+                term = base + c
+                if term > 1 + total:
+                    if rank < start:
+                        raise ValueError(
+                            f"census records cannot end inside {list(prefix + (c,))}: "
+                            f"all its completions fail at term {j + 2}"
+                        )
+                    yield CensusRow(prefix + (c,), j + 2, "incomplete", "", run=True)
+                    return
+                yield from walk(prefix + (c,), terms + [term], total + term, rank)
+            rank += counts[j + 1]
 
-    walk((), [1], 1)
-    return records
+    return walk((), [1], 1, 0)
 
 
 def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
@@ -400,29 +406,25 @@ def _read_whole_lines(path: Path) -> tuple[str, str]:
 
 def _load_checkpoint(
     length: int, deep_horizon: int, ckpt: Path, rows_file: Path
-) -> dict[tuple[int, ...], list[CensusRow]]:
-    """Records of the shards an earlier run finished, by shard.
+) -> tuple[list[CensusRow], int]:
+    """The records an earlier run wrote, and the rank where they end.
 
-    Drops torn last lines and the records of unfinished shards, rewriting a
-    file only when that changes it.  Rejects a checkpoint of another census,
-    a rows file in another encoding, a record outside the enumeration or
-    misstating its prefix's failure, and a finished shard whose records do
-    not cover it in order, each vector once.
+    Cuts the checkpoint to its header line, drops a torn last line of the
+    rows file, and drops rows of an unknown deep horizon (the checkpoint has
+    no whole header), rewriting a file only when that changes it.  Rejects a
+    checkpoint of another census, a rows file in another encoding, a record
+    outside the enumeration or misstating its prefix's failure, and records
+    that do not cover the enumeration from its start, in order, each vector
+    once.
     """
     header = f"census L={length} deep_horizon={deep_horizon}"
-    text, whole = _read_whole_lines(ckpt)
-    lines = whole.splitlines() or [header]
-    if lines[0] != header:
-        raise ValueError(f"checkpoint {ckpt} is for {lines[0]!r}, but this run is {header!r}")
-    if whole != text or not whole:
-        ckpt.write_text("".join(line + "\n" for line in lines))
-    shards = _shards(length)
-    done: dict[tuple[int, ...], list[CensusRow]] = {}
-    for line in lines[1:]:
-        shard = tuple(int(c) for c in line.split(","))
-        if shard not in shards:
-            raise ValueError(f"checkpointed shard {line!r} lies outside this enumeration")
-        done[shard] = []
+    text, ckpt_whole = _read_whole_lines(ckpt)
+    if ckpt_whole and not ckpt_whole.startswith(header + "\n"):
+        raise ValueError(
+            f"checkpoint {ckpt} is for {ckpt_whole.splitlines()[0]!r}, but this run is {header!r}"
+        )
+    if text != header + "\n":
+        ckpt.write_text(header + "\n")
 
     text, whole = _read_whole_lines(rows_file)
     if whole and not whole.startswith(",".join(RECORDS_CSV_HEADER) + "\n"):
@@ -433,19 +435,10 @@ def _load_checkpoint(
     records = parse_census_csv(whole) if whole else []
     ranges = coefficient_ranges(length)
     counts = _completion_counts(length)
-    depth = len(shards[0])
-
-    def rank(vec: tuple[int, ...]) -> int:
-        # How many vectors of the enumeration come before vec's first completion.
-        return sum((c - r.start) * n for c, r, n in zip(vec, ranges, counts[1:]))
-
-    # The rank at which each finished shard's next record must start.
-    next_rank = {shard: rank(shard) for shard in done}
+    end = 0
     for rec in records:
         vec = rec.vector
-        # A run record stands below the shard prefix, so never spans shards.
-        inside = depth + rec.run <= len(vec) <= length
-        if not inside or any(c not in r for c, r in zip(vec, ranges)):
+        if len(vec) > length or any(c not in r for c, r in zip(vec, ranges)):
             raise ValueError(f"record {list(vec)} lies outside the L = {length} enumeration")
         if len(vec) < length or rec.run:
             # Every vector of the record shares B_1..B_{len(vec)}, and a run's
@@ -456,23 +449,15 @@ def _load_checkpoint(
             fails = next((n for n, gap in enumerate(gaps, 1) if gap < 0), None)
             if (rec.verdict, rec.first_failure) != ("incomplete", fails):
                 raise ValueError(f"record {list(vec)} does not fail where it says")
-        shard = vec[:depth]
-        if shard in done:
-            if rank(vec) != next_rank[shard]:
-                raise ValueError(f"record {list(vec)} does not follow the records before it")
-            next_rank[shard] += counts[len(vec)] * _run_width(ranges, rec)
-            done[shard].append(rec)
-    for shard in done:
-        covered = next_rank[shard] - rank(shard)
-        if covered != counts[depth]:
-            raise ValueError(
-                f"checkpointed shard {list(shard)} has records for {covered} "
-                f"of its {counts[depth]} vectors"
-            )
-    kept = [r for shard in shards if shard in done for r in done[shard]]
-    if whole != text or not whole or len(kept) != len(records):
-        rows_file.write_text(census_rows_to_csv(kept))
-    return done
+        # vec's rank, the number of vectors before its first completion
+        if sum((c - r.start) * n for c, r, n in zip(vec, ranges, counts[1:])) != end:
+            raise ValueError(f"record {list(vec)} does not follow the records before it")
+        end += counts[len(vec)] * _run_width(ranges, rec)
+    if not ckpt_whole:
+        records, end = [], 0
+    if whole != text or not (whole and ckpt_whole):
+        rows_file.write_text(census_rows_to_csv(records))
+    return records, end
 
 
 def first_failure_census(
@@ -488,9 +473,9 @@ def first_failure_census(
     deep_horizon, which defaults to 4L and may not be set lower.  Raises
     ConjectureViolation if any first failure lands past max(2L - 1, 2);
     that is a discovery to report, not an internal error.  With
-    checkpoint_path and rows_path set (one needs the other), finished
-    shards are skipped on rerun and their records reloaded from the rows
-    file.
+    checkpoint_path and rows_path set (one needs the other), each record is
+    appended to the rows file as it is found, and a rerun reloads the
+    records and searches on from where they end.
     """
     if deep_horizon is None:
         deep_horizon = 4 * length
@@ -501,23 +486,18 @@ def first_failure_census(
     rows_file = Path(rows_path) if rows_path is not None else None
     if (ckpt is None) != (rows_file is None):
         raise ValueError("census rows and checkpoint files must be given together")
-    done: dict[tuple[int, ...], list[CensusRow]] = {}
-    if ckpt is not None:
-        done = _load_checkpoint(length, deep_horizon, ckpt, rows_file)
-
-    records: list[CensusRow] = []
-    for shard in _shards(length):
-        if shard in done:
-            records.extend(done[shard])
-            continue
-        found = _shard_records(length, deep_horizon, shard)
-        if ckpt is not None:
-            with rows_file.open("a") as fh:
-                fh.write(census_rows_to_csv(found).split("\n", 1)[1])
-            with ckpt.open("a") as fh:
-                fh.write(",".join(str(c) for c in shard) + "\n")
+    records, start = _load_checkpoint(length, deep_horizon, ckpt, rows_file) if ckpt else ([], 0)
+    reloaded = len(records)
+    found = _census_records(length, deep_horizon, start)
+    if rows_file is None:
         records.extend(found)
-        log.debug("census L=%d shard %s done (%d records)", length, list(shard), len(found))
+    else:
+        with rows_file.open("a") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            for rec in found:
+                writer.writerow(_csv_fields(rec))
+                records.append(rec)
+    log.debug("census L=%d: %d records reloaded, %d found", length, reloaded, len(records) - reloaded)
 
     records.extend(_row_for(cv, deep_horizon) for cv in _supplemental_vectors(length))
     return _aggregate(length, records, deep_horizon)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
@@ -21,6 +22,7 @@ from plrslab import (
     cli,
     distinct_decompose,
     first_failure_census,
+    hunt,
     is_legal,
     legal_decompose,
     terms_prefix,
@@ -30,6 +32,7 @@ from plrslab.cli import main
 from plrslab.families import parse_figure_csv
 from plrslab.hunt import (
     CENSUS_CSV_HEADER,
+    CensusRow,
     _run_width,
     census_rows_to_csv,
     coefficient_ranges,
@@ -581,6 +584,79 @@ class TestCensus:
         assert code == 2
         assert out == ""
         assert "together" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_checkpoint_with_prefix_lines_resumes(self, capsys, tmp_path, monkeypatch, fmt):
+        # Files of a census that split its work by (c_1, c_2): the checkpoint
+        # lists finished prefixes after its header, and the rows file has one
+        # record per prefix that fails above depth 2 (1,2  1,3  1,4  2,0..2,4).
+        # The records are kept, the checkpoint is cut to its header, and
+        # stdout is the fresh run's.
+        argv = ["census", "--L", "4", "--format", fmt]
+        fresh = run(capsys, *argv)
+        records = list(first_failure_census(4).records)
+        assert [r.vector for r in records[-2:]] == [(1, 2), (2,)]
+        by_prefix = records[:-2] + [CensusRow((1, c), 3, "incomplete", "") for c in (2, 3, 4)]
+        by_prefix += [CensusRow((2, c), 2, "incomplete", "") for c in range(5)]
+        every_prefix = "".join(f"{a},{b}\n" for a in (1, 2) for b in range(5))
+        ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
+        files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
+        leaves = []
+        row_for = hunt._row_for
+
+        def counting_row_for(cv, horizon):
+            leaves.append(cv)
+            return row_for(cv, horizon)
+
+        monkeypatch.setattr(hunt, "_row_for", counting_row_for)
+        # finished; and stopped after writing the records of (1, 1) but
+        # before listing it, so that every leaf is in the rows file
+        cases = [(every_prefix, by_prefix, by_prefix), ("1,0\n", records[:-2], records)]
+        for listed, written, after in cases:
+            ckpt.write_text("census L=4 deep_horizon=16\n" + listed)
+            rows.write_text(census_rows_to_csv(written))
+            assert run(capsys, *argv, *files) == fresh
+            assert ckpt.read_text() == "census L=4 deep_horizon=16\n"
+            assert parse_census_csv(rows.read_text()) == after
+        assert leaves == []
+
+    def test_rows_ending_inside_a_failing_prefix_exit_2(self, capsys, tmp_path):
+        # One row per vector of 1,0,4, whose completions all fail at term 4,
+        # stopping before its last: no census ends its records there.
+        records = list(first_failure_census(4).records)
+        at = records.index(CensusRow((1, 0, 4), 4, "incomplete", "", run=True))
+        per_vector = [
+            dataclasses.replace(records[at], vector=(1, 0, 4, c), run=False) for c in range(1, 17)
+        ]
+        ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
+        files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
+        for stop in (1, 15):
+            ckpt.write_text("census L=4 deep_horizon=16\n")
+            rows.write_text(census_rows_to_csv(records[:at] + per_vector[:stop]))
+            code, out, err = run(capsys, "census", "--L", "4", *files)
+            assert code == 2
+            assert out == ""
+            assert "cannot end inside [1, 0, 4]" in err
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unusable_checkpoint_path_exit_2(self, capsys, tmp_path, where):
+        path = tmp_path / "no" / "dir" if where == "missing directory" else tmp_path
+        for given in ("--checkpoint", "--rows"):
+            files = {"--checkpoint": str(tmp_path / "c.ckpt"), "--rows": str(tmp_path / "c.csv")}
+            files[given] = str(path)
+            code, out, err = run(capsys, "census", "--L", "3", *itertools.chain(*files.items()))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+    def test_deep_horizon_size_guard_exit_5(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(hunt, "first_failure_census", _no_work)
+        files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
+        code, out, err = run(capsys, "census", "--L", "2", "--deep-horizon", "30000", *files)
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_text_summary(self, capsys):

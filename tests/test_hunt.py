@@ -21,10 +21,10 @@ from plrslab.hunt import (
     RECORDS_CSV_HEADER,
     CensusRow,
     _aggregate,
+    _census_records,
+    _completion_counts,
     _expand,
     _row_for,
-    _shard_records,
-    _shards,
     census_rows_to_csv,
     coefficient_ranges,
     enumeration_size,
@@ -78,7 +78,7 @@ class TestCensus:
     def test_length_six(self):
         report = first_failure_census(6)
         assert report.vectors_scanned == 3_231_360
-        assert len(report.records) == 797
+        assert len(report.records) == 791
         assert report.max_first_failure == 11
         assert report.extremal_vectors == ((1, 0, 2, 2, 2, 4), (1, 1, 1, 1, 0, 4))
         assert report.equality_window_vectors == 102
@@ -135,15 +135,36 @@ class TestPrunedCensus:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("first", [1, 2, None])
     def test_block_matches_brute_force(self, brute_force_rows, L, first):
-        # one block per shard, over the shards whose c_1 is `first` (all when None)
-        shards = [s for s in _shards(L) if first in (None, s[0])]
-        records = []
-        for shard in shards:
-            block = _shard_records(L, 4 * L, shard)
-            assert block and all(r.vector[: len(shard)] == shard for r in block)
-            records += block
-        expected = [r for r in brute_force_rows[L] if first in (None, r.vector[0])]
-        assert list(_expand(L, records)) == expected
+        # The records from a start rank, expanded, are the brute-force tail
+        # from that rank.  A start strictly inside a prefix whose completions
+        # all fail is refused: no census ends its records there.  The starts
+        # are the ranks of the vectors whose c_1 is `first`, or every rank up
+        # to the end when None; past L = 3, every record boundary and a
+        # sample of the other ranks.
+        expected = brute_force_rows[L]
+        counts = _completion_counts(L)
+        boundaries, inside, rank = {0}, set(), 0
+        for rec in _census_records(L, 4 * L):
+            for piece in _expand(L, [rec], len(rec.vector)):
+                size = counts[len(piece.vector)]
+                if rec.run and len(rec.vector) < L:
+                    inside.update(range(rank + 1, rank + size))
+                rank += size
+                boundaries.add(rank)
+        assert rank == len(expected)
+        starts = sorted(boundaries | set(range(0, rank, 1 if L <= 3 else 97)))
+        starts = [s for s in starts if first is None or (s < rank and expected[s].vector[0] == first)]
+        if L > 3:  # six record boundaries and six other ranks
+            at = [s for s in starts if s in boundaries]
+            off = [s for s in starts if s not in boundaries]
+            starts = at[:: len(at) // 6 + 1] + off[:: len(off) // 6 + 1]
+        assert starts and (first is not None or L == 1 or inside & set(starts))
+        for start in starts:
+            if start in inside:
+                with pytest.raises(ValueError, match="cannot end inside"):
+                    list(_census_records(L, 4 * L, start))
+            else:
+                assert list(_expand(L, _census_records(L, 4 * L, start))) == expected[start:]
 
     def test_only_survivors_are_classified(self, monkeypatch):
         leaves = []
@@ -156,7 +177,7 @@ class TestPrunedCensus:
         monkeypatch.setattr(hunt, "_row_for", counting_row_for)
         report = first_failure_census(5)
         assert report.vectors_scanned == 48_960
-        assert len(report.records) == 145
+        assert len(report.records) == 139
         assert len(leaves) == 107
         assert Counter(r.proof or r.verdict for r in leaves) == {
             "weak_window": 27,
@@ -201,7 +222,6 @@ class TestRunRecords:
         assert runs
         for rec in runs:
             j = len(rec.vector)
-            assert j > 2  # below the shard prefix (c_1, c_2)
             assert (rec.first_failure, rec.verdict, rec.proof) == (j + 1, "incomplete", "")
             if rec.vector[-1] > ranges[j - 1].start:
                 below = rec.vector[:-1] + (rec.vector[-1] - 1,)
@@ -209,76 +229,126 @@ class TestRunRecords:
                 assert brown_scan(CoefficientVector(below), j + 1).first_failure is None
 
 
-def _shard_text(report, shards) -> str:
-    """The rows file of a run that finished the given shards."""
-    return census_rows_to_csv([r for r in report.records if r.vector[:2] in shards])
+CKPT_L3 = "census L=3 deep_horizon=12\n"
+
+
+def _counting_row_for(monkeypatch) -> list:
+    """Patch hunt._row_for to record each vector it classifies."""
+    leaves = []
+
+    def row_for(cv, horizon):
+        leaves.append(cv.coefficients)
+        return _row_for(cv, horizon)
+
+    monkeypatch.setattr(hunt, "_row_for", row_for)
+    return leaves
 
 
 class TestCensusCheckpoint:
-    def test_resume_matches_fresh_run(self, tmp_path, census_reports):
+    def test_resume_matches_fresh_run(self, tmp_path, census_reports, monkeypatch):
+        # An interrupted run leaves its first k records; the rerun keeps them,
+        # classifies only the leaves after them, and completes the rows file.
         fresh = census_reports[3]
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-
-        # simulate an interrupted run: persist only the first two shards
-        rows.write_text(_shard_text(fresh, {(1, 0), (1, 1)}))
-        ckpt.write_text("census L=3 deep_horizon=12\n1,0\n1,1\n")
-
-        resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
-        assert resumed == fresh
-        # every shard is now checkpointed and the rows file holds all records
-        lines = ckpt.read_text().splitlines()
-        assert lines[0] == "census L=3 deep_horizon=12"
-        assert lines[1:] == [f"{a},{b}" for a in (1, 2) for b in range(5)]
-        assert parse_census_csv(rows.read_text()) == list(fresh.records)
-
-    def test_resume_discards_uncheckpointed_rows(self, tmp_path, census_reports):
-        # records persisted for a shard whose checkpoint line never landed
-        # are recomputed, not double-counted
-        fresh = census_reports[3]
-        ckpt = tmp_path / "census.ckpt"
-        rows = tmp_path / "census.rows.csv"
-        rows.write_text(_shard_text(fresh, {(1, 0), (1, 1), (1, 2)}))
-        ckpt.write_text("census L=3 deep_horizon=12\n1,0\n1,1\n")
-
-        resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
-        assert resumed == fresh
-        assert parse_census_csv(rows.read_text()) == list(fresh.records)
-
-    def test_torn_rows_tail_recomputed(self, tmp_path, census_reports):
-        # A crash while shard (1, 1) was being written: the rows file ends
-        # anywhere inside its records and the checkpoint lists only (1, 0).
-        fresh = census_reports[3]
-        ckpt = tmp_path / "census.ckpt"
-        rows = tmp_path / "census.rows.csv"
-        before = _shard_text(fresh, {(1, 0)})
-        full = _shard_text(fresh, {(1, 0), (1, 1)})
-        assert full.startswith(before)
-        for cut in range(len(before), len(full)):
-            # still checkpointed, the shard's records do not cover it
-            rows.write_text(full[:cut])
-            ckpt.write_text("census L=3 deep_horizon=12\n1,0\n1,1\n")
-            with pytest.raises(ValueError, match="has records for"):
-                first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
-
-            ckpt.write_text("census L=3 deep_horizon=12\n1,0\n")
+        leaves = _counting_row_for(monkeypatch)
+        for k in range(len(fresh.records) + 1):
+            rows.write_text(census_rows_to_csv(fresh.records[:k]))
+            ckpt.write_text(CKPT_L3)
+            leaves.clear()
             resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
-            assert resumed == fresh, cut
+            assert resumed == fresh, k
+            assert leaves == [r.vector for r in fresh.records[k:] if not r.run]
+            assert ckpt.read_text() == CKPT_L3
             assert parse_census_csv(rows.read_text()) == list(fresh.records)
 
-    def test_torn_checkpoint_tail_recomputed(self, tmp_path, census_reports):
-        # A crash while appending the checkpoint line of shard (1, 1).
+    def test_resume_discards_uncheckpointed_rows(self, tmp_path, census_reports, monkeypatch):
+        # Rows beside a missing, empty or torn checkpoint header are of an
+        # unknown deep horizon: they are recomputed, not double-counted.
         fresh = census_reports[3]
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        text = "census L=3 deep_horizon=12\n1,0\n1,1\n"
-        for cut in range(len(text) - 4, len(text)):
-            rows.write_text(_shard_text(fresh, {(1, 0), (1, 1)}))
-            ckpt.write_text(text[:cut])
+        leaves = _counting_row_for(monkeypatch)
+        for ckpt_text in (None, "", CKPT_L3[:-1], "census L=3"):
+            rows.write_text(census_rows_to_csv(fresh.records[:6]))
+            ckpt.unlink(missing_ok=True)
+            if ckpt_text is not None:
+                ckpt.write_text(ckpt_text)
+            leaves.clear()
             resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
             assert resumed == fresh
-            lines = ckpt.read_text().splitlines()
-            assert lines[1:] == [f"{a},{b}" for a in (1, 2) for b in range(5)]
+            assert leaves == [r.vector for r in fresh.records if not r.run]
+            assert ckpt.read_text() == CKPT_L3
+            assert parse_census_csv(rows.read_text()) == list(fresh.records)
+
+    def test_torn_rows_tail_recomputed(self, tmp_path, census_reports):
+        # A crash while a record was being appended: the rows file ends
+        # anywhere, and the records in its whole lines are kept.
+        fresh = census_reports[3]
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        full = census_rows_to_csv(fresh.records)
+        for cut in range(full.index("\n") + 1, len(full)):
+            rows.write_text(full[:cut])
+            ckpt.write_text(CKPT_L3)
+            resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            assert resumed == fresh, cut
+            assert rows.read_text() == full
+
+    def test_records_with_a_gap_rejected(self, tmp_path, census_reports):
+        # Each record must start where the one before it ends.
+        fresh = census_reports[3]
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        for gap in range(len(fresh.records) - 1):
+            ckpt.write_text(CKPT_L3)
+            rows.write_text(census_rows_to_csv(fresh.records[:gap] + fresh.records[gap + 1:]))
+            with pytest.raises(ValueError, match="does not follow the records before it"):
+                first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+
+    def test_torn_checkpoint_tail_recomputed(self, tmp_path, census_reports):
+        # A checkpoint written with a list of finished (c_1, c_2) prefixes
+        # after its header, torn anywhere: it is cut back to the header.
+        fresh = census_reports[3]
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        text = CKPT_L3 + "1,0\n1,1\n"
+        for cut in range(len(text) + 1):
+            rows.write_text(census_rows_to_csv(fresh.records[:8]))
+            ckpt.write_text(text[:cut])
+            resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            assert resumed == fresh, cut
+            assert ckpt.read_text() == CKPT_L3
+            assert parse_census_csv(rows.read_text()) == list(fresh.records)
+
+    @pytest.mark.parametrize("k", [1, 2, 50, 107])
+    def test_interrupted_run_keeps_every_record_found(self, tmp_path, monkeypatch, k):
+        # The run stops at its k-th leaf.  Every record found before it is in
+        # the rows file, and the rerun classifies only the remaining leaves.
+        fresh = first_failure_census(5)
+        leaf_at = [i for i, r in enumerate(fresh.records) if not r.run]
+        assert len(leaf_at) == 107
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        leaves = _counting_row_for(monkeypatch)
+        counting = hunt._row_for
+
+        def stopping_row_for(cv, horizon):
+            if len(leaves) == k - 1:
+                raise RuntimeError("stopped")
+            return counting(cv, horizon)
+
+        monkeypatch.setattr(hunt, "_row_for", stopping_row_for)
+        with pytest.raises(RuntimeError, match="stopped"):
+            first_failure_census(5, checkpoint_path=ckpt, rows_path=rows)
+        assert parse_census_csv(rows.read_text()) == list(fresh.records[: leaf_at[k - 1]])
+
+        monkeypatch.setattr(hunt, "_row_for", counting)
+        leaves.clear()
+        resumed = first_failure_census(5, checkpoint_path=ckpt, rows_path=rows)
+        assert resumed == fresh
+        assert len(leaves) == 107 - (k - 1)
+        assert parse_census_csv(rows.read_text()) == list(fresh.records)
 
     def test_finished_resume_leaves_rows_file_alone(self, tmp_path, census_reports):
         ckpt = tmp_path / "census.ckpt"
@@ -297,8 +367,8 @@ class TestCensusCheckpoint:
     )
     def test_foreign_row_rejected(self, tmp_path, vector):
         # one record no L = 3 census writes: out of the cap, a prefix that
-        # does not first fail at term 3, shorter than a shard or too long, a
-        # run whose first value passes B_4, a run spanning shards
+        # does not first fail at term 3 (or fails at term 2), too long, a run
+        # whose first value passes B_4 or B_3
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
         ckpt.write_text("")
