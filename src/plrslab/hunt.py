@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector, Sequence
-from .verdicts import brown_scan, classify
+from .verdicts import VerdictStatus, brown_scan, classify
 from .families import empirical_max_n
 
 log = logging.getLogger(__name__)
@@ -278,8 +278,10 @@ def parse_census_csv(text: str) -> list[CensusRow]:
     return rows
 
 
-def _row_for(cv: CoefficientVector, horizon: int) -> CensusRow:
-    v = classify(cv, horizon)
+def _row_for(
+    cv: CoefficientVector, horizon: int, merged: Optional[dict[tuple[int, ...], bool]] = None
+) -> CensusRow:
+    v = classify(cv, horizon, merged=merged)
     proof = v.proof.rule.value if v.proof is not None else ""
     return CensusRow(cv.coefficients, v.first_failure_index, v.status.value, proof)
 
@@ -291,17 +293,27 @@ def _census_records(length: int, deep_horizon: int, start: int = 0) -> Iterator[
     stops at its first failing c_{j+1}: one run record stands for it and
     every larger value.  Children ranked wholly below `start` are skipped
     untested; a start strictly inside a failing prefix raises ValueError.
+
+    A leaf's terms start from the walk's H_1..H_{L+1}.  The leaves below one
+    node of depth L - 2 share their merged generators [.., c_{L-1} + c_L],
+    so that node holds one dict of merged verdicts for classify; it is
+    dropped when the walk leaves the node.
     """
     ranges = coefficient_ranges(length)
     counts = _completion_counts(length)
+    shared_depth = max(length - 2, 0)
 
-    def walk(prefix: tuple[int, ...], terms: list[int], total: int, rank: int):
+    def walk(
+        prefix: tuple[int, ...], terms: list[int], total: int, rank: int, merged: Optional[dict]
+    ):
         # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0;
         # rank is the rank of the next child's first completion.
         j = len(prefix)
         if j == length:
-            yield _row_for(CoefficientVector(prefix), deep_horizon)
+            yield _row_for(CoefficientVector(prefix, head=terms), deep_horizon, merged)
             return
+        if j == shared_depth:
+            merged = {}
         # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff H_{j+2} <= 1 + total.
         base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
         for c in ranges[j]:
@@ -315,10 +327,10 @@ def _census_records(length: int, deep_horizon: int, start: int = 0) -> Iterator[
                         )
                     yield CensusRow(prefix + (c,), j + 2, "incomplete", "", run=True)
                     return
-                yield from walk(prefix + (c,), terms + [term], total + term, rank)
+                yield from walk(prefix + (c,), terms + [term], total + term, rank, merged)
             rank += counts[j + 1]
 
-    return walk((), [1], 1, 0)
+    return walk((), [1], 1, 0, None)
 
 
 def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
@@ -413,7 +425,9 @@ def _load_checkpoint(
     rows file, and drops rows of an unknown deep horizon (the checkpoint has
     no whole header), rewriting a file only when that changes it.  Rejects a
     checkpoint of another census, a rows file in another encoding, a record
-    outside the enumeration or misstating its prefix's failure, and records
+    outside the enumeration, one with an unknown verdict, and one misstating
+    its failure: a shorter record's (its prefix's) and an incomplete leaf's
+    are re-scanned, and other leaves must state none.  Rejects too records
     that do not cover the enumeration from its start, in order, each vector
     once.
     """
@@ -435,17 +449,30 @@ def _load_checkpoint(
     records = parse_census_csv(whole) if whole else []
     ranges = coefficient_ranges(length)
     counts = _completion_counts(length)
+    statuses = {s.value for s in VerdictStatus}
     end = 0
     for rec in records:
         vec = rec.vector
         if len(vec) > length or any(c not in r for c, r in zip(vec, ranges)):
             raise ValueError(f"record {list(vec)} lies outside the L = {length} enumeration")
-        if len(vec) < length or rec.run:
-            # Every vector of the record shares B_1..B_{len(vec)}, and a run's
+        leaf = len(vec) == length and not rec.run
+        if leaf and rec.verdict not in statuses:
+            raise ValueError(f"record {list(vec)} has an unknown verdict {rec.verdict!r}")
+        if leaf and rec.verdict != "incomplete":
+            # Complete and conjectural leaves are trusted: re-classifying them
+            # would cost what the resume saves.
+            if rec.first_failure is not None:
+                raise ValueError(f"record {list(vec)} does not fail where it says")
+        else:
+            # A leaf fails within the deep horizon it was scanned to.  Every
+            # vector of a shorter record shares B_1..B_{len(vec)}, and a run's
             # B_{len(vec)+1} only falls as its last coefficient rises: the
             # first vector fails where they all do.
+            depth = rec.first_failure if leaf else len(vec) + 1
+            if depth is None or not 1 <= depth <= deep_horizon:
+                raise ValueError(f"record {list(vec)} does not fail where it says")
             first = vec + tuple(r.start for r in ranges[len(vec):])
-            gaps = Sequence(CoefficientVector(first)).gaps(len(vec) + 1)
+            gaps = Sequence(CoefficientVector(first)).gaps(depth)
             fails = next((n for n, gap in enumerate(gaps, 1) if gap < 0), None)
             if (rec.verdict, rec.first_failure) != ("incomplete", fails):
                 raise ValueError(f"record {list(vec)} does not fail where it says")

@@ -26,9 +26,10 @@ Indexing is 1-based throughout, matching the recurrence above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence as SequenceT
 
 from .errors import (
     EmptyVectorError,
@@ -41,11 +42,18 @@ from .errors import (
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Validated, immutable generator [c_1, ..., c_L]."""
+    """Validated, immutable generator [c_1, ..., c_L].
+
+    `head`, keyword-only and when given, is the generator's own first terms
+    [H_1, ..., H_k], known to the caller; its `sequence` then starts from them
+    (see Sequence).
+    """
 
     coefficients: tuple[int, ...]
+    _: KW_ONLY
+    head: InitVar[Optional[SequenceT[int]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, head: Optional[SequenceT[int]]) -> None:
         coeffs = tuple(self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:
@@ -59,6 +67,8 @@ class CoefficientVector:
             raise LeadingZeroError()
         if coeffs[-1] == 0:
             raise TrailingZeroError()
+        if head:
+            self.__dict__["sequence"] = Sequence(self, head=head)
 
     @classmethod
     def parse(cls, text: str) -> "CoefficientVector":
@@ -99,6 +109,10 @@ class Sequence:
     vector; a Sequence built directly is a private memo, for independent
     re-checks.  It keeps only L, not the vector, so the two form no cycle.
 
+    `head` = [H_1, ..., H_k] starts the memo from terms the caller already
+    holds, such as a prefix walk's; they are taken on trust, so they must be
+    this generator's own.
+
     Single writer: extension happens on demand inside the instance, so a
     Sequence must not be shared across concurrently writing tasks.  Parallel
     workloads should create one instance per task (fully materialized
@@ -107,14 +121,16 @@ class Sequence:
 
     __slots__ = ("_length", "_runs", "_terms", "_sums")
 
-    def __init__(self, generator: CoefficientVector) -> None:
+    def __init__(
+        self, generator: CoefficientVector, *, head: Optional[SequenceT[int]] = None
+    ) -> None:
         c = generator.coefficients
         self._length = len(c)
         # (start, stop, v): c[start:stop] is a maximal run of v != 0.
         cuts = [0, *(i for i in range(1, len(c)) if c[i] != c[i - 1]), len(c)]
         self._runs = tuple((a, b, c[a]) for a, b in zip(cuts, cuts[1:]) if c[a])
-        self._terms: list[int] = [1]
-        self._sums: list[int] = [0, 1]  # _sums[k] = H_1 + ... + H_k
+        self._terms: list[int] = list(head) if head else [1]
+        self._sums: list[int] = [0, *accumulate(head)] if head else [0, 1]  # H_1 + ... + H_k
 
     def _extend_to(self, n: int) -> None:
         L = self._length

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence as SequenceT
+from typing import Iterable, MutableMapping, Optional, Sequence as SequenceT
 
 from .errors import CapTooLargeError, ConjectureViolation
 from .seqcore import CoefficientVector
@@ -251,7 +251,12 @@ _BOUND_RULE_TAGS = {
 }
 
 
-def classify(cv: CoefficientVector, horizon: Optional[int] = None) -> CompletenessVerdict:
+def classify(
+    cv: CoefficientVector,
+    horizon: Optional[int] = None,
+    *,
+    merged: Optional[MutableMapping[tuple[int, ...], bool]] = None,
+) -> CompletenessVerdict:
     """Classify a generator as complete, incomplete, or conjecturally complete.
 
     Rule order is fixed: (a) gap scan to effective_horizon(L, horizon),
@@ -262,6 +267,12 @@ def classify(cv: CoefficientVector, horizon: Optional[int] = None) -> Completene
     (d) completeness of the merged generator [c_1, ..., c_{L-1} + c_L]
     implies completeness here, (e) the strict-window criterion, and
     otherwise (f) ConjecturallyComplete at the scanned horizon.
+
+    `merged`, when given, maps merged coefficient tuples to whether they
+    classify as complete at this same `horizon`.  Step (d) reads it before
+    classifying a merged generator and fills it after, so callers whose
+    vectors share merged generators (siblings [..., a, b] with one a + b)
+    classify each of them once.
     """
     # Imported here to break the module cycle: families drives its empirical
     # searches through classify.
@@ -302,11 +313,15 @@ def classify(cv: CoefficientVector, horizon: Optional[int] = None) -> Completene
             raise ConjectureViolation(coeffs, None)
 
     if L >= 2:
-        merged = CoefficientVector(coeffs[:-2] + (coeffs[-2] + coeffs[-1],))
-        # The caller's horizon, not this depth: the merged vector's own floor
-        # is 2L - 3, and scanning it to 2L - 1 would be deeper than asked.
-        inner = classify(merged, horizon)
-        if inner.is_complete:
+        key = coeffs[:-2] + (coeffs[-2] + coeffs[-1],)
+        complete = None if merged is None else merged.get(key)
+        if complete is None:
+            # The caller's horizon, not this depth: the merged vector's own
+            # floor is 2L - 3, and scanning it to 2L - 1 would be deeper than asked.
+            complete = classify(CoefficientVector(key), horizon).is_complete
+            if merged is not None:
+                merged[key] = complete
+        if complete:
             tag = ProofTag.make(
                 ProofRule.MERGE_LAST, merged_last=coeffs[-2] + coeffs[-1]
             )

@@ -605,9 +605,9 @@ class TestCensus:
         leaves = []
         row_for = hunt._row_for
 
-        def counting_row_for(cv, horizon):
+        def counting_row_for(cv, horizon, merged=None):
             leaves.append(cv)
-            return row_for(cv, horizon)
+            return row_for(cv, horizon, merged)
 
         monkeypatch.setattr(hunt, "_row_for", counting_row_for)
         # finished; and stopped after writing the records of (1, 1) but
@@ -638,6 +638,22 @@ class TestCensus:
             assert code == 2
             assert out == ""
             assert "cannot end inside [1, 0, 4]" in err
+
+    def test_forged_leaf_record_exit_2(self, capsys, tmp_path):
+        # A complete leaf restated as failing past the window: the rerun
+        # re-scans it and refuses the rows file, rather than report a
+        # conjecture violation (exit 6).
+        ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
+        files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
+        fresh = run(capsys, "census", "--L", "3", *files)
+        assert fresh[0] == 0
+        text = rows.read_text()
+        assert '"1,0,1",,complete,family_single_one\n' in text
+        rows.write_text(text.replace('"1,0,1",,complete,family_single_one', '"1,0,1",9,incomplete,'))
+        code, out, err = run(capsys, "census", "--L", "3", *files)
+        assert code == 2
+        assert out == ""
+        assert "record [1, 0, 1] does not fail where it says" in err
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unusable_checkpoint_path_exit_2(self, capsys, tmp_path, where):

@@ -15,6 +15,7 @@ from plrslab import (
     enumerate_vectors,
     first_failure_census,
     hunt,
+    verdicts,
 )
 from plrslab.families import EmpiricalMax, FamilySpec, empirical_max_n
 from plrslab.hunt import (
@@ -169,8 +170,8 @@ class TestPrunedCensus:
     def test_only_survivors_are_classified(self, monkeypatch):
         leaves = []
 
-        def counting_row_for(cv, horizon):
-            row = _row_for(cv, horizon)
+        def counting_row_for(cv, horizon, merged=None):
+            row = _row_for(cv, horizon, merged)
             leaves.append(row)
             return row
 
@@ -189,6 +190,45 @@ class TestPrunedCensus:
             "family_g_ones": 3,
             "all_positive": 2,
         }
+
+    def test_each_merged_vector_classified_once_per_prefix(self, monkeypatch):
+        # 107 leaves and the distinct merged vectors below each node of depth
+        # L - 2; classifying every leaf's merged vector afresh makes 194 calls.
+        calls = []
+
+        def spy(cv, horizon=None, **kwargs):
+            calls.append(cv.coefficients)
+            return classify(cv, horizon, **kwargs)
+
+        monkeypatch.setattr(verdicts, "classify", spy)
+        monkeypatch.setattr(hunt, "classify", spy)
+        first_failure_census(5)
+        assert sum(len(c) == 5 for c in calls) == 107
+        assert len(calls) <= 143
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_merged_verdicts_held_per_prefix(self, monkeypatch, L):
+        # Each node of depth L - 2 hands its leaves one dict of its own, and
+        # that dict holds only merged vectors of its prefix.
+        held = {}  # id(dict) -> (dict, prefixes of the leaves it was handed)
+
+        def row_for(cv, horizon, merged=None):
+            held.setdefault(id(merged), (merged, set()))[1].add(cv.coefficients[: L - 2])
+            return _row_for(cv, horizon, merged)
+
+        monkeypatch.setattr(hunt, "_row_for", row_for)
+        first_failure_census(L)
+        prefixes = set()
+        for merged, leaf_prefixes in held.values():
+            assert merged is not None
+            assert len(leaf_prefixes) == 1
+            (prefix,) = leaf_prefixes
+            assert prefix not in prefixes
+            prefixes.add(prefix)
+            for key in merged:
+                assert key[:-1] == prefix[: len(key) - 1], (prefix, key)
+        # At L <= 3 every leaf is settled before the merge-last rule.
+        assert any(merged for merged, _ in held.values()) == (L >= 4)
 
 
 def _oracle_rows(L: int) -> list[CensusRow]:
@@ -236,9 +276,9 @@ def _counting_row_for(monkeypatch) -> list:
     """Patch hunt._row_for to record each vector it classifies."""
     leaves = []
 
-    def row_for(cv, horizon):
+    def row_for(cv, horizon, merged=None):
         leaves.append(cv.coefficients)
-        return _row_for(cv, horizon)
+        return _row_for(cv, horizon, merged)
 
     monkeypatch.setattr(hunt, "_row_for", row_for)
     return leaves
@@ -333,10 +373,10 @@ class TestCensusCheckpoint:
         leaves = _counting_row_for(monkeypatch)
         counting = hunt._row_for
 
-        def stopping_row_for(cv, horizon):
+        def stopping_row_for(cv, horizon, merged=None):
             if len(leaves) == k - 1:
                 raise RuntimeError("stopped")
-            return counting(cv, horizon)
+            return counting(cv, horizon, merged)
 
         monkeypatch.setattr(hunt, "_row_for", stopping_row_for)
         with pytest.raises(RuntimeError, match="stopped"):
@@ -374,6 +414,54 @@ class TestCensusCheckpoint:
         ckpt.write_text("")
         rows.write_text(",".join(RECORDS_CSV_HEADER) + f'\n"{vector}",3,incomplete,\n')
         with pytest.raises(ValueError):
+            first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+
+    @pytest.mark.parametrize(
+        "line,forged,error",
+        [
+            # a complete leaf stated to fail, or to fail at no term
+            ('"1,0,1",,complete,family_single_one', '"1,0,1",9,incomplete,', "does not fail"),
+            ('"1,0,1",,complete,family_single_one', '"1,0,1",,incomplete,', "does not fail"),
+            # a complete leaf with a first failure, and a verdict no census writes
+            ('"1,0,1",,complete,family_single_one', '"1,0,1",4,complete,family_single_one', "does not fail"),
+            ('"1,0,1",,complete,family_single_one', '"1,0,1",,proven,family_single_one', "unknown verdict"),
+            # [1, 0, 4] first fails at 5, not earlier or later
+            ('"1,0,4",5,incomplete,', '"1,0,4",4,incomplete,', "does not fail"),
+            ('"1,0,4",5,incomplete,', '"1,0,4",6,incomplete,', "does not fail"),
+            ('"1,0,4",5,incomplete,', '"1,0,4",5,conjecturally_complete,', "does not fail"),
+        ],
+    )
+    def test_forged_leaf_rejected(self, tmp_path, census_reports, line, forged, error):
+        # A leaf record's verdict is one of the three, its first failure agrees
+        # with it, and an incomplete leaf's gaps go negative first where it says.
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        text = census_rows_to_csv(census_reports[3].records)
+        assert line + "\n" in text
+        ckpt.write_text(CKPT_L3)
+        rows.write_text(text.replace(line + "\n", forged + "\n"))
+        with pytest.raises(ValueError, match=error):
+            first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+
+    def test_leaf_failing_past_the_deep_horizon_refused_unscanned(
+        self, tmp_path, census_reports, monkeypatch
+    ):
+        # A leaf was scanned to the deep horizon, so a stated failure past it
+        # is refused without scanning there: 10**9 terms would not fit in memory.
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        text = census_rows_to_csv(census_reports[3].records)
+        ckpt.write_text(CKPT_L3)
+        rows.write_text(text.replace('"1,0,4",5,incomplete,', f'"1,0,4",{10**9},incomplete,'))
+
+        class BoundedSequence(hunt.Sequence):
+            def gaps(self, n):
+                if n > 12:
+                    raise AssertionError(f"scan to {n}")
+                return super().gaps(n)
+
+        monkeypatch.setattr(hunt, "Sequence", BoundedSequence)
+        with pytest.raises(ValueError, match="does not fail where it says"):
             first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
 
     def test_rows_file_in_run_encoding(self, tmp_path, census_reports):

@@ -71,6 +71,31 @@ class TestSequenceIdentities:
         assert terms_prefix(cv, 30) == [2**i for i in range(30)]
 
 
+class TestSharedMergedVerdicts:
+    @given(
+        st.lists(coefficient_vectors(max_length=7, max_coeff=4), min_size=1, max_size=8),
+        st.sampled_from([None, 13, 20, 28]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shared_dict_matches_fresh_classify(self, vectors, horizon):
+        # One dict of merged verdicts shared by many calls at one horizon,
+        # over each drawn vector and its siblings [.., a, s - a]: every
+        # verdict, proof tag included, is a fresh call's, and so is every
+        # verdict the dict holds.
+        merged = {}
+        for cv in vectors:
+            siblings = [cv]
+            if len(cv) >= 2:
+                head, s = cv.coefficients[:-2], cv[-2] + cv[-1]
+                siblings += [
+                    CoefficientVector(head + (a, s - a)) for a in range(len(cv) == 2, s)
+                ]
+            for sib in siblings:
+                assert classify(sib, horizon, merged=merged) == classify(sib, horizon)
+        for key, complete in merged.items():
+            assert complete == classify(CoefficientVector(key), horizon).is_complete
+
+
 class TestFiniteBrownEquivalence:
     """Nonnegative gaps through n  <=>  [1, S_n] fully reachable from H_1..H_n."""
 

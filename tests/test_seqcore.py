@@ -120,6 +120,31 @@ class TestTerms:
         n = 2 * len(coeffs) + 3
         assert Sequence(CoefficientVector(coeffs)).prefix(n) == naive_terms(coeffs, n)
 
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=9),
+        st.integers(1, 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_head_continues_the_recurrence(self, coeffs, k):
+        # A memo started from the first k terms, before, at or past L, goes
+        # on exactly as a fresh one; the vector's own memo too.
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or 1
+        n = 2 * len(coeffs) + 21
+        expected = naive_terms(coeffs, n)
+        seq = Sequence(CoefficientVector(coeffs), head=expected[:k])
+        assert seq.prefix(n) == expected
+        assert seq.gaps(n) == Sequence(CoefficientVector(coeffs)).gaps(n)
+        assert [seq.partial_sum(i) for i in range(n)] == [sum(expected[:i]) for i in range(n)]
+        cv = CoefficientVector(coeffs, head=expected[:k])
+        assert cv == CoefficientVector(coeffs)
+        assert cv.sequence.prefix(n) == expected
+        # Terms taken on trust are never passed by position.
+        with pytest.raises(TypeError):
+            CoefficientVector(coeffs, expected[:k])
+        with pytest.raises(TypeError):
+            Sequence(CoefficientVector(coeffs), expected[:k])
+
     @pytest.mark.parametrize("coeffs", [(1, 1, 0, 0, 3, 3, 3, 0, 9), (1,) * 5 + (0,) * 5 + (7,)])
     def test_extension_in_steps_across_the_plus_one_phase(self, coeffs):
         # Each extension resumes where the last stopped, before, at and past L.
