@@ -31,8 +31,8 @@ callers that inspect rows one by one.
 A checkpointed census appends each record to a rows file as the search
 finds it, one line per record under a "record,..." header, a run marked by
 a "+" after its last coefficient; the checkpoint file names L and the deep
-horizon.  A rerun reloads and re-checks the records, drops a torn last
-line, and resumes the search at the rank where they end.
+horizon.  A rerun drops a torn last line, replays the records through the
+search from the first vector, and classifies only the leaves past them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector, Sequence
-from .verdicts import VerdictStatus, brown_scan, classify
+from .verdicts import brown_scan, classify
 from .families import empirical_max_n
 
 log = logging.getLogger(__name__)
@@ -286,13 +286,19 @@ def _row_for(
     return CensusRow(cv.coefficients, v.first_failure_index, v.status.value, proof)
 
 
-def _census_records(length: int, deep_horizon: int, start: int = 0) -> Iterator[CensusRow]:
-    """Records covering the enumeration from rank `start` on, in order.
+def _census_records(
+    length: int, deep_horizon: int, reloaded: Iterable[CensusRow] = ()
+) -> Iterator[CensusRow]:
+    """Records covering the enumeration, in order, the replayed `reloaded` first.
 
-    Expanded, they equal classifying each of those vectors in turn.  A node
-    stops at its first failing c_{j+1}: one run record stands for it and
-    every larger value.  Children ranked wholly below `start` are skipped
-    untested; a start strictly inside a failing prefix raises ValueError.
+    Expanded, they equal classifying each vector in turn.  A node stops at
+    its first failing c_{j+1}: one run record stands for it and every larger
+    value.  Each reloaded record must be the walk's next: a run equal to it,
+    or a leaf of its vector with one of the three verdicts.  An incomplete
+    leaf is re-scanned from the walk's terms to its stated first failure,
+    within the deep horizon.  The others must state none and are trusted:
+    re-classifying them would cost what the resume saves.  A mismatch, or a
+    record left past the end, raises ValueError.
 
     A leaf's terms start from the walk's H_1..H_{L+1}.  The leaves below one
     node of depth L - 2 share their merged generators [.., c_{L-1} + c_L],
@@ -300,37 +306,53 @@ def _census_records(length: int, deep_horizon: int, start: int = 0) -> Iterator[
     dropped when the walk leaves the node.
     """
     ranges = coefficient_ranges(length)
-    counts = _completion_counts(length)
     shared_depth = max(length - 2, 0)
+    pending = iter(reloaded)
 
-    def walk(
-        prefix: tuple[int, ...], terms: list[int], total: int, rank: int, merged: Optional[dict]
-    ):
-        # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0;
-        # rank is the rank of the next child's first completion.
+    def label(rec: CensusRow) -> str:
+        return f"{list(rec.vector)}{'+' * rec.run}"
+
+    def replayed(vector: tuple[int, ...], run: bool) -> Optional[CensusRow]:
+        rec = next(pending, None)
+        if rec is not None and (rec.vector, rec.run) != (vector, run):
+            raise ValueError(f"record {label(rec)} does not follow the records before it")
+        return rec
+
+    def leaf(prefix: tuple[int, ...], terms: list[int], merged: dict) -> CensusRow:
+        rec = replayed(prefix, False)
+        if rec is None:
+            return _row_for(CoefficientVector(prefix, head=terms), deep_horizon, merged)
+        n = rec.first_failure
+        if rec.verdict == "incomplete" and n is not None and 1 <= n <= deep_horizon:
+            if brown_scan(CoefficientVector(prefix, head=terms), n).first_failure == n:
+                return rec
+        elif rec.verdict in ("complete", "conjecturally_complete") and n is None:
+            return rec
+        raise ValueError(f"record {list(prefix)} does not fail where it says ({rec.verdict}, {n})")
+
+    def walk(prefix: tuple[int, ...], terms: list[int], total: int, merged: Optional[dict]):
+        # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0.
         j = len(prefix)
         if j == length:
-            yield _row_for(CoefficientVector(prefix, head=terms), deep_horizon, merged)
+            yield leaf(prefix, terms, merged)
             return
         if j == shared_depth:
             merged = {}
         # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff H_{j+2} <= 1 + total.
         base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
         for c in ranges[j]:
-            if rank + counts[j + 1] > start:
-                term = base + c
-                if term > 1 + total:
-                    if rank < start:
-                        raise ValueError(
-                            f"census records cannot end inside {list(prefix + (c,))}: "
-                            f"all its completions fail at term {j + 2}"
-                        )
-                    yield CensusRow(prefix + (c,), j + 2, "incomplete", "", run=True)
-                    return
-                yield from walk(prefix + (c,), terms + [term], total + term, rank, merged)
-            rank += counts[j + 1]
+            term = base + c
+            if term > 1 + total:
+                run = CensusRow(prefix + (c,), j + 2, "incomplete", "", run=True)
+                if replayed(run.vector, True) not in (None, run):
+                    raise ValueError(f"record {label(run)} does not fail where it says")
+                yield run
+                return
+            yield from walk(prefix + (c,), terms + [term], total + term, merged)
 
-    return walk((), [1], 1, 0, None)
+    yield from walk((), [1], 1, None)
+    if (rest := next(pending, None)) is not None:
+        raise ValueError(f"record {label(rest)} lies past the end of the L = {length} census")
 
 
 def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
@@ -416,20 +438,15 @@ def _read_whole_lines(path: Path) -> tuple[str, str]:
     return text, text[: text.rfind("\n") + 1]
 
 
-def _load_checkpoint(
-    length: int, deep_horizon: int, ckpt: Path, rows_file: Path
-) -> tuple[list[CensusRow], int]:
-    """The records an earlier run wrote, and the rank where they end.
+def _load_checkpoint(length: int, deep_horizon: int, ckpt: Path, rows: Path) -> list[CensusRow]:
+    """The records an earlier run wrote, unchecked: the census replays them.
 
-    Cuts the checkpoint to its header line, drops a torn last line of the
-    rows file, and drops rows of an unknown deep horizon (the checkpoint has
-    no whole header), rewriting a file only when that changes it.  Rejects a
-    checkpoint of another census, a rows file in another encoding, a record
-    outside the enumeration, one with an unknown verdict, and one misstating
-    its failure: a shorter record's (its prefix's) and an incomplete leaf's
-    are re-scanned, and other leaves must state none.  Rejects too records
-    that do not cover the enumeration from its start, in order, each vector
-    once.
+    Cuts the checkpoint to its header line and drops a torn last line of the
+    rows file, rewriting a file only when that changes it.  Rows beside a
+    checkpoint that is not that one line (no whole header: an unknown deep
+    horizon; finished (c_1, c_2) prefixes after it: an older run's order)
+    are recomputed.  Rejects a checkpoint of another census and a rows file
+    in another encoding.
     """
     header = f"census L={length} deep_horizon={deep_horizon}"
     text, ckpt_whole = _read_whole_lines(ckpt)
@@ -440,51 +457,18 @@ def _load_checkpoint(
     if text != header + "\n":
         ckpt.write_text(header + "\n")
 
-    text, whole = _read_whole_lines(rows_file)
-    if whole and not whole.startswith(",".join(RECORDS_CSV_HEADER) + "\n"):
+    text, whole = _read_whole_lines(rows)
+    if ckpt_whole != header + "\n" or not whole:
+        whole = census_rows_to_csv([])
+    if not whole.startswith(",".join(RECORDS_CSV_HEADER) + "\n"):
         raise ValueError(
-            f"rows file {rows_file} does not start with the run-record header "
+            f"rows file {rows} does not start with the run-record header "
             f"{','.join(RECORDS_CSV_HEADER)!r}; remove it and the checkpoint to rerun"
         )
-    records = parse_census_csv(whole) if whole else []
-    ranges = coefficient_ranges(length)
-    counts = _completion_counts(length)
-    statuses = {s.value for s in VerdictStatus}
-    end = 0
-    for rec in records:
-        vec = rec.vector
-        if len(vec) > length or any(c not in r for c, r in zip(vec, ranges)):
-            raise ValueError(f"record {list(vec)} lies outside the L = {length} enumeration")
-        leaf = len(vec) == length and not rec.run
-        if leaf and rec.verdict not in statuses:
-            raise ValueError(f"record {list(vec)} has an unknown verdict {rec.verdict!r}")
-        if leaf and rec.verdict != "incomplete":
-            # Complete and conjectural leaves are trusted: re-classifying them
-            # would cost what the resume saves.
-            if rec.first_failure is not None:
-                raise ValueError(f"record {list(vec)} does not fail where it says")
-        else:
-            # A leaf fails within the deep horizon it was scanned to.  Every
-            # vector of a shorter record shares B_1..B_{len(vec)}, and a run's
-            # B_{len(vec)+1} only falls as its last coefficient rises: the
-            # first vector fails where they all do.
-            depth = rec.first_failure if leaf else len(vec) + 1
-            if depth is None or not 1 <= depth <= deep_horizon:
-                raise ValueError(f"record {list(vec)} does not fail where it says")
-            first = vec + tuple(r.start for r in ranges[len(vec):])
-            gaps = Sequence(CoefficientVector(first)).gaps(depth)
-            fails = next((n for n, gap in enumerate(gaps, 1) if gap < 0), None)
-            if (rec.verdict, rec.first_failure) != ("incomplete", fails):
-                raise ValueError(f"record {list(vec)} does not fail where it says")
-        # vec's rank, the number of vectors before its first completion
-        if sum((c - r.start) * n for c, r, n in zip(vec, ranges, counts[1:])) != end:
-            raise ValueError(f"record {list(vec)} does not follow the records before it")
-        end += counts[len(vec)] * _run_width(ranges, rec)
-    if not ckpt_whole:
-        records, end = [], 0
-    if whole != text or not (whole and ckpt_whole):
-        rows_file.write_text(census_rows_to_csv(records))
-    return records, end
+    records = parse_census_csv(whole)
+    if whole != text:
+        rows.write_text(whole)
+    return records
 
 
 def first_failure_census(
@@ -501,8 +485,8 @@ def first_failure_census(
     ConjectureViolation if any first failure lands past max(2L - 1, 2);
     that is a discovery to report, not an internal error.  With
     checkpoint_path and rows_path set (one needs the other), each record is
-    appended to the rows file as it is found, and a rerun reloads the
-    records and searches on from where they end.
+    appended to the rows file as it is found, and a rerun replays the
+    records and searches on past them.
     """
     if deep_horizon is None:
         deep_horizon = 4 * length
@@ -513,9 +497,9 @@ def first_failure_census(
     rows_file = Path(rows_path) if rows_path is not None else None
     if (ckpt is None) != (rows_file is None):
         raise ValueError("census rows and checkpoint files must be given together")
-    records, start = _load_checkpoint(length, deep_horizon, ckpt, rows_file) if ckpt else ([], 0)
-    reloaded = len(records)
-    found = _census_records(length, deep_horizon, start)
+    reloaded = _load_checkpoint(length, deep_horizon, ckpt, rows_file) if ckpt else []
+    found = _census_records(length, deep_horizon, reloaded)
+    records = list(itertools.islice(found, len(reloaded)))
     if rows_file is None:
         records.extend(found)
     else:
@@ -524,7 +508,8 @@ def first_failure_census(
             for rec in found:
                 writer.writerow(_csv_fields(rec))
                 records.append(rec)
-    log.debug("census L=%d: %d records reloaded, %d found", length, reloaded, len(records) - reloaded)
+    n = len(reloaded)
+    log.debug("census L=%d: %d records reloaded, %d found", length, n, len(records) - n)
 
     records.extend(_row_for(cv, deep_horizon) for cv in _supplemental_vectors(length))
     return _aggregate(length, records, deep_horizon)

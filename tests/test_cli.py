@@ -542,7 +542,7 @@ class TestCensus:
     @pytest.mark.parametrize(
         "change,message",
         [
-            ("run starts one value too low", "does not fail where it says"),
+            ("run starts one value too low", "does not follow the records before it"),
             ("run starts one value too high", "does not follow the records before it"),
             ("per-value encoding", "run-record header"),
         ],
@@ -591,8 +591,9 @@ class TestCensus:
         # Files of a census that split its work by (c_1, c_2): the checkpoint
         # lists finished prefixes after its header, and the rows file has one
         # record per prefix that fails above depth 2 (1,2  1,3  1,4  2,0..2,4).
-        # The records are kept, the checkpoint is cut to its header, and
-        # stdout is the fresh run's.
+        # Those rows are in that older run's order, so they are recomputed:
+        # the checkpoint is cut to its header, the rows file is rewritten in
+        # the run-record encoding, and stdout is the fresh run's.
         argv = ["census", "--L", "4", "--format", fmt]
         fresh = run(capsys, *argv)
         records = list(first_failure_census(4).records)
@@ -612,18 +613,18 @@ class TestCensus:
         monkeypatch.setattr(hunt, "_row_for", counting_row_for)
         # finished; and stopped after writing the records of (1, 1) but
         # before listing it, so that every leaf is in the rows file
-        cases = [(every_prefix, by_prefix, by_prefix), ("1,0\n", records[:-2], records)]
-        for listed, written, after in cases:
+        for listed, written in [(every_prefix, by_prefix), ("1,0\n", records[:-2])]:
             ckpt.write_text("census L=4 deep_horizon=16\n" + listed)
             rows.write_text(census_rows_to_csv(written))
+            leaves.clear()
             assert run(capsys, *argv, *files) == fresh
             assert ckpt.read_text() == "census L=4 deep_horizon=16\n"
-            assert parse_census_csv(rows.read_text()) == after
-        assert leaves == []
+            assert rows.read_text() == census_rows_to_csv(records)
+            assert [cv.coefficients for cv in leaves] == [r.vector for r in records if not r.run]
 
     def test_rows_ending_inside_a_failing_prefix_exit_2(self, capsys, tmp_path):
         # One row per vector of 1,0,4, whose completions all fail at term 4,
-        # stopping before its last: no census ends its records there.
+        # stopping before its last: the census has the run 1,0,4+ there.
         records = list(first_failure_census(4).records)
         at = records.index(CensusRow((1, 0, 4), 4, "incomplete", "", run=True))
         per_vector = [
@@ -637,7 +638,7 @@ class TestCensus:
             code, out, err = run(capsys, "census", "--L", "4", *files)
             assert code == 2
             assert out == ""
-            assert "cannot end inside [1, 0, 4]" in err
+            assert "record [1, 0, 4, 1] does not follow the records before it" in err
 
     def test_forged_leaf_record_exit_2(self, capsys, tmp_path):
         # A complete leaf restated as failing past the window: the rerun

@@ -8,6 +8,7 @@ import pytest
 from plrslab import (
     CoefficientVector,
     ConjectureViolation,
+    Sequence,
     add_front_ones_scan,
     brown_scan,
     check_fail_at_2l_minus_1,
@@ -23,7 +24,6 @@ from plrslab.hunt import (
     CensusRow,
     _aggregate,
     _census_records,
-    _completion_counts,
     _expand,
     _row_for,
     census_rows_to_csv,
@@ -135,37 +135,25 @@ class TestPrunedCensus:
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("first", [1, 2, None])
-    def test_block_matches_brute_force(self, brute_force_rows, L, first):
-        # The records from a start rank, expanded, are the brute-force tail
-        # from that rank.  A start strictly inside a prefix whose completions
-        # all fail is refused: no census ends its records there.  The starts
-        # are the ranks of the vectors whose c_1 is `first`, or every rank up
-        # to the end when None; past L = 3, every record boundary and a
-        # sample of the other ranks.
+    def test_block_matches_brute_force(self, brute_force_rows, monkeypatch, L, first):
+        # Replaying the census's first k records, the walk yields them and goes
+        # on to the end: expanded, the records are the brute-force rows, and
+        # only the leaves after the cut are classified.  The cuts are those
+        # before a record whose c_1 is `first` (for 2, the end too), or every
+        # cut when None; past L = 3, at least six of them, the end included.
         expected = brute_force_rows[L]
-        counts = _completion_counts(L)
-        boundaries, inside, rank = {0}, set(), 0
-        for rec in _census_records(L, 4 * L):
-            for piece in _expand(L, [rec], len(rec.vector)):
-                size = counts[len(piece.vector)]
-                if rec.run and len(rec.vector) < L:
-                    inside.update(range(rank + 1, rank + size))
-                rank += size
-                boundaries.add(rank)
-        assert rank == len(expected)
-        starts = sorted(boundaries | set(range(0, rank, 1 if L <= 3 else 97)))
-        starts = [s for s in starts if first is None or (s < rank and expected[s].vector[0] == first)]
-        if L > 3:  # six record boundaries and six other ranks
-            at = [s for s in starts if s in boundaries]
-            off = [s for s in starts if s not in boundaries]
-            starts = at[:: len(at) // 6 + 1] + off[:: len(off) // 6 + 1]
-        assert starts and (first is not None or L == 1 or inside & set(starts))
-        for start in starts:
-            if start in inside:
-                with pytest.raises(ValueError, match="cannot end inside"):
-                    list(_census_records(L, 4 * L, start))
-            else:
-                assert list(_expand(L, _census_records(L, 4 * L, start))) == expected[start:]
+        records = list(_census_records(L, 4 * L))
+        assert list(_expand(L, records)) == expected
+        firsts = [r.vector[0] for r in records] + [2]  # the end follows the c_1 = 2 records
+        cuts = [k for k, c in enumerate(firsts) if first in (None, c)]
+        if L > 3:
+            cuts = sorted({*cuts[:: max(len(cuts) // 6, 1)], cuts[-1]})
+            assert len(cuts) >= (6 if first != 2 else 2)
+        leaves = _counting_row_for(monkeypatch)
+        for k in cuts:
+            leaves.clear()
+            assert list(_census_records(L, 4 * L, records[:k])) == records, k
+            assert leaves == [r.vector for r in records[k:] if not r.run], k
 
     def test_only_survivors_are_classified(self, monkeypatch):
         leaves = []
@@ -405,16 +393,35 @@ class TestCensusCheckpoint:
     @pytest.mark.parametrize(
         "vector", ["1,0,9", "1,5", "1,1", "2,0", "1", "1,0,4,1", "1,0,4+", "1,1+", "1,0,9+"]
     )
-    def test_foreign_row_rejected(self, tmp_path, vector):
+    def test_foreign_row_rejected(self, tmp_path, census_reports, vector):
         # one record no L = 3 census writes: out of the cap, a prefix that
         # does not first fail at term 3 (or fails at term 2), too long, a run
-        # whose first value passes B_4 or B_3
+        # whose first value passes B_4 or B_3.  Beside a whole checkpoint
+        # header it is refused; beside an empty checkpoint the rows are of an
+        # unknown deep horizon and are recomputed unread.
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        ckpt.write_text("")
-        rows.write_text(",".join(RECORDS_CSV_HEADER) + f'\n"{vector}",3,incomplete,\n')
+        foreign = ",".join(RECORDS_CSV_HEADER) + f'\n"{vector}",3,incomplete,\n'
+        ckpt.write_text(CKPT_L3)
+        rows.write_text(foreign)
         with pytest.raises(ValueError):
             first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+        ckpt.write_text("")
+        rows.write_text(foreign)
+        assert first_failure_census(3, checkpoint_path=ckpt, rows_path=rows) == census_reports[3]
+        assert rows.read_text() == census_rows_to_csv(census_reports[3].records)
+
+    def test_records_past_the_end_rejected(self, tmp_path, census_reports):
+        # A finished rows file with one more record: the last one again, or
+        # the first, which the walk has already passed.
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        records = census_reports[3].records
+        for extra in (records[-1], records[0]):
+            ckpt.write_text(CKPT_L3)
+            rows.write_text(census_rows_to_csv([*records, extra]))
+            with pytest.raises(ValueError, match="lies past the end of the L = 3 census"):
+                first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
 
     @pytest.mark.parametrize(
         "line,forged,error",
@@ -424,16 +431,22 @@ class TestCensusCheckpoint:
             ('"1,0,1",,complete,family_single_one', '"1,0,1",,incomplete,', "does not fail"),
             # a complete leaf with a first failure, and a verdict no census writes
             ('"1,0,1",,complete,family_single_one', '"1,0,1",4,complete,family_single_one', "does not fail"),
-            ('"1,0,1",,complete,family_single_one', '"1,0,1",,proven,family_single_one', "unknown verdict"),
+            ('"1,0,1",,complete,family_single_one', '"1,0,1",,proven,family_single_one', r"does not fail where it says \(proven"),
             # [1, 0, 4] first fails at 5, not earlier or later
             ('"1,0,4",5,incomplete,', '"1,0,4",4,incomplete,', "does not fail"),
             ('"1,0,4",5,incomplete,', '"1,0,4",6,incomplete,', "does not fail"),
             ('"1,0,4",5,incomplete,', '"1,0,4",5,conjecturally_complete,', "does not fail"),
+            # a leaf where the walk has a run of [1, 0, 5..8], and that run
+            # with a misstated first failure or verdict
+            ('"1,0,5+",4,incomplete,', '"1,0,5",4,incomplete,', r"\[1, 0, 5\] does not follow"),
+            ('"1,0,5+",4,incomplete,', '"1,0,5+",5,incomplete,', r"\[1, 0, 5\]\+ does not fail"),
+            ('"1,0,5+",4,incomplete,', '"1,0,5+",4,complete,', r"\[1, 0, 5\]\+ does not fail"),
         ],
     )
     def test_forged_leaf_rejected(self, tmp_path, census_reports, line, forged, error):
         # A leaf record's verdict is one of the three, its first failure agrees
         # with it, and an incomplete leaf's gaps go negative first where it says.
+        # A run record, and no leaf in its place, must be the walk's own.
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
         text = census_rows_to_csv(census_reports[3].records)
@@ -448,19 +461,20 @@ class TestCensusCheckpoint:
     ):
         # A leaf was scanned to the deep horizon, so a stated failure past it
         # is refused without scanning there: 10**9 terms would not fit in memory.
+        # Every gap scan goes through Sequence.gaps, the walk's terms included.
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
         text = census_rows_to_csv(census_reports[3].records)
         ckpt.write_text(CKPT_L3)
         rows.write_text(text.replace('"1,0,4",5,incomplete,', f'"1,0,4",{10**9},incomplete,'))
+        gaps = Sequence.gaps
 
-        class BoundedSequence(hunt.Sequence):
-            def gaps(self, n):
-                if n > 12:
-                    raise AssertionError(f"scan to {n}")
-                return super().gaps(n)
+        def bounded_gaps(self, n):
+            if n > 12:
+                raise AssertionError(f"scan to {n}")
+            return gaps(self, n)
 
-        monkeypatch.setattr(hunt, "Sequence", BoundedSequence)
+        monkeypatch.setattr(Sequence, "gaps", bounded_gaps)
         with pytest.raises(ValueError, match="does not fail where it says"):
             first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
 
