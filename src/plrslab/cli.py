@@ -30,7 +30,7 @@ from .errors import (
     OutOfRangeError,
     PLRSError,
 )
-from .seqcore import CoefficientVector, terms_prefix
+from .seqcore import CoefficientVector, term_texts, terms_prefix
 from .verdicts import (
     BITMAP_BUDGET_BITS,
     DEFAULT_ORACLE_CAP,
@@ -48,6 +48,9 @@ EXIT_INCOMPLETE = 3
 EXIT_CONJECTURAL = 4
 EXIT_CAP = 5
 EXIT_VIOLATION = 6
+
+#: Most rows census --format json|csv prints: L = 7 has 420,076,800, L = 8 1.08e11.
+CENSUS_ROW_BUDGET = 2**30
 
 _STATUS_EXIT = {
     VerdictStatus.COMPLETE: EXIT_OK,
@@ -183,9 +186,12 @@ def cmd_decompose(args) -> int:
     cv = CoefficientVector.parse(args.vector)
     if args.n < 0:
         raise OutOfRangeError("N must be >= 0")
-    if args.mode in ("distinct", "both") and args.n:
-        # Refuse before any legal work: the distinct part would refuse anyway.
-        zeck.check_distinct_cap(args.n, args.oracle_cap)
+    if args.mode in ("distinct", "both"):
+        if args.oracle_cap < 1:
+            raise OutOfRangeError("--oracle-cap must be >= 1")
+        if args.n:
+            # Refuse before any legal work: the distinct part would refuse anyway.
+            zeck.check_distinct_cap(args.n, args.oracle_cap)
     results: dict = {"N": args.n}
     lines: list[str] = []
     slots: list = []
@@ -198,7 +204,7 @@ def cmd_decompose(args) -> int:
         else:
             if args.format == "json":
                 # Each term turns into decimal once, for "terms" and "rendered".
-                texts = [str(t) for t in reversed(cv.sequence.prefix(len(digits)))] if digits else []
+                texts = term_texts(cv, len(digits))[::-1]
                 total = zeck.value_of(cv, digits)
                 results["legal"] = {"N": total, "digits": list(digits), "terms": [],
                                     "legal": zeck.is_legal(cv, digits), "rendered": ""}
@@ -297,6 +303,11 @@ def cmd_maxn(args) -> int:
 def cmd_census(args) -> int:
     if args.length >= 5 and not args.deep:
         raise OutOfRangeError(f"census at L = {args.length} needs --deep (large enumeration)")
+    if args.format != "text" and (rows := hunt.enumeration_size(args.length)) > CENSUS_ROW_BUDGET:
+        raise CapExceededError(
+            f"census --format {args.format} at L = {args.length} would print {rows:,} rows, "
+            f"over the {CENSUS_ROW_BUDGET:,}-row budget; text mode prints the summary"
+        )
     # The largest capped vector, [2, 4, ..., 2^L], has the largest terms.
     top = CoefficientVector([r.stop - 1 for r in hunt.coefficient_ranges(args.length)])
     _check_prefix_size(top, args.deep_horizon or 4 * args.length)

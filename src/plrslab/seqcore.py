@@ -26,6 +26,8 @@ Indexing is 1-based throughout, matching the recurrence above.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -186,3 +188,47 @@ class Sequence:
 def terms_prefix(cv: CoefficientVector, n: int) -> list[int]:
     """[H_1, ..., H_n] for the given generator."""
     return cv.sequence.prefix(n)
+
+
+#: Terms of at most this many bits are rendered by str(); term_texts carries
+#: larger ones in decimal arithmetic.  A decimal step beats str() from about
+#: 1,500 bits on; the margin covers setting up the decimal part.
+STR_MAX_BITS = 2048
+
+
+def term_texts(cv: CoefficientVector, m: int) -> list[str]:
+    """[str(H_1), ..., str(H_m)], in time linear in the digits past STR_MAX_BITS.
+
+    str() of an int takes time quadratic in its digits (CPython <= 3.11).  So
+    past the cut the recurrence goes on in exact decimal arithmetic, seeded by
+    parsing the last L texts and keeping a window of L terms, and each further
+    text costs O(digits) per nonzero c_i.  Its last L terms must equal the int
+    terms' texts: as c_L >= 1, the recurrence runs backwards as well, so that
+    check vouches for every decimal term.
+    """
+    terms = cv.sequence.prefix(m) if m > 0 else []
+    k = bisect_right(terms, STR_MAX_BITS, key=int.bit_length)  # terms never decrease
+    texts = [str(t) for t in terms[:k]]
+    if k == m:
+        return texts
+    import decimal  # here, not at module level, where every command would pay for it
+
+    c = cv.coefficients
+    L = len(c)
+    nonzero = [(i, v) for i, v in enumerate(c) if v]
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.Inexact, decimal.Rounded])
+    window = deque(map(decimal.Decimal, texts[-L:]), maxlen=L)  # ..., H_n
+    with decimal.localcontext(ctx):
+        for n in range(k, m):  # H_1..H_n known, computing H_{n+1}
+            val = decimal.Decimal(1 if n < L else 0)
+            for i, v in nonzero:
+                if i >= n:
+                    break
+                val += v * window[-1 - i]
+            window.append(val)
+            texts.append(str(val))
+    for j in range(max(k, m - L), m):
+        if texts[j] != str(terms[j]):
+            raise RuntimeError(f"decimal term H_{j + 1} of {cv} differs from the int term")
+    return texts

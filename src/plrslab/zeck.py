@@ -25,7 +25,10 @@ machinery (it filters raw digit strings through the legality predicate) so
 it can serve as the oracle for the constructive path.
 
 All three searches bisect the terms <= N, refused once they could pass the
-memory budget.  render_pieces also takes terms already in decimal.
+memory budget.  render_pieces also takes terms already in decimal, as
+seqcore.term_texts renders them: by str() up to its cut, and past it by an
+exact decimal recurrence whose texts cost time linear in their digits, not
+quadratic.
 """
 
 from __future__ import annotations

@@ -192,6 +192,20 @@ class TestDecompose:
         assert code == 5
         assert "cap" in err
 
+    @pytest.mark.parametrize("n", ["5", "0"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("mode", ["distinct", "both"])
+    def test_oracle_cap_below_one_exit_2(self, capsys, monkeypatch, mode, cap, n):
+        monkeypatch.setattr(plrslab.zeck, "legal_decompose", _no_work)
+        monkeypatch.setattr(plrslab.zeck, "distinct_decompose", _no_work)
+        code, out, err = run(capsys, "decompose", "2,1", n, "--mode", mode, "--oracle-cap", cap)
+        assert (code, out) == (2, "")
+        assert "--oracle-cap must be >= 1" in err
+
+    def test_legal_mode_ignores_oracle_cap(self, capsys):
+        code, out, _ = run(capsys, "decompose", "2,1", "5", "--mode", "legal", "--oracle-cap", "0")
+        assert (code, out) == (0, "legal: 5 = 1·3 + 2·1\n")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "decompose", "1,1", "10", "--format", "json")
         results = json.loads(out)["results"]
@@ -223,8 +237,10 @@ class TestDecompose:
 
     def test_legal_json_memory_streamed(self):
         # Whole, the envelope of a 4096-bit N under [2, 1] (2.9 MB) peaked
-        # at ~13 MB here, as it did concatenated from streamed pieces;
-        # streamed it peaks at ~4.5 MB: the decimal terms and the term memo.
+        # at ~13 MB, as it did concatenated from streamed pieces; streamed it
+        # peaks at ~4.5 MB: the term texts and the term memo, plus ~0.1 MB
+        # when this call first imports decimal.  Keeping every decimal term
+        # in place of term_texts' window of L peaked at 5.5 MB.
         n = (1 << 4095) + 0x9E3779B97F4A7C15 ** 50
         with _no_digit_limit():
             text = str(n)
@@ -504,6 +520,22 @@ class TestCensus:
             code, out, _ = run(capsys, *argv, *extra)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_per_vector_output_past_the_row_budget_exit_5(self, capsys, monkeypatch, tmp_path, fmt):
+        monkeypatch.setattr(hunt, "first_failure_census", _no_work)
+        files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
+        code, out, err = run(capsys, "census", "--L", "8", "--deep", "--format", fmt, *files)
+        assert (code, out) == (5, "")
+        assert "108,379,814,400 rows" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_row_budget_admits_l7_only(self, monkeypatch):
+        assert hunt.enumeration_size(7) <= cli.CENSUS_ROW_BUDGET < hunt.enumeration_size(8)
+        # Text mode prints the summary alone, so no row budget holds it back.
+        monkeypatch.setattr(hunt, "first_failure_census", _no_work)
+        with pytest.raises(AssertionError, match="reached the computation"):
+            main(["census", "--L", "8", "--deep"])
 
     def test_json_same_at_every_jobs_value(self, capsys):
         argv = ["census", "--L", "3", "--format", "json", "--jobs"]

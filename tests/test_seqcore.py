@@ -1,5 +1,8 @@
+import sys
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plrslab import (
     CoefficientVector,
@@ -11,6 +14,8 @@ from plrslab import (
     VectorValidationError,
     terms_prefix,
 )
+from plrslab import seqcore
+from plrslab.seqcore import term_texts
 
 
 def naive_terms(coeffs, n):
@@ -210,3 +215,40 @@ class TestBrownGaps:
             assert all(b > a for a, b in zip(prefix, prefix[1:]))
         ones = terms_prefix(CoefficientVector((1,)), 12)
         assert ones == [1] * 12
+
+
+class TestTermTexts:
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=8), st.integers(0, 60))
+    @example([300, 0, 0, 0, 0, 0, 0, 1], 30)  # decimal from H_2, inside the +1 phase
+    @example([1, 0, 0, 0, 0, 0, 0, 1], 60)  # decimal from past L
+    @example([2, 1], 0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_str_across_the_cut(self, coeffs, m):
+        # With the cut at 8 bits, H_2 = c_1 + 1 alone can pass it, so the
+        # decimal recurrence starts before, at or past L, or not at all.
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or 1
+        with mock.patch.object(seqcore, "STR_MAX_BITS", 8):
+            texts = term_texts(CoefficientVector(coeffs), m)
+        assert texts == [str(h) for h in naive_terms(coeffs, m)[:m]]
+
+    def test_terms_below_the_cut_come_from_str(self, monkeypatch):
+        cv = CoefficientVector((2, 1))
+        m = sum(1 for t in terms_prefix(cv, 2000) if t.bit_length() <= seqcore.STR_MAX_BITS)
+        monkeypatch.setitem(sys.modules, "decimal", None)  # importing it now fails
+        assert term_texts(cv, m) == [str(t) for t in terms_prefix(cv, m)]
+        with pytest.raises(ImportError):
+            term_texts(cv, m + 1)
+
+    def test_a_decimal_term_unlike_the_int_term_refused(self, monkeypatch):
+        prefix = Sequence.prefix
+
+        def last_off_by_one(self, n):
+            terms = prefix(self, n)
+            terms[-1] += 1
+            return terms
+
+        monkeypatch.setattr(Sequence, "prefix", last_off_by_one)
+        monkeypatch.setattr(seqcore, "STR_MAX_BITS", 8)
+        with pytest.raises(RuntimeError, match="H_20 "):
+            term_texts(CoefficientVector((2, 1)), 20)
