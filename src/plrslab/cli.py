@@ -30,7 +30,7 @@ from .errors import (
     OutOfRangeError,
     PLRSError,
 )
-from .seqcore import CoefficientVector, term_texts, terms_prefix
+from .seqcore import STR_MAX_BITS, CoefficientVector, term_texts, terms_prefix
 from .verdicts import (
     BITMAP_BUDGET_BITS,
     DEFAULT_ORACLE_CAP,
@@ -202,17 +202,22 @@ def cmd_decompose(args) -> int:
             results["legal"] = None
             lines.append("legal: none")
         else:
+            # legal_decompose has checked that the digits sum to N.
             if args.format == "json":
                 # Each term turns into decimal once, for "terms" and "rendered".
                 texts = term_texts(cv, len(digits))[::-1]
-                total = zeck.value_of(cv, digits)
-                results["legal"] = {"N": total, "digits": list(digits), "terms": [],
+                results["legal"] = {"N": args.n, "digits": list(digits), "terms": [],
                                     "legal": zeck.is_legal(cv, digits), "rendered": ""}
                 slots = [('"terms": [', (f", {t}" if i else t for i, t in enumerate(texts))),
-                         ('"rendered": "', zeck.render_pieces(total, digits, texts))]
+                         ('"rendered": "', zeck.render_pieces(args.n, digits, texts))]
+            elif args.n:
+                # Past the cut str() takes time quadratic in a term's digits; below
+                # it render_pieces calls str() on the terms under nonzero digits only.
+                big = args.n.bit_length() > STR_MAX_BITS
+                terms = (term_texts if big else terms_prefix)(cv, len(digits))[::-1]
+                lines.append("legal: " + "".join(zeck.render_pieces(args.n, digits, terms)))
             else:
-                rendered = zeck.render_decomposition(cv, digits)
-                lines.append(f"legal: {rendered}" if args.n else "legal: empty")
+                lines.append("legal: empty")
     if args.mode in ("distinct", "both"):
         if args.n == 0:
             results["distinct"] = {"indices": [], "terms": []}

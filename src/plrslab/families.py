@@ -197,9 +197,11 @@ def window_max_n(
 def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> EmpiricalMax:
     """The largest N with a non-Incomplete verdict for [prefix, N].
 
-    For n <= 2L, N multiplies only H_1..H_{n-L} in the gaps, so
-    window_max_n finds the largest N passing B_1..B_{min(h, 2L)} from two
-    gap lists, capped by the family bound, and classify runs once there.
+    For n <= 2L, N multiplies only H_1..H_{n-L}, which do not involve it,
+    so the terms and gaps up to there are affine in N.  window_max_n finds
+    the largest N passing B_1..B_{min(h, 2L)} from the gaps at N = 1 and 2,
+    capped by the family bound, and classify runs once there, its vector's
+    terms up to min(h, 2L) read off the same two lines.
     Every smaller N passes the same gaps.  A horizon h past 2L can make
     that verdict Incomplete only by a first failure past 2L, which raises
     ConjectureViolation.  A conjectural verdict steps down to the largest
@@ -208,12 +210,19 @@ def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> Emp
     p = _validated_prefix(prefix)
     L = len(p) + 1
     depth = effective_horizon(L, horizon)
+    affine = min(depth, 2 * L)
+    at_1 = CoefficientVector(p + (1,)).sequence
+    terms_1 = at_1.prefix(affine)
+    # H_1..H_L do not involve N, and H_{L+1} holds it once, as N * H_1.
+    at_2 = CoefficientVector(p + (2,), head=terms_1[:L] + [terms_1[L] + 1]).sequence
+    slopes = [b - a for a, b in zip(terms_1, at_2.prefix(affine))]
 
     def verdict_at(n: int):
-        return classify(CoefficientVector(p + (n,)), horizon)
+        # H_1..H_affine are affine in N, so the two vectors above give them.
+        head = [a + (n - 1) * s for a, s in zip(terms_1, slopes)]
+        return classify(CoefficientVector(p + (n,), head=head), horizon)
 
-    gaps = (CoefficientVector(p + (n,)).sequence.gaps(min(depth, 2 * L)) for n in (1, 2))
-    max_n = window_max_n(p, *gaps)
+    max_n = window_max_n(p, at_1.gaps(affine), at_2.gaps(affine))
     shape = family_shape(p + (1,))
     bound = family_bound(shape.g, shape.k) if shape else None
     if bound is not None:

@@ -23,8 +23,9 @@ search yields one run record per failing run and one per classified
 vector, in lexicographic order, so the records tile the enumeration.
 Output that lists every vector is written per record:
 CensusReport.json_rows() and csv_rows() join the record's fields to the
-texts of its completions, built once per prefix length, so no per-vector
-object is made and memory is bounded by the completions of one prefix.
+texts of its completions, built once per prefix length from L - 3 on, so
+no per-vector object is made and memory is bounded by the rows of one
+prefix of length L - 2 (8,320 at L = 7), not by the output.
 CensusReport.rows() expands the records to one CensusRow per vector for
 callers that inspect rows one by one.
 
@@ -109,14 +110,17 @@ def _run_width(ranges: list[range], rec: CensusRow) -> int:
     return ranges[len(rec.vector) - 1].stop - rec.vector[-1] if rec.run else 1
 
 
-def _expand(length: int, records: Iterable[CensusRow], depth: int = 0) -> Iterator[CensusRow]:
+def _expand(
+    length: int, records: Iterable[CensusRow], depth: Optional[int] = None
+) -> Iterator[CensusRow]:
     """The records split into one per prefix of length `depth`, in order.
 
     The default depth, L, gives one row per vector.  A record that fixes
     `depth` coefficients or more, a run's last one not counted, is left whole.
     """
     ranges = coefficient_ranges(length)
-    depth = depth or length
+    if depth is None:
+        depth = length
     for rec in records:
         j = len(rec.vector) - 1
         if j + 1 - rec.run >= depth:
@@ -139,36 +143,52 @@ def _record_texts(
     """The rows of every record, as text pieces joined by row_sep.
 
     A row is head + c_1 sep ... sep c_L + tail(record), and rows are joined
-    by row_sep.  The suffixes "sep c_{j+1} ... sep c_L" that complete a
-    prefix of length j are built once per j, as one "\0"-joined block per
-    value of c_{j+1}, and shared by every record of that length.  A record
-    of prefix length j takes all of them; a run record takes the slice from
-    its last coefficient on, after its first j - 1 coefficients.  Each
-    block becomes one piece, and a record fixing fewer than 2 coefficients
-    is first split into one per prefix (c_1, c_2), so a piece holds at most
-    the rows of one prefix of length 3.
+    by row_sep.  The rows "c_{j+1} sep ... sep c_L" that complete a prefix
+    of length j are built once per j, as one "\0"-joined block per value of
+    c_{j+1}, and shared by every record of that length.  A record of prefix
+    length j takes all of them; a run record takes the slice from its last
+    coefficient on, after its first j - 1 coefficients, and a leaf is one
+    row.  A tail is built once per (first failure, verdict, proof).
+
+    Each block gives three pieces: the first row's start, the block with
+    every "\0" replaced by tail + row_sep + start, and the last row's tail;
+    so no text is copied after replace builds it.  Records fixing fewer than
+    L - 3 coefficients are first split into one per prefix of that length,
+    so no table for a shorter prefix is built and a piece holds the rows of
+    one prefix of length L - 2 at most.
     """
     ranges = coefficient_ranges(length)
-    tables: dict[int, list[str]] = {length: [""]}
+    tables: dict[int, list[str]] = {length - 1: [str(c) for c in ranges[-1]]}
+    tails: dict[tuple[Optional[int], str, str], str] = {}
 
     def blocks(j: int) -> list[str]:
         if j not in tables:
             below = "\0".join(blocks(j + 1))
-            tables[j] = [
-                sep + str(c) + below.replace("\0", "\0" + sep + str(c)) for c in ranges[j]
-            ]
+            tables[j] = [f"{c}{sep}" + below.replace("\0", f"\0{c}{sep}") for c in ranges[j]]
         return tables[j]
 
-    first = True
-    for rec in _expand(length, records, min(2, length)):
-        j = len(rec.vector) - rec.run
-        start = head + sep.join(str(c) for c in rec.vector[:j])
-        end = tail(rec)
-        pieces = blocks(j)[rec.vector[-1] - ranges[j].start:] if rec.run else blocks(j)
+    joint = ""
+    for rec in _expand(length, records, max(length - 3, 0)):
+        key = (rec.first_failure, rec.verdict, rec.proof)
+        end = tails.get(key)
+        if end is None:
+            end = tails[key] = tail(rec)
+        j = len(rec.vector)
+        if rec.run:
+            j -= 1
+            pieces = blocks(j)[rec.vector[j] - ranges[j].start:]
+        elif j == length:
+            j -= 1
+            pieces = [str(rec.vector[j])]
+        else:
+            pieces = blocks(j)
+        start = head + "".join(f"{c}{sep}" for c in rec.vector[:j])
+        between = end + row_sep + start
         for block in pieces:
-            text = start + block.replace("\0", end + row_sep + start) + end
-            yield text if first else row_sep + text
-            first = False
+            yield joint + start
+            yield block.replace("\0", between)
+            yield end
+            joint = row_sep
 
 
 def _csv_line(fields: list) -> str:
@@ -324,7 +344,7 @@ def _census_records(
             return _row_for(CoefficientVector(prefix, head=terms), deep_horizon, merged)
         n = rec.first_failure
         if rec.verdict == "incomplete" and n is not None and 1 <= n <= deep_horizon:
-            if brown_scan(CoefficientVector(prefix, head=terms), n).first_failure == n:
+            if CoefficientVector(prefix, head=terms).sequence.first_gap_below(n) == n:
                 return rec
         elif rec.verdict in ("complete", "conjecturally_complete") and n is None:
             return rec

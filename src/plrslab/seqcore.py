@@ -175,6 +175,17 @@ class Sequence:
             self._extend_to(n)
         return self._sums[n]
 
+    def first_gap_below(self, stop: int, floor: int = 0, start: int = 1) -> Optional[int]:
+        """The least n in start..stop with B_n < floor, or None; builds no list."""
+        self._extend_to(stop)
+        terms = self._terms
+        sums = self._sums
+        slack = 1 - floor  # B_n < floor iff H_n > S_{n-1} + 1 - floor
+        for i in range(start - 1, stop):
+            if terms[i] > sums[i] + slack:
+                return i + 1
+        return None
+
     def gaps(self, n: int) -> list[int]:
         """[B_1, ..., B_n]: B_1 = 0 and B_{n+1} - B_n = 2 H_n - H_{n+1}."""
         if n < 1:

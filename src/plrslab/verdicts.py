@@ -125,9 +125,8 @@ def brown_scan(cv: CoefficientVector, horizon: int) -> ScanResult:
     """Scan B_1..B_horizon and report the least index with a negative gap."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    gaps = cv.sequence.gaps(horizon)
-    first = next((i + 1 for i, g in enumerate(gaps) if g < 0), None)
-    return ScanResult(first, tuple(gaps))
+    seq = cv.sequence
+    return ScanResult(seq.first_gap_below(horizon), tuple(seq.gaps(horizon)))
 
 
 def weak_window_check(cv: CoefficientVector) -> bool:
@@ -140,10 +139,8 @@ def weak_window_check(cv: CoefficientVector) -> bool:
     L = len(cv)
     if L == 1:
         return cv.coefficients[0] <= 2
-    gaps = cv.sequence.gaps(2 * L - 1)
-    head_ok = all(g >= 0 for g in gaps[: L - 1])
-    window_ok = all(g > 0 for g in gaps[L - 1 :])
-    return head_ok and window_ok
+    seq = cv.sequence
+    return seq.first_gap_below(L - 1) is None and seq.first_gap_below(2 * L - 1, 1, L) is None
 
 
 # --------------------------------------------------------------------------
@@ -282,9 +279,9 @@ def classify(
     depth = effective_horizon(L, horizon)
     coeffs = cv.coefficients
 
-    scan = brown_scan(cv, depth)
-    if scan.first_failure is not None:
-        return _incomplete_at(cv, scan.first_failure)
+    first_failure = cv.sequence.first_gap_below(depth)
+    if first_failure is not None:
+        return _incomplete_at(cv, first_failure)
 
     if min(coeffs) >= 1:
         if not _all_positive_complete_shape(coeffs):
@@ -318,7 +315,9 @@ def classify(
         if complete is None:
             # The caller's horizon, not this depth: the merged vector's own
             # floor is 2L - 3, and scanning it to 2L - 1 would be deeper than asked.
-            complete = classify(CoefficientVector(key), horizon).is_complete
+            # Its H_1..H_{L-1} are this generator's: only c_1..c_{L-2} enter them.
+            head = cv.sequence.prefix(L - 1)
+            complete = classify(CoefficientVector(key, head=head), horizon).is_complete
             if merged is not None:
                 merged[key] = complete
         if complete:

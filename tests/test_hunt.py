@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -24,6 +25,7 @@ from plrslab.hunt import (
     CensusRow,
     _aggregate,
     _census_records,
+    _completion_counts,
     _expand,
     _row_for,
     census_rows_to_csv,
@@ -255,6 +257,56 @@ class TestRunRecords:
                 below = rec.vector[:-1] + (rec.vector[-1] - 1,)
                 below += tuple(r.start for r in ranges[j:])
                 assert brown_scan(CoefficientVector(below), j + 1).first_failure is None
+
+
+def _split_at(monkeypatch, depth: int) -> None:
+    """Make the row texts split records at `depth` in place of their own."""
+    monkeypatch.setattr(
+        hunt, "_expand", lambda length, records, d=None: _expand(length, records, d if d is None else depth)
+    )
+
+
+def _digest(pieces) -> str:
+    sha = hashlib.sha256()
+    for piece in pieces:
+        sha.update(piece.encode())
+    return sha.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def reports_4_to_6():
+    return {L: first_failure_census(L) for L in (4, 5, 6)}
+
+
+class TestRowTexts:
+    @pytest.mark.parametrize("L", [4, 5, 6])
+    def test_same_bytes_at_every_split_depth(self, monkeypatch, reports_4_to_6, L):
+        # At L = 4 and 5 the texts are also those of one row at a time.  At
+        # L = 6, depths 0 and L - 2 are checked against the default, L - 3:
+        # depths 1 and 2 would add ~3 s, and L - 1 and L, nearly one record
+        # per vector, ~20 s each.
+        report = reports_4_to_6[L]
+        if L < 6:
+            rows = list(report.rows())
+            json_text = ", ".join(
+                json.dumps({"vector": list(r.vector), "first_failure": r.first_failure,
+                            "verdict": r.verdict, "proof_tag": r.proof}, ensure_ascii=False)
+                for r in rows
+            )
+            csv_text = census_rows_to_csv(rows).partition("\n")[2]
+            expected = (_digest([json_text]), _digest([csv_text]))
+        else:
+            expected = (_digest(report.json_rows()), _digest(report.csv_rows()))
+        for depth in range(L + 1) if L < 6 else (0, L - 2):
+            _split_at(monkeypatch, depth)
+            assert (_digest(report.json_rows()), _digest(report.csv_rows())) == expected, depth
+
+    @pytest.mark.parametrize("L", [4, 5, 6])
+    def test_a_piece_holds_the_rows_of_one_prefix_of_length_l_minus_2(self, reports_4_to_6, L):
+        # Every CSV row ends in a newline, and a block's last one is in the
+        # piece after it.
+        rows = max(piece.count("\n") + 1 for piece in reports_4_to_6[L].csv_rows())
+        assert rows <= _completion_counts(L)[L - 2]
 
 
 CKPT_L3 = "census L=3 deep_horizon=12\n"

@@ -1,9 +1,10 @@
 """Cross-cutting invariants, mostly oracle-vs-implementation equivalences."""
 
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plrslab import (
     CoefficientVector,
@@ -19,7 +20,9 @@ from plrslab import (
     subset_sum_reachable,
     terms_prefix,
     value_of,
+    weak_window_check,
 )
+from plrslab import seqcore
 from plrslab.seqcore import Sequence
 
 
@@ -69,6 +72,32 @@ class TestSequenceIdentities:
     def test_ones_then_two_doubles(self, length):
         cv = CoefficientVector((1,) * (length - 1) + (2,))
         assert terms_prefix(cv, 30) == [2**i for i in range(30)]
+
+
+class TestListFreeScan:
+    """The scans that build no gap list agree with Sequence.gaps."""
+
+    @given(coefficient_vectors(max_length=7), st.integers(1, 30), st.integers(1, 30),
+           st.sampled_from([0, 1]))
+    @example(CoefficientVector((1, 0, 4)), 1, 5, 0)  # first fails at 5, the last index
+    @example(CoefficientVector((1, 0, 4)), 5, 5, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_first_gap_below_matches_gaps(self, cv, start, stop, floor):
+        gaps = Sequence(cv).gaps(stop)
+        expected = next((n for n in range(start, stop + 1) if gaps[n - 1] < floor), None)
+        assert cv.sequence.first_gap_below(stop, floor, start) == expected
+
+    @given(coefficient_vectors(max_length=7, max_coeff=4))
+    @example(CoefficientVector((1, 1)))  # B_2 = 0 inside the window
+    @settings(max_examples=300, deadline=None)
+    def test_weak_window_matches_gaps(self, cv):
+        L = len(cv)
+        if L == 1:
+            expected = cv[0] <= 2
+        else:
+            gaps = Sequence(cv).gaps(2 * L - 1)
+            expected = min(gaps[: L - 1]) >= 0 and min(gaps[L - 1:]) > 0
+        assert weak_window_check(cv) is expected
 
 
 class TestSharedMergedVerdicts:
@@ -332,3 +361,51 @@ class TestDominantRootCrossCheck:
         p2 = 2**L - sum(c * 2 ** (L - i) for i, c in enumerate(cv, start=1))
         if p2 < 0:
             assert not classify(cv).is_complete, cv
+
+
+class _CheckedSequence(Sequence):
+    """A Sequence that asserts a given head is its generator's own terms."""
+
+    heads = 0
+
+    def __init__(self, generator, *, head=None):
+        super().__init__(generator, head=head)
+        if head:
+            assert list(head) == Sequence(generator).prefix(len(head)), (generator, head)
+            type(self).heads += 1
+
+
+def _checked_heads():
+    """Patch seqcore so every head handed to a vector is checked and counted."""
+    _CheckedSequence.heads = 0
+    return mock.patch.object(seqcore, "Sequence", _CheckedSequence)
+
+
+class TestHeads:
+    """Terms started from a caller's head are the vector's own, verdicts unchanged."""
+
+    @given(coefficient_vectors(max_length=7, max_coeff=4), st.sampled_from([None, 13, 20]))
+    @settings(max_examples=150, deadline=None)
+    def test_leaf_head_and_merged_dict_match_fresh_classify(self, cv, horizon):
+        # As a census leaf: its terms start from the walk's H_1..H_{L+1}, and
+        # merged verdicts come from a dict, first empty, then filled.
+        fresh = classify(CoefficientVector(cv.coefficients), horizon)
+        merged = {}
+        with _checked_heads():
+            for _ in range(2):
+                head = Sequence(cv).prefix(len(cv) + 1)
+                leaf = classify(CoefficientVector(cv.coefficients, head=head), horizon,
+                                merged=merged)
+                assert (leaf.status, leaf.proof) == (fresh.status, fresh.proof)
+                assert leaf == fresh
+
+    @given(prefixes(), st.sampled_from([None, 0, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_empirical_max_n_heads_are_fresh_terms(self, prefix, past_2l):
+        # [prefix, 2] starts from [prefix, 1]'s terms, and the classified
+        # vector from the two affine lines through them.
+        horizon = None if past_2l is None else 2 * (len(prefix) + 1) + past_2l
+        fresh = empirical_max_n(prefix, horizon)
+        with _checked_heads():
+            assert empirical_max_n(prefix, horizon) == fresh
+            assert _CheckedSequence.heads >= 1 + (fresh.max_n > 0)
