@@ -12,7 +12,8 @@ H_{j+1} depends only on c_1..c_j and grows with c_j, so Brown's gap B_{j+1}
 shrinks as c_j grows.  A depth-first search over coefficient prefixes
 computes one new term per node; once B_{j+1} < 0, that prefix first fails at
 term j + 1 whatever follows, and so does the prefix with any larger c_j.
-Only the prefixes that reach length L with no negative gap are classified.
+Only the prefixes that reach length L with no negative gap are classified,
+and only the leaves that no proof rule proves are scanned past 2L - 1.
 
 The census is a list of records.  A record is a CensusRow whose vector is
 a prefix p of length <= L; it stands for every completion of p, all of
@@ -500,8 +501,9 @@ def first_failure_census(
 ) -> CensusReport:
     """Report the first failure of every capped vector of the given length.
 
-    Vectors that survive the prefix search are classified with a scan to
-    deep_horizon, which defaults to 4L and may not be set lower.  Raises
+    Vectors that survive the prefix search are classified.  Those that no
+    proof rule proves are scanned past 2L - 1 to deep_horizon, which
+    defaults to 4L and may not be set lower.  Raises
     ConjectureViolation if any first failure lands past max(2L - 1, 2);
     that is a discovery to report, not an internal error.  With
     checkpoint_path and rows_path set (one needs the other), each record is

@@ -42,6 +42,15 @@ from .errors import (
 )
 
 
+def _reject_coefficients(coeffs: tuple) -> None:
+    """Raise for the first coefficient that is not a nonnegative int."""
+    for i, c in enumerate(coeffs):
+        if not isinstance(c, int):
+            raise VectorValidationError(f"coefficient c_{i + 1} = {c!r} is not an integer")
+        if c < 0:
+            raise NegativeCoefficientError(i + 1, c)
+
+
 @dataclass(frozen=True)
 class CoefficientVector:
     """Validated, immutable generator [c_1, ..., c_L].
@@ -60,11 +69,9 @@ class CoefficientVector:
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:
             raise EmptyVectorError()
-        for i, c in enumerate(coeffs):
-            if not isinstance(c, int):
-                raise VectorValidationError(f"coefficient c_{i + 1} = {c!r} is not an integer")
-            if c < 0:
-                raise NegativeCoefficientError(i + 1, c)
+        for c in coeffs:
+            if not isinstance(c, int) or c < 0:
+                _reject_coefficients(coeffs)
         if coeffs[0] == 0:
             raise LeadingZeroError()
         if coeffs[-1] == 0:
@@ -115,10 +122,9 @@ class Sequence:
     holds, such as a prefix walk's; they are taken on trust, so they must be
     this generator's own.
 
-    Single writer: extension happens on demand inside the instance, so a
-    Sequence must not be shared across concurrently writing tasks.  Parallel
-    workloads should create one instance per task (fully materialized
-    prefixes, being plain lists of ints, are safe to hand around).
+    Single writer: reads extend the memo in place, so a Sequence must not be
+    shared across threads; the lists prefix() returns are copies, safe to
+    hand around.
     """
 
     __slots__ = ("_length", "_runs", "_terms", "_sums")

@@ -11,11 +11,12 @@ A verdict is one of
                                   the open first-failure-window conjecture.
 
 The classifier applies rules in a fixed order so provenance is
-deterministic: gap scan, the all-positive characterization, closed-form
-family bounds, the merge-last-two contrapositive, and the strict-window
-sufficient criterion.  An independent subset-sum oracle (a bit-vector
-dynamic program) is provided for cross-checking verdicts against ground
-truth on bounded ranges.
+deterministic: gap scan to the window max(2L - 1, 2), the all-positive
+characterization, closed-form family bounds, the merge-last-two
+contrapositive, the strict-window sufficient criterion, and a scan on to the
+requested horizon for vectors that no rule proves.  An independent subset-sum
+oracle (a bit-vector dynamic program) is provided for cross-checking verdicts
+against ground truth on bounded ranges.
 """
 
 from __future__ import annotations
@@ -256,14 +257,16 @@ def classify(
 ) -> CompletenessVerdict:
     """Classify a generator as complete, incomplete, or conjecturally complete.
 
-    Rule order is fixed: (a) gap scan to effective_horizon(L, horizon),
+    Rule order is fixed: (a) gap scan to the window max(2L - 1, 2),
     (b) the all-positive characterization, (c) exact bounds for the
-    [1 x g, 0 x k, N] families
-    (completeness up to the bound; above it the scan must have failed, else
-    the first failure lies past the window: ConjectureViolation),
-    (d) completeness of the merged generator [c_1, ..., c_{L-1} + c_L]
-    implies completeness here, (e) the strict-window criterion, and
-    otherwise (f) ConjecturallyComplete at the scanned horizon.
+    [1 x g, 0 x k, N] families (completeness up to the bound; above it the
+    gaps must go negative by depth = effective_horizon(L, horizon), else
+    ConjectureViolation), (d) completeness of the merged generator
+    [c_1, ..., c_{L-1} + c_L] implies completeness here, (e) the
+    strict-window criterion, and otherwise (f) Incomplete at a negative gap
+    from the window to depth, else ConjecturallyComplete at depth.  Every
+    rule is a completeness theorem, so the scan past the window is needed
+    only where no rule fires.
 
     `merged`, when given, maps merged coefficient tuples to whether they
     classify as complete at this same `horizon`.  Step (d) reads it before
@@ -271,22 +274,20 @@ def classify(
     vectors share merged generators (siblings [..., a, b] with one a + b)
     classify each of them once.
     """
-    # Imported here to break the module cycle: families drives its empirical
-    # searches through classify.
-    from . import families
-
     L = len(cv)
+    window = effective_horizon(L)
     depth = effective_horizon(L, horizon)
     coeffs = cv.coefficients
+    seq = cv.sequence
 
-    first_failure = cv.sequence.first_gap_below(depth)
+    first_failure = seq.first_gap_below(window)
     if first_failure is not None:
         return _incomplete_at(cv, first_failure)
 
     if min(coeffs) >= 1:
         if not _all_positive_complete_shape(coeffs):
             # The first c_i != 1 gives B_{i+1} < 0 (or B_{L+1} < 0 after
-            # L - 1 ones and c_L >= 3), inside the horizon scanned above.
+            # L - 1 ones and c_L >= 3), inside the window scanned above.
             raise RuntimeError(f"{cv} is not all-positive complete yet passed the scan")
         if coeffs == (2,):
             return CompletenessVerdict.complete(ProofTag.make(ProofRule.GEOMETRIC_L1))
@@ -305,8 +306,11 @@ def classify(
                     bound=bound.max_n,
                 )
                 return CompletenessVerdict.complete(tag)
-            # Proven incomplete, yet B_1..B_horizon >= 0: the first failure
+            # Proven incomplete, yet B_1..B_window >= 0: the first failure
             # lies past the window.
+            late = seq.first_gap_below(depth, start=window + 1)
+            if late is not None:
+                return _incomplete_at(cv, late)
             raise ConjectureViolation(coeffs, None)
 
     if L >= 2:
@@ -316,7 +320,7 @@ def classify(
             # The caller's horizon, not this depth: the merged vector's own
             # floor is 2L - 3, and scanning it to 2L - 1 would be deeper than asked.
             # Its H_1..H_{L-1} are this generator's: only c_1..c_{L-2} enter them.
-            head = cv.sequence.prefix(L - 1)
+            head = seq.prefix(L - 1)
             complete = classify(CoefficientVector(key, head=head), horizon).is_complete
             if merged is not None:
                 merged[key] = complete
@@ -327,9 +331,12 @@ def classify(
             return CompletenessVerdict.complete(tag)
 
     if weak_window_check(cv):
-        tag = ProofTag.make(ProofRule.WEAK_WINDOW, window_end=max(2 * L - 1, 2))
+        tag = ProofTag.make(ProofRule.WEAK_WINDOW, window_end=window)
         return CompletenessVerdict.complete(tag)
 
+    late = seq.first_gap_below(depth, start=window + 1)
+    if late is not None:
+        return _incomplete_at(cv, late)
     return CompletenessVerdict.conjecturally_complete(depth)
 
 
@@ -351,3 +358,8 @@ def verdict_to_json(
         "horizon": verdict.horizon,
         "gaps": list(gaps),
     }
+
+
+# Imported last to break the module cycle: families drives its empirical
+# searches through classify, so it imports this module's names first.
+from . import families  # noqa: E402

@@ -551,6 +551,17 @@ class TestCensus:
         assert code == 0
         assert sink.sha.hexdigest() == CENSUS_L6_STDOUT[fmt]
 
+    def test_deep_horizon_stdout_pinned(self):
+        # Only leaves that no rule proves are scanned past 2L - 1 = 9, here
+        # to 60; the rows are those of scanning every leaf to 60 first.
+        sink = _HashingSink()
+        with contextlib.redirect_stdout(sink):
+            code = main(["census", "--L", "5", "--deep", "--deep-horizon", "60", "--format", "json"])
+        assert code == 0
+        assert sink.sha.hexdigest() == (
+            "75a427f04db58bf0604f0ce9ef411981bf233638f06fb4d0050f9500195b61fe"
+        )
+
     def test_l7_text_summary_pinned(self, capsys):
         code, out, _ = run(capsys, "census", "--L", "7", "--deep")
         assert code == 0

@@ -8,12 +8,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from plrslab import (
     CoefficientVector,
+    CompletenessVerdict,
+    ConjectureViolation,
+    ProofRule,
+    ProofTag,
     brown_scan,
     classify,
     distinct_decompose,
     empirical_max_n,
     enumerate_legal,
     enumerate_vectors,
+    family_bound,
+    family_shape,
     is_complete_up_to,
     is_legal,
     legal_decompose,
@@ -24,6 +30,7 @@ from plrslab import (
 )
 from plrslab import seqcore
 from plrslab.seqcore import Sequence
+from plrslab.verdicts import _BOUND_RULE_TAGS, effective_horizon
 
 
 @st.composite
@@ -123,6 +130,77 @@ class TestSharedMergedVerdicts:
                 assert classify(sib, horizon, merged=merged) == classify(sib, horizon)
         for key, complete in merged.items():
             assert complete == classify(CoefficientVector(key), horizon).is_complete
+
+
+def scan_first_classify(coeffs, horizon):
+    """classify's verdict with the gap scan to the full depth first, on a private memo."""
+    cv = CoefficientVector(coeffs)
+    L = len(coeffs)
+    depth = effective_horizon(L, horizon)
+    seq = Sequence(cv)
+    n = seq.first_gap_below(depth)
+    if n is not None:
+        return CompletenessVerdict.incomplete(n, 1 + seq.partial_sum(n - 1))
+    if min(coeffs) >= 1:
+        rule = ProofRule.GEOMETRIC_L1 if coeffs == (2,) else ProofRule.ALL_POSITIVE
+        return CompletenessVerdict.complete(ProofTag.make(rule))
+    shape = family_shape(coeffs)
+    bound = None if shape is None else family_bound(shape.g, shape.k)
+    if bound is not None:
+        if shape.n > bound.max_n:
+            raise ConjectureViolation(coeffs, None)
+        return CompletenessVerdict.complete(ProofTag.make(
+            _BOUND_RULE_TAGS[bound.rule], g=shape.g, k=shape.k, last=shape.n, bound=bound.max_n
+        ))
+    if L >= 2:
+        key = coeffs[:-2] + (coeffs[-2] + coeffs[-1],)
+        if scan_first_classify(key, horizon).is_complete:
+            tag = ProofTag.make(ProofRule.MERGE_LAST, merged_last=key[-1])
+            return CompletenessVerdict.complete(tag)
+    if weak_window_check(CoefficientVector(coeffs)):
+        tag = ProofTag.make(ProofRule.WEAK_WINDOW, window_end=max(2 * L - 1, 2))
+        return CompletenessVerdict.complete(tag)
+    return CompletenessVerdict.conjecturally_complete(depth)
+
+
+@st.composite
+def family_vectors(draw, max_length=8):
+    g = draw(st.integers(1, max_length - 2))
+    k = draw(st.integers(1, max_length - 1 - g))
+    return CoefficientVector((1,) * g + (0,) * k + (draw(st.integers(1, 2 ** (g + k + 1))),))
+
+
+@st.composite
+def sparse_vectors(draw, max_length=8):
+    # [1, 0 or 1, small values, a larger last one]: the shapes of the census
+    # leaves that the strict-window rule proves or that survive conjecturally.
+    L = draw(st.integers(3, max_length))
+    interior = draw(st.lists(st.integers(0, 4), min_size=L - 3, max_size=L - 3))
+    return CoefficientVector((1, draw(st.integers(0, 1)), *interior, draw(st.integers(1, 2 * L))))
+
+
+@st.composite
+def vectors_and_horizons(draw):
+    cv = draw(st.one_of(
+        coefficient_vectors(max_length=8, max_coeff=2),
+        coefficient_vectors(max_length=8, max_coeff=4),
+        family_vectors(),
+        sparse_vectors(),
+    ))
+    return cv, draw(st.one_of(st.none(), st.integers(1, 8 * len(cv))))
+
+
+class TestProofsBeforeTheDeepScan:
+    """Proving before scanning past the window changes no verdict."""
+
+    @given(vectors_and_horizons())
+    @example((CoefficientVector((1, 1, 1, 0, 4)), None))  # first fails at 2L - 1
+    @example((CoefficientVector((1, 0, 4)), 24))  # a family vector above its bound
+    @example((CoefficientVector((1, 0, 2, 3)), 32))  # conjectural
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scan_first_reference(self, case):
+        cv, horizon = case
+        assert classify(cv, horizon) == scan_first_classify(cv.coefficients, horizon)
 
 
 class TestFiniteBrownEquivalence:

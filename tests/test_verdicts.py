@@ -18,6 +18,7 @@ from plrslab import (
     weak_window_check,
 )
 from plrslab import families, verdicts
+from plrslab.seqcore import Sequence
 from plrslab.verdicts import verdict_to_json
 
 
@@ -167,6 +168,46 @@ class TestClassify:
     def test_weak_window_fires(self):
         v = classify(CoefficientVector((1, 0, 1, 0, 0, 11)))
         assert v.is_complete and v.proof.rule is ProofRule.WEAK_WINDOW
+
+    def test_failure_past_the_window_found_by_the_last_scan(self, monkeypatch):
+        # With the window cut to 2, [1,0,2,2,2,4] passes it and no rule proves
+        # it: only the scan from the window to the horizon finds its failure.
+        real = verdicts.effective_horizon
+        monkeypatch.setattr(
+            verdicts, "effective_horizon", lambda L, h=None: 2 if h is None else real(L, h)
+        )
+        cv = CoefficientVector((1, 0, 2, 2, 2, 4))
+        v = classify(cv, 24)
+        assert v.is_incomplete and v.first_failure_index == 11
+        assert v.witness == 1 + sum(terms_prefix(cv, 10))
+        # A family vector above its bound scans there too: [1,1,1,0,4] fails at 9.
+        v = classify(CoefficientVector((1, 1, 1, 0, 4)), 20)
+        assert v.is_incomplete and v.first_failure_index == 9
+
+    @pytest.mark.parametrize(
+        "coeffs, rule, reached",
+        [
+            ((1, 0, 1, 2), ProofRule.MERGE_LAST, {4: 7, 3: 5}),
+            ((1, 0, 1, 0, 0, 11), ProofRule.WEAK_WINDOW, {6: 11, 5: 9}),
+            ((1, 0, 2, 3), None, {4: 16, 3: 5}),
+        ],
+    )
+    def test_terms_past_the_window_only_for_unproved_vectors(self, monkeypatch, coeffs, rule, reached):
+        # At horizon 4L a vector that a rule proves computes no term past its
+        # window 2L - 1, nor does its merged vector past 2L - 3 when a rule
+        # proves it ([1,0,3]) or it fails inside ([1,0,1,0,11], [1,0,5]); the
+        # conjectural [1,0,2,3] is scanned to the horizon.
+        seen = {}
+        extend = Sequence._extend_to
+
+        def spy(self, n):
+            seen[self._length] = max(seen.get(self._length, 0), n)
+            extend(self, n)
+
+        monkeypatch.setattr(Sequence, "_extend_to", spy)
+        v = classify(CoefficientVector(coeffs), 4 * len(coeffs))
+        assert (v.proof.rule if v.proof else None) is rule
+        assert seen == reached
 
     def test_conjectural_survivor(self):
         v = classify(CoefficientVector((1, 0, 2, 3)))
