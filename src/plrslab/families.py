@@ -45,6 +45,8 @@ class FamilySpec:
 def family_shape(coefficients: SequenceT[int]) -> Optional[FamilySpec]:
     """Parse [1 x g, 0 x k, N] with g >= 1, k >= 1; None for any other shape."""
     c = tuple(coefficients)
+    if len(c) < 3 or c[-2] != 0:  # no room for g, k >= 1, or no zero before N
+        return None
     g = 0
     while g < len(c) and c[g] == 1:
         g += 1
@@ -172,6 +174,16 @@ def _validated_prefix(prefix: Iterable[int]) -> tuple[int, ...]:
     return p
 
 
+def passing_range(lines: SequenceT[tuple[int, int]]) -> range:
+    """The N >= 1 keeping every gap alpha - beta N >= 0, given its lines
+    (alpha, beta), at least one with beta > 0: an interval, maybe empty."""
+    if any(beta == 0 and alpha < 0 for alpha, beta in lines):
+        return range(0)
+    hi = min(alpha // beta for alpha, beta in lines if beta > 0)
+    lo = max((-(alpha // -beta) for alpha, beta in lines if beta < 0), default=1)
+    return range(max(lo, 1), hi + 1)
+
+
 def window_max_n(
     prefix: tuple[int, ...], gaps_at_1: SequenceT[int], gaps_at_2: SequenceT[int]
 ) -> int:
@@ -182,16 +194,10 @@ def window_max_n(
     form an interval; if it starts above 1, downward closure puts the first
     failure of its lower end past the window: ConjectureViolation, no guess.
     """
-    lines = [(2 * b1 - b2, b1 - b2) for b1, b2 in zip(gaps_at_1, gaps_at_2)]
-    if any(beta == 0 and alpha < 0 for alpha, beta in lines):
-        return 0
-    hi = min(alpha // beta for alpha, beta in lines if beta > 0)
-    lo = max((-(alpha // -beta) for alpha, beta in lines if beta < 0), default=1)
-    if hi < max(lo, 1):
-        return 0
-    if lo > 1:
-        raise ConjectureViolation(prefix + (lo,), None)
-    return hi
+    passing = passing_range([(2 * b1 - b2, b1 - b2) for b1, b2 in zip(gaps_at_1, gaps_at_2)])
+    if passing and passing.start > 1:
+        raise ConjectureViolation(prefix + (passing.start,), None)
+    return passing[-1] if passing else 0
 
 
 def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> EmpiricalMax:

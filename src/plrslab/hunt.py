@@ -12,8 +12,11 @@ H_{j+1} depends only on c_1..c_j and grows with c_j, so Brown's gap B_{j+1}
 shrinks as c_j grows.  A depth-first search over coefficient prefixes
 computes one new term per node; once B_{j+1} < 0, that prefix first fails at
 term j + 1 whatever follows, and so does the prefix with any larger c_j.
-Only the prefixes that reach length L with no negative gap are classified,
-and only the leaves that no proof rule proves are scanned past 2L - 1.
+Only the prefixes that reach length L with no negative gap are classified.
+The gaps B_1..B_{2L-1} of the leaves below one prefix of length L - 1 are
+affine in c_L, so one table per prefix gives every leaf's, and classify's
+rules decide the leaf from them; only a leaf that no rule proves is built
+as a vector, to be scanned past 2L - 1.
 
 The census is a list of records.  A record is a CensusRow whose vector is
 a prefix p of length <= L; it stands for every completion of p, all of
@@ -34,7 +37,8 @@ A checkpointed census appends each record to a rows file as the search
 finds it, one line per record under a "record,..." header, a run marked by
 a "+" after its last coefficient; the checkpoint file names L and the deep
 horizon.  A rerun drops a torn last line, replays the records through the
-search from the first vector, and classifies only the leaves past them.
+search from the first vector, re-checking each leaf's window gaps from its
+prefix's table, and classifies only the leaves past them.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector, Sequence
-from .verdicts import brown_scan, classify
-from .families import empirical_max_n
+from .verdicts import (FAILS_PAST_WINDOW, CompletenessVerdict, ProofTag, brown_scan, classify,
+                       effective_horizon, scan_past_window, window_rules)
+from .families import empirical_max_n, passing_range
 
 log = logging.getLogger(__name__)
 
@@ -289,7 +294,7 @@ def parse_census_csv(text: str) -> list[CensusRow]:
         run = vec.endswith("+")
         rows.append(
             CensusRow(
-                tuple(int(x) for x in vec.rstrip("+").split(",")),
+                tuple(map(int, vec.rstrip("+").split(","))),
                 int(ff) if ff else None,
                 verdict,
                 proof,
@@ -299,12 +304,47 @@ def parse_census_csv(text: str) -> list[CensusRow]:
     return rows
 
 
-def _row_for(
-    cv: CoefficientVector, horizon: int, merged: Optional[dict[tuple[int, ...], bool]] = None
-) -> CensusRow:
-    v = classify(cv, horizon, merged=merged)
+def _row(vector: tuple[int, ...], v: CompletenessVerdict) -> CensusRow:
     proof = v.proof.rule.value if v.proof is not None else ""
-    return CensusRow(cv.coefficients, v.first_failure_index, v.status.value, proof)
+    return CensusRow(vector, v.first_failure_index, v.status.value, proof)
+
+
+def _gap_table(prefix: tuple[int, ...], terms: list[int], window: int) -> list[tuple[int, int]]:
+    """[(alpha_n, beta_n) for n = 1..window]: every leaf [prefix, c] has B_n = alpha_n - beta_n c.
+
+    `terms` = [H_1, ..., H_L] of the leaves.  For n <= 2L, c = c_L multiplies
+    only H_1..H_{n-L}, which do not involve it, so H_n = u_n + c v_n: up to
+    n = L, u_n = H_n and v_n = 0, and past it u_n = sum c_i u_{n-i} and
+    v_n = sum c_i v_{n-i} + H_{n-L} over i < L.  As B_n = 1 + S_{n-1} - H_n,
+    alpha_n = 1 + u_1 + ... + u_{n-1} - u_n and beta_n = v_n - v_1 - ... - v_{n-1}.
+    """
+    L = len(terms)
+    nonzero = [(i, c) for i, c in enumerate(prefix, 1) if c]
+    u, v = list(terms), [0] * L
+    for m in range(L, window):  # u[m] + c v[m] = H_{m+1}
+        a = b = 0
+        for i, c in nonzero:
+            a += c * u[m - i]
+            b += c * v[m - i]
+        u.append(a)
+        v.append(b + terms[m - L])
+    sums = zip(itertools.accumulate(u, initial=0), itertools.accumulate(v, initial=0))
+    return [(1 + u_sum - un, vn - v_sum) for un, vn, (u_sum, v_sum) in zip(u, v, sums)]
+
+
+def _leaf_row(
+    vector: tuple[int, ...], gaps: list[int], head: list[int], horizon: int, merged: dict
+) -> CensusRow:
+    """The row of a census leaf from its window gaps: classify's rules (a)-(e)
+    read them, and only a leaf they leave open is built, from the walk's terms
+    `head` = [H_1, ..., H_L], and scanned past the window."""
+    found = window_rules(vector, gaps, head, horizon, merged)
+    if isinstance(found, ProofTag):
+        return CensusRow(vector, None, "complete", found.rule.value)
+    if isinstance(found, int):
+        return CensusRow(vector, found, "incomplete", "")
+    cv = CoefficientVector(vector, head=head)
+    return _row(vector, scan_past_window(cv, horizon, found is FAILS_PAST_WINDOW))
 
 
 def _census_records(
@@ -314,20 +354,26 @@ def _census_records(
 
     Expanded, they equal classifying each vector in turn.  A node stops at
     its first failing c_{j+1}: one run record stands for it and every larger
-    value.  Each reloaded record must be the walk's next: a run equal to it,
-    or a leaf of its vector with one of the three verdicts.  An incomplete
-    leaf is re-scanned from the walk's terms to its stated first failure,
-    within the deep horizon.  The others must state none and are trusted:
-    re-classifying them would cost what the resume saves.  A mismatch, or a
-    record left past the end, raises ValueError.
+    value.  The leaves below one node of depth L - 1 are decided together:
+    their window gaps B_1..B_W, W = max(2L - 1, 2), are affine in c_L, so one
+    table per node (_gap_table) gives each leaf's, and classify's rules read
+    them (_leaf_row).  The leaves below one node of depth L - 2 share their
+    merged generators [.., c_{L-1} + c_L], so that node holds one dict of
+    merged verdicts; it is dropped when the walk leaves the node.
 
-    A leaf's terms start from the walk's H_1..H_{L+1}.  The leaves below one
-    node of depth L - 2 share their merged generators [.., c_{L-1} + c_L],
-    so that node holds one dict of merged verdicts for classify; it is
-    dropped when the walk leaves the node.
+    Each reloaded record must be the walk's next: a run equal to it, or a
+    leaf of its vector with one of the three verdicts.  A leaf's window gaps
+    are re-checked from the table: an incomplete leaf must first fail where
+    it says, within the deep horizon (past the window, by a scan of its
+    terms), and a complete or conjectural leaf must state no failure and
+    have no negative window gap.  Their proof tags, and a conjectural leaf's
+    gaps past the window, are trusted: re-deciding them would cost what the
+    resume saves.  A mismatch, or a record left past the end, raises
+    ValueError.
     """
     ranges = coefficient_ranges(length)
     shared_depth = max(length - 2, 0)
+    window = effective_horizon(length)
     pending = iter(reloaded)
 
     def label(rec: CensusRow) -> str:
@@ -339,28 +385,31 @@ def _census_records(
             raise ValueError(f"record {label(rec)} does not follow the records before it")
         return rec
 
-    def leaf(prefix: tuple[int, ...], terms: list[int], merged: dict) -> CensusRow:
-        rec = replayed(prefix, False)
+    def leaf(vector: tuple[int, ...], table: list, passing: range, head: list, merged: dict):
+        c = vector[-1]
+        rec = replayed(vector, False)
         if rec is None:
-            return _row_for(CoefficientVector(prefix, head=terms), deep_horizon, merged)
+            return _leaf_row(vector, [a - b * c for a, b in table], head, deep_horizon, merged)
         n = rec.first_failure
+        # The first failure within the window, from the table.
+        first = None if c in passing else next(m for m, (a, b) in enumerate(table, 1) if a < b * c)
         if rec.verdict == "incomplete" and n is not None and 1 <= n <= deep_horizon:
-            if CoefficientVector(prefix, head=terms).sequence.first_gap_below(n) == n:
+            if first == n or first is None and n > window and CoefficientVector(
+                vector, head=head
+            ).sequence.first_gap_below(n, start=window + 1) == n:
                 return rec
-        elif rec.verdict in ("complete", "conjecturally_complete") and n is None:
+        elif rec.verdict in ("complete", "conjecturally_complete") and n is None and first is None:
             return rec
-        raise ValueError(f"record {list(prefix)} does not fail where it says ({rec.verdict}, {n})")
+        raise ValueError(f"record {list(vector)} does not fail where it says ({rec.verdict}, {n})")
 
     def walk(prefix: tuple[int, ...], terms: list[int], total: int, merged: Optional[dict]):
         # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0.
         j = len(prefix)
-        if j == length:
-            yield leaf(prefix, terms, merged)
-            return
         if j == shared_depth:
             merged = {}
         # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff H_{j+2} <= 1 + total.
         base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
+        table = None
         for c in ranges[j]:
             term = base + c
             if term > 1 + total:
@@ -369,7 +418,13 @@ def _census_records(
                     raise ValueError(f"record {label(run)} does not fail where it says")
                 yield run
                 return
-            yield from walk(prefix + (c,), terms + [term], total + term, merged)
+            if j + 1 < length:
+                yield from walk(prefix + (c,), terms + [term], total + term, merged)
+                continue
+            if table is None:
+                table = _gap_table(prefix, terms, window)
+                passing = passing_range(table)
+            yield leaf(prefix + (c,), table, passing, terms, merged)
 
     yield from walk((), [1], 1, None)
     if (rest := next(pending, None)) is not None:
@@ -533,7 +588,9 @@ def first_failure_census(
     n = len(reloaded)
     log.debug("census L=%d: %d records reloaded, %d found", length, n, len(records) - n)
 
-    records.extend(_row_for(cv, deep_horizon) for cv in _supplemental_vectors(length))
+    records.extend(
+        _row(cv.coefficients, classify(cv, deep_horizon)) for cv in _supplemental_vectors(length)
+    )
     return _aggregate(length, records, deep_horizon)
 
 

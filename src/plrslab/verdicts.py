@@ -10,18 +10,18 @@ A verdict is one of
                                   proof rule fired; completeness then rests on
                                   the open first-failure-window conjecture.
 
-The classifier applies rules in a fixed order so provenance is
-deterministic: gap scan to the window max(2L - 1, 2), the all-positive
-characterization, closed-form family bounds, the merge-last-two
-contrapositive, the strict-window sufficient criterion, and a scan on to the
-requested horizon for vectors that no rule proves.  An independent subset-sum
-oracle (a bit-vector dynamic program) is provided for cross-checking verdicts
-against ground truth on bounded ranges.
+The classifier applies rules in the fixed order that window_rules states, so
+provenance is deterministic; they read only the gaps up to the window
+max(2L - 1, 2), and a vector that no rule decides is scanned on to the
+requested horizon.  An independent subset-sum oracle (a bit-vector dynamic
+program) is provided for cross-checking verdicts against ground truth on
+bounded ranges.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, MutableMapping, Optional, Sequence as SequenceT
 
@@ -56,6 +56,7 @@ class ProofTag:
     parameters: tuple[tuple[str, int], ...] = ()
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)  # a census proves most of its leaves with a few tags
     def make(cls, rule: ProofRule, **params: int) -> "ProofTag":
         return cls(rule, tuple(sorted(params.items())))
 
@@ -248,6 +249,104 @@ _BOUND_RULE_TAGS = {
     "g_ones_ramp": ProofRule.FAMILY_G_ONES,
 }
 
+#: window_rules' answer for a family vector above its exact bound: proven
+#: incomplete with no negative window gap, it fails past the window.
+FAILS_PAST_WINDOW = "fails past the window"
+
+
+def window_rules(
+    coeffs: tuple[int, ...],
+    gaps: SequenceT[int],
+    head: SequenceT[int],
+    horizon: Optional[int] = None,
+    merged: Optional[MutableMapping[tuple[int, ...], bool]] = None,
+):
+    """Rules (a)-(e) of the classification, read from the window gaps.
+
+    `gaps` = [B_1, ..., B_W] for the window W = max(2L - 1, 2); `head`
+    starts with H_1..H_{L-1}.  In order: (a) the least n with B_n < 0 is the
+    first failure; (b) the all-positive characterization; (c) exact bounds
+    for the [1 x g, 0 x k, N] families, FAILS_PAST_WINDOW above one;
+    (d) completeness of the merged generator [c_1, ..., c_{L-1} + c_L];
+    (e) the strict window, B_n > 0 for L <= n <= W.
+    Returns that n, a ProofTag, FAILS_PAST_WINDOW, or None when no rule
+    fires.  Every rule is a completeness theorem, so only then can a gap
+    past the window change the verdict (scan_past_window).
+
+    `merged`, when given, maps merged coefficient tuples to whether they are
+    Complete at this same `horizon`; step (d) reads it and fills it, so
+    callers whose vectors share merged generators (siblings [..., a, b] with
+    one a + b) decide each of them once.
+    """
+    if min(gaps) < 0:
+        return next(n for n, gap in enumerate(gaps, 1) if gap < 0)
+    L = len(coeffs)
+
+    if min(coeffs) >= 1:
+        if not _all_positive_complete_shape(coeffs):
+            # The first c_i != 1 gives B_{i+1} < 0 (or B_{L+1} < 0 after
+            # L - 1 ones and c_L >= 3), inside the window.
+            raise RuntimeError(f"{list(coeffs)} is not all-positive complete yet passed the scan")
+        return ProofTag.make(ProofRule.GEOMETRIC_L1 if coeffs == (2,) else ProofRule.ALL_POSITIVE)
+
+    shape = families.family_shape(coeffs)
+    if shape is not None:
+        bound = families.family_bound(shape.g, shape.k)
+        if bound is not None:
+            if shape.n > bound.max_n:
+                return FAILS_PAST_WINDOW
+            return ProofTag.make(
+                _BOUND_RULE_TAGS[bound.rule], g=shape.g, k=shape.k, last=shape.n, bound=bound.max_n
+            )
+
+    if L >= 2:
+        key = coeffs[:-2] + (coeffs[-2] + coeffs[-1],)
+        complete = None if merged is None else merged.get(key)
+        if complete is None:
+            # Only c_1..c_{L-2} enter H_1..H_{L-1}, so they are the merged
+            # generator's own.
+            complete = proves_complete(CoefficientVector(key, head=head[: L - 1]), horizon)
+            if merged is not None:
+                merged[key] = complete
+        if complete:
+            return ProofTag.make(ProofRule.MERGE_LAST, merged_last=key[-1])
+
+    # Rule (b) has decided every L = 1 vector, so L >= 2 and W = 2L - 1 here.
+    if min(gaps[L - 1:], default=0) > 0:
+        return ProofTag.make(ProofRule.WEAK_WINDOW, window_end=len(gaps))
+    return None
+
+
+def scan_past_window(
+    cv: CoefficientVector, horizon: Optional[int], above_bound: bool
+) -> CompletenessVerdict:
+    """Step (f), for a vector window_rules leaves open: Incomplete at a negative
+    gap from the window to effective_horizon(L, horizon), else
+    ConjecturallyComplete, or ConjectureViolation when `above_bound`."""
+    L = len(cv)
+    depth = effective_horizon(L, horizon)
+    late = cv.sequence.first_gap_below(depth, start=effective_horizon(L) + 1)
+    if late is not None:
+        return _incomplete_at(cv, late)
+    if above_bound:
+        raise ConjectureViolation(cv.coefficients, None)
+    return CompletenessVerdict.conjecturally_complete(depth)
+
+
+def _window_rules_of(cv: CoefficientVector, horizon: Optional[int], merged):
+    window = effective_horizon(len(cv))
+    seq = cv.sequence
+    return window_rules(cv.coefficients, seq.gaps(window), seq.prefix(window), horizon, merged)
+
+
+def proves_complete(cv: CoefficientVector, horizon: Optional[int] = None) -> bool:
+    """Whether classify(cv, horizon) is Complete, with step (f) only where it
+    must find a failure (above a family bound): no outcome of it is Complete."""
+    found = _window_rules_of(cv, horizon, None)
+    if found is FAILS_PAST_WINDOW:
+        scan_past_window(cv, horizon, True)
+    return isinstance(found, ProofTag)
+
 
 def classify(
     cv: CoefficientVector,
@@ -255,89 +354,15 @@ def classify(
     *,
     merged: Optional[MutableMapping[tuple[int, ...], bool]] = None,
 ) -> CompletenessVerdict:
-    """Classify a generator as complete, incomplete, or conjecturally complete.
-
-    Rule order is fixed: (a) gap scan to the window max(2L - 1, 2),
-    (b) the all-positive characterization, (c) exact bounds for the
-    [1 x g, 0 x k, N] families (completeness up to the bound; above it the
-    gaps must go negative by depth = effective_horizon(L, horizon), else
-    ConjectureViolation), (d) completeness of the merged generator
-    [c_1, ..., c_{L-1} + c_L] implies completeness here, (e) the
-    strict-window criterion, and otherwise (f) Incomplete at a negative gap
-    from the window to depth, else ConjecturallyComplete at depth.  Every
-    rule is a completeness theorem, so the scan past the window is needed
-    only where no rule fires.
-
-    `merged`, when given, maps merged coefficient tuples to whether they
-    classify as complete at this same `horizon`.  Step (d) reads it before
-    classifying a merged generator and fills it after, so callers whose
-    vectors share merged generators (siblings [..., a, b] with one a + b)
-    classify each of them once.
-    """
-    L = len(cv)
-    window = effective_horizon(L)
-    depth = effective_horizon(L, horizon)
-    coeffs = cv.coefficients
-    seq = cv.sequence
-
-    first_failure = seq.first_gap_below(window)
-    if first_failure is not None:
-        return _incomplete_at(cv, first_failure)
-
-    if min(coeffs) >= 1:
-        if not _all_positive_complete_shape(coeffs):
-            # The first c_i != 1 gives B_{i+1} < 0 (or B_{L+1} < 0 after
-            # L - 1 ones and c_L >= 3), inside the window scanned above.
-            raise RuntimeError(f"{cv} is not all-positive complete yet passed the scan")
-        if coeffs == (2,):
-            return CompletenessVerdict.complete(ProofTag.make(ProofRule.GEOMETRIC_L1))
-        return CompletenessVerdict.complete(ProofTag.make(ProofRule.ALL_POSITIVE))
-
-    shape = families.family_shape(coeffs)
-    if shape is not None:
-        bound = families.family_bound(shape.g, shape.k)
-        if bound is not None:
-            if shape.n <= bound.max_n:
-                tag = ProofTag.make(
-                    _BOUND_RULE_TAGS[bound.rule],
-                    g=shape.g,
-                    k=shape.k,
-                    last=shape.n,
-                    bound=bound.max_n,
-                )
-                return CompletenessVerdict.complete(tag)
-            # Proven incomplete, yet B_1..B_window >= 0: the first failure
-            # lies past the window.
-            late = seq.first_gap_below(depth, start=window + 1)
-            if late is not None:
-                return _incomplete_at(cv, late)
-            raise ConjectureViolation(coeffs, None)
-
-    if L >= 2:
-        key = coeffs[:-2] + (coeffs[-2] + coeffs[-1],)
-        complete = None if merged is None else merged.get(key)
-        if complete is None:
-            # The caller's horizon, not this depth: the merged vector's own
-            # floor is 2L - 3, and scanning it to 2L - 1 would be deeper than asked.
-            # Its H_1..H_{L-1} are this generator's: only c_1..c_{L-2} enter them.
-            head = seq.prefix(L - 1)
-            complete = classify(CoefficientVector(key, head=head), horizon).is_complete
-            if merged is not None:
-                merged[key] = complete
-        if complete:
-            tag = ProofTag.make(
-                ProofRule.MERGE_LAST, merged_last=coeffs[-2] + coeffs[-1]
-            )
-            return CompletenessVerdict.complete(tag)
-
-    if weak_window_check(cv):
-        tag = ProofTag.make(ProofRule.WEAK_WINDOW, window_end=window)
-        return CompletenessVerdict.complete(tag)
-
-    late = seq.first_gap_below(depth, start=window + 1)
-    if late is not None:
-        return _incomplete_at(cv, late)
-    return CompletenessVerdict.conjecturally_complete(depth)
+    """Classify a generator as complete, incomplete, or conjecturally complete:
+    window_rules on its window gaps, with `merged` as described there, then
+    scan_past_window if no rule decides it."""
+    found = _window_rules_of(cv, horizon, merged)
+    if isinstance(found, ProofTag):
+        return CompletenessVerdict.complete(found)
+    if isinstance(found, int):
+        return _incomplete_at(cv, found)
+    return scan_past_window(cv, horizon, found is FAILS_PAST_WINDOW)
 
 
 def verdict_to_json(

@@ -647,13 +647,13 @@ class TestCensus:
         ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
         files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
         leaves = []
-        row_for = hunt._row_for
+        leaf_row = hunt._leaf_row
 
-        def counting_row_for(cv, horizon, merged=None):
-            leaves.append(cv)
-            return row_for(cv, horizon, merged)
+        def counting_leaf_row(vector, gaps, head, horizon, merged):
+            leaves.append(vector)
+            return leaf_row(vector, gaps, head, horizon, merged)
 
-        monkeypatch.setattr(hunt, "_row_for", counting_row_for)
+        monkeypatch.setattr(hunt, "_leaf_row", counting_leaf_row)
         # finished; and stopped after writing the records of (1, 1) but
         # before listing it, so that every leaf is in the rows file
         for listed, written in [(every_prefix, by_prefix), ("1,0\n", records[:-2])]:
@@ -663,7 +663,7 @@ class TestCensus:
             assert run(capsys, *argv, *files) == fresh
             assert ckpt.read_text() == "census L=4 deep_horizon=16\n"
             assert rows.read_text() == census_rows_to_csv(records)
-            assert [cv.coefficients for cv in leaves] == [r.vector for r in records if not r.run]
+            assert leaves == [r.vector for r in records if not r.run]
 
     def test_rows_ending_inside_a_failing_prefix_exit_2(self, capsys, tmp_path):
         # One row per vector of 1,0,4, whose completions all fail at term 4,

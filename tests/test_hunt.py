@@ -27,7 +27,8 @@ from plrslab.hunt import (
     _census_records,
     _completion_counts,
     _expand,
-    _row_for,
+    _leaf_row,
+    _row,
     census_rows_to_csv,
     coefficient_ranges,
     enumeration_size,
@@ -122,7 +123,7 @@ def brute_force_rows():
     """Census rows for L = 1..5 by classifying every vector in turn."""
     rows = {}
     for L in range(1, 6):
-        rows[L] = [_row_for(cv, 4 * L) for cv in enumerate_vectors(L)]
+        rows[L] = [_row(cv.coefficients, classify(cv, 4 * L)) for cv in enumerate_vectors(L)]
     return rows
 
 
@@ -151,7 +152,7 @@ class TestPrunedCensus:
         if L > 3:
             cuts = sorted({*cuts[:: max(len(cuts) // 6, 1)], cuts[-1]})
             assert len(cuts) >= (6 if first != 2 else 2)
-        leaves = _counting_row_for(monkeypatch)
+        leaves = _counting_leaf_row(monkeypatch)
         for k in cuts:
             leaves.clear()
             assert list(_census_records(L, 4 * L, records[:k])) == records, k
@@ -160,12 +161,12 @@ class TestPrunedCensus:
     def test_only_survivors_are_classified(self, monkeypatch):
         leaves = []
 
-        def counting_row_for(cv, horizon, merged=None):
-            row = _row_for(cv, horizon, merged)
+        def counting_leaf_row(vector, gaps, head, horizon, merged):
+            row = _leaf_row(vector, gaps, head, horizon, merged)
             leaves.append(row)
             return row
 
-        monkeypatch.setattr(hunt, "_row_for", counting_row_for)
+        monkeypatch.setattr(hunt, "_leaf_row", counting_leaf_row)
         report = first_failure_census(5)
         assert report.vectors_scanned == 48_960
         assert len(report.records) == 139
@@ -182,19 +183,27 @@ class TestPrunedCensus:
         }
 
     def test_each_merged_vector_classified_once_per_prefix(self, monkeypatch):
-        # 107 leaves and the distinct merged vectors below each node of depth
-        # L - 2; classifying every leaf's merged vector afresh makes 194 calls.
+        # Of the 107 leaves, only the 17 that no rule proves are built as
+        # vectors, to be scanned past the window; each distinct merged vector
+        # below a node of depth L - 2 is decided once.  Deciding every leaf's
+        # merged vector afresh makes 194 calls, and classifying every leaf
+        # with the merged dict 143.
         calls = []
+        proves, scan = verdicts.proves_complete, verdicts.scan_past_window
 
-        def spy(cv, horizon=None, **kwargs):
+        def proves_spy(cv, horizon=None):
             calls.append(cv.coefficients)
-            return classify(cv, horizon, **kwargs)
+            return proves(cv, horizon)
 
-        monkeypatch.setattr(verdicts, "classify", spy)
-        monkeypatch.setattr(hunt, "classify", spy)
+        def scan_spy(cv, horizon, above_bound):
+            calls.append(cv.coefficients)
+            return scan(cv, horizon, above_bound)
+
+        monkeypatch.setattr(verdicts, "proves_complete", proves_spy)
+        monkeypatch.setattr(hunt, "scan_past_window", scan_spy)
         first_failure_census(5)
-        assert sum(len(c) == 5 for c in calls) == 107
-        assert len(calls) <= 143
+        assert sum(len(c) == 5 for c in calls) == 17
+        assert len(calls) == 53
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_merged_verdicts_held_per_prefix(self, monkeypatch, L):
@@ -202,11 +211,11 @@ class TestPrunedCensus:
         # that dict holds only merged vectors of its prefix.
         held = {}  # id(dict) -> (dict, prefixes of the leaves it was handed)
 
-        def row_for(cv, horizon, merged=None):
-            held.setdefault(id(merged), (merged, set()))[1].add(cv.coefficients[: L - 2])
-            return _row_for(cv, horizon, merged)
+        def leaf_row(vector, gaps, head, horizon, merged):
+            held.setdefault(id(merged), (merged, set()))[1].add(vector[: L - 2])
+            return _leaf_row(vector, gaps, head, horizon, merged)
 
-        monkeypatch.setattr(hunt, "_row_for", row_for)
+        monkeypatch.setattr(hunt, "_leaf_row", leaf_row)
         first_failure_census(L)
         prefixes = set()
         for merged, leaf_prefixes in held.values():
@@ -312,15 +321,15 @@ class TestRowTexts:
 CKPT_L3 = "census L=3 deep_horizon=12\n"
 
 
-def _counting_row_for(monkeypatch) -> list:
-    """Patch hunt._row_for to record each vector it classifies."""
+def _counting_leaf_row(monkeypatch) -> list:
+    """Patch hunt._leaf_row to record each leaf it decides."""
     leaves = []
 
-    def row_for(cv, horizon, merged=None):
-        leaves.append(cv.coefficients)
-        return _row_for(cv, horizon, merged)
+    def leaf_row(vector, gaps, head, horizon, merged):
+        leaves.append(vector)
+        return _leaf_row(vector, gaps, head, horizon, merged)
 
-    monkeypatch.setattr(hunt, "_row_for", row_for)
+    monkeypatch.setattr(hunt, "_leaf_row", leaf_row)
     return leaves
 
 
@@ -331,7 +340,7 @@ class TestCensusCheckpoint:
         fresh = census_reports[3]
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        leaves = _counting_row_for(monkeypatch)
+        leaves = _counting_leaf_row(monkeypatch)
         for k in range(len(fresh.records) + 1):
             rows.write_text(census_rows_to_csv(fresh.records[:k]))
             ckpt.write_text(CKPT_L3)
@@ -348,7 +357,7 @@ class TestCensusCheckpoint:
         fresh = census_reports[3]
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        leaves = _counting_row_for(monkeypatch)
+        leaves = _counting_leaf_row(monkeypatch)
         for ckpt_text in (None, "", CKPT_L3[:-1], "census L=3"):
             rows.write_text(census_rows_to_csv(fresh.records[:6]))
             ckpt.unlink(missing_ok=True)
@@ -410,20 +419,20 @@ class TestCensusCheckpoint:
         assert len(leaf_at) == 107
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        leaves = _counting_row_for(monkeypatch)
-        counting = hunt._row_for
+        leaves = _counting_leaf_row(monkeypatch)
+        counting = hunt._leaf_row
 
-        def stopping_row_for(cv, horizon, merged=None):
+        def stopping_leaf_row(vector, gaps, head, horizon, merged):
             if len(leaves) == k - 1:
                 raise RuntimeError("stopped")
-            return counting(cv, horizon, merged)
+            return counting(vector, gaps, head, horizon, merged)
 
-        monkeypatch.setattr(hunt, "_row_for", stopping_row_for)
+        monkeypatch.setattr(hunt, "_leaf_row", stopping_leaf_row)
         with pytest.raises(RuntimeError, match="stopped"):
             first_failure_census(5, checkpoint_path=ckpt, rows_path=rows)
         assert parse_census_csv(rows.read_text()) == list(fresh.records[: leaf_at[k - 1]])
 
-        monkeypatch.setattr(hunt, "_row_for", counting)
+        monkeypatch.setattr(hunt, "_leaf_row", counting)
         leaves.clear()
         resumed = first_failure_census(5, checkpoint_path=ckpt, rows_path=rows)
         assert resumed == fresh
@@ -488,6 +497,9 @@ class TestCensusCheckpoint:
             ('"1,0,4",5,incomplete,', '"1,0,4",4,incomplete,', "does not fail"),
             ('"1,0,4",5,incomplete,', '"1,0,4",6,incomplete,', "does not fail"),
             ('"1,0,4",5,incomplete,', '"1,0,4",5,conjecturally_complete,', "does not fail"),
+            # or at none: a negative window gap refutes a complete or conjectural leaf
+            ('"1,0,4",5,incomplete,', '"1,0,4",,complete,family_single_one', "does not fail"),
+            ('"1,0,4",5,incomplete,', '"1,0,4",,conjecturally_complete,', "does not fail"),
             # a leaf where the walk has a run of [1, 0, 5..8], and that run
             # with a misstated first failure or verdict
             ('"1,0,5+",4,incomplete,', '"1,0,5",4,incomplete,', r"\[1, 0, 5\] does not follow"),

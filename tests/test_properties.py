@@ -1,5 +1,6 @@
 """Cross-cutting invariants, mostly oracle-vs-implementation equivalences."""
 
+import functools
 from itertools import combinations
 from unittest import mock
 
@@ -28,9 +29,10 @@ from plrslab import (
     value_of,
     weak_window_check,
 )
-from plrslab import seqcore
+from plrslab import hunt, seqcore
+from plrslab.families import passing_range
 from plrslab.seqcore import Sequence
-from plrslab.verdicts import _BOUND_RULE_TAGS, effective_horizon
+from plrslab.verdicts import _BOUND_RULE_TAGS, effective_horizon, window_rules
 
 
 @st.composite
@@ -427,6 +429,67 @@ class TestEmpiricalMaxOracle:
         if n:
             assert not classify(CoefficientVector(prefix + (n,))).is_incomplete
         assert classify(CoefficientVector(prefix + (n + 1,))).is_incomplete
+
+
+@functools.cache
+def _census_leaf_prefixes(max_length=6):
+    """The prefixes c_1..c_{L-1} of the census leaves, L <= max_length."""
+    found = set()
+    for L in range(1, max_length + 1):
+        found.update(r.vector[:-1] for r in hunt._census_records(L, 4 * L) if not r.run)
+    return sorted(found)
+
+
+@st.composite
+def family_prefixes(draw, max_length=7):
+    g = draw(st.integers(1, max_length - 1))
+    return (1,) * g + (0,) * draw(st.integers(1, max_length - g))
+
+
+sibling_prefixes = st.one_of(
+    prefixes(max_length=7),
+    family_prefixes(),
+    st.integers(0, 7).map(lambda m: (1,) * m),
+    # Built when first drawn, not when the tests are collected.
+    st.integers(0, 10**6).map(lambda i: _census_leaf_prefixes()[i % len(_census_leaf_prefixes())]),
+)
+
+
+class TestSiblingGapTable:
+    """The census decides the leaves below a prefix from one table of window gaps."""
+
+    @given(sibling_prefixes, st.one_of(st.none(), st.just(0), st.integers(1, 32)))
+    @example((1, 1, 1, 1, 1, 1, 0), 0)  # first fails at 2L - 1 = 15 for c_L = 4
+    @example((1, 0, 2), None)  # [1,0,2,3] is conjectural
+    @example((1, 0), 0)  # family_single_one up to its bound, 5
+    @settings(max_examples=150, deadline=None)
+    def test_table_path_matches_classify(self, prefix, past_4l):
+        # For every c_L with B_{L+1} >= 0 (the leaves the walk reaches), the
+        # table's gaps are the vector's, and the census row, decided from
+        # them with one merged dict for all siblings, is classify's; a proof
+        # tag from the window rules is classify's too, parameters included.
+        # The horizon is None, 4L, or past it up to 8L.
+        L = len(prefix) + 1
+        horizon = None if past_4l is None else 4 * L + min(past_4l, 4 * L)
+        window = effective_horizon(L)
+        terms = Sequence(CoefficientVector(prefix + (1,))).prefix(L)  # H_1..H_L: no c_L in them
+        table = hunt._gap_table(prefix, terms, window)
+        assert len(table) == window
+        passing = passing_range(table)
+        merged = {}
+        survivors = range(1, table[L][0] + 1)  # B_{L+1} = alpha - c_L, as beta = H_1 = 1
+        assert table[L][1] == 1
+        for c in survivors:
+            vector = prefix + (c,)
+            cv = CoefficientVector(vector)
+            gaps = [a - b * c for a, b in table]
+            assert gaps == Sequence(cv).gaps(window), vector
+            assert (c in passing) == (min(gaps) >= 0), vector
+            fresh = classify(cv, horizon)
+            assert hunt._leaf_row(vector, gaps, terms, horizon, merged) == hunt._row(vector, fresh)
+            found = window_rules(vector, gaps, terms, horizon)
+            if isinstance(found, ProofTag):
+                assert fresh.proof == found, vector
 
 
 class TestDominantRootCrossCheck:

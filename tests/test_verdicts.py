@@ -155,12 +155,13 @@ class TestClassify:
         # The merged vector is one shorter, so its own floor is 2L - 3; it is
         # handed the caller's horizon, not the 2L - 1 the outer vector scans.
         calls = []
+        proves = verdicts.proves_complete
 
         def spy(cv, h=None):
             calls.append((cv.coefficients, h))
-            return classify(cv, h)
+            return proves(cv, h)
 
-        monkeypatch.setattr(verdicts, "classify", spy)
+        monkeypatch.setattr(verdicts, "proves_complete", spy)
         v = classify(CoefficientVector((1, 0, 1, 2)), horizon)
         assert v.is_complete and v.proof.rule is ProofRule.MERGE_LAST
         assert calls == [((1, 0, 3), horizon)]
@@ -190,13 +191,15 @@ class TestClassify:
             ((1, 0, 1, 2), ProofRule.MERGE_LAST, {4: 7, 3: 5}),
             ((1, 0, 1, 0, 0, 11), ProofRule.WEAK_WINDOW, {6: 11, 5: 9}),
             ((1, 0, 2, 3), None, {4: 16, 3: 5}),
+            ((1, 0, 2, 1, 2), ProofRule.WEAK_WINDOW, {5: 9, 4: 7, 3: 5}),
         ],
     )
     def test_terms_past_the_window_only_for_unproved_vectors(self, monkeypatch, coeffs, rule, reached):
         # At horizon 4L a vector that a rule proves computes no term past its
         # window 2L - 1, nor does its merged vector past 2L - 3 when a rule
         # proves it ([1,0,3]) or it fails inside ([1,0,1,0,11], [1,0,5]); the
-        # conjectural [1,0,2,3] is scanned to the horizon.
+        # conjectural [1,0,2,3] is scanned to the horizon, but not as the
+        # merged vector of [1,0,2,1,2], where only whether it is Complete counts.
         seen = {}
         extend = Sequence._extend_to
 
