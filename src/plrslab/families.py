@@ -14,10 +14,12 @@ The two g-ones expressions agree at the shared boundary g = k + ceil(log2 k)
 form is known for 3 <= g < k.
 
 empirical_max_n recovers these bounds from Brown's gaps, which are affine in
-N up to term 2L: two gap lists, at N = 1 and N = 2, give the largest N
-passing the window, and one classify call there supplies the proof.  A
-deeper horizon only rechecks that N; a first failure it finds past the
-window is a ConjectureViolation, not a reason to search lower.
+N up to term 2L: one table of their lines (gap_table, which also decides
+the census's leaves) gives the largest N passing the window, and
+classify's rules, read off the same table, supply the proof there; only an
+N that no rule decides is built as a vector and scanned on.  A deeper
+horizon only rechecks that N; a first failure it finds past the window is
+a ConjectureViolation, not a reason to search lower.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence as SequenceT
 
 from .errors import ConjectureViolation, OutOfRangeError
-from .seqcore import CoefficientVector
-from .verdicts import ProofTag, classify, effective_horizon
+from .seqcore import CoefficientVector, nonzero_runs
+from .verdicts import (FAILS_PAST_WINDOW, ProofTag, effective_horizon, scan_past_window,
+                       window_rules)
 
 
 @dataclass(frozen=True)
@@ -184,17 +187,39 @@ def passing_range(lines: SequenceT[tuple[int, int]]) -> range:
     return range(max(lo, 1), hi + 1)
 
 
-def window_max_n(
-    prefix: tuple[int, ...], gaps_at_1: SequenceT[int], gaps_at_2: SequenceT[int]
-) -> int:
-    """Largest N >= 1 keeping every gap B_n(N) = alpha_n - beta_n N >= 0; 0 if none.
+def gap_table(prefix: tuple[int, ...], window: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """[H_1, ..., H_L] and the gap lines [(alpha_n, beta_n) for n = 1..window] of
+    every [prefix, N]: B_n = alpha_n - beta_n N, for window <= 2L.
 
-    The gaps are B_1..B_h of [prefix, 1] and [prefix, 2], h <= 2L, so
-    beta_n = B_n(1) - B_n(2) and alpha_n = B_n(1) + beta_n.  The passing N
-    form an interval; if it starts above 1, downward closure puts the first
-    failure of its lower end past the window: ConjectureViolation, no guess.
+    Up to H_{2L}, N = c_L multiplies only H_1..H_L, which do not involve it,
+    so H_n = u_n + N v_n.  As in Sequence, each run of a nonzero c adds c
+    times a difference of prefix sums, of u and of v apart, so a term costs
+    O(runs), not O(nonzero c_i).
     """
-    passing = passing_range([(2 * b1 - b2, b1 - b2) for b1, b2 in zip(gaps_at_1, gaps_at_2)])
+    L = len(prefix) + 1
+    runs = nonzero_runs(prefix)
+    head, us, vs, table = [], [0], [0], []  # us[k] = u_1 + ... + u_k, vs likewise
+    for m in range(window):  # H_{m+1} = a + N b
+        a, b = (1, 0) if m < L else (0, head[m - L])
+        for start, stop, c in runs:
+            if start >= m:
+                break
+            lo = m - stop if m > stop else 0
+            a += c * (us[m - start] - us[lo])
+            b += c * (vs[m - start] - vs[lo])
+        if m < L:
+            head.append(a)
+        table.append((1 + us[m] - a, b - vs[m]))  # B_{m+1} = 1 + S_m - H_{m+1}
+        us.append(us[m] + a)
+        vs.append(vs[m] + b)
+    return head, table
+
+
+def window_max_n(prefix: tuple[int, ...], table: SequenceT[tuple[int, int]]) -> int:
+    """Largest N >= 1 passing every line of the table; 0 if none.  If the
+    passing interval starts above 1, downward closure puts the first failure
+    of its lower end past the window: ConjectureViolation, no guess."""
+    passing = passing_range(table)
     if passing and passing.start > 1:
         raise ConjectureViolation(prefix + (passing.start,), None)
     return passing[-1] if passing else 0
@@ -203,47 +228,42 @@ def window_max_n(
 def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> EmpiricalMax:
     """The largest N with a non-Incomplete verdict for [prefix, N].
 
-    For n <= 2L, N multiplies only H_1..H_{n-L}, which do not involve it,
-    so the terms and gaps up to there are affine in N.  window_max_n finds
-    the largest N passing B_1..B_{min(h, 2L)} from the gaps at N = 1 and 2,
-    capped by the family bound, and classify runs once there, its vector's
-    terms up to min(h, 2L) read off the same two lines.
-    Every smaller N passes the same gaps.  A horizon h past 2L can make
-    that verdict Incomplete only by a first failure past 2L, which raises
-    ConjectureViolation.  A conjectural verdict steps down to the largest
-    N with a proof.
+    One gap_table to min(h, 2L) gives the largest N passing its lines
+    (window_max_n), capped by the family bound; every smaller N passes them
+    too.  Each probed N is decided as classify would: window_rules reads its
+    window gaps off the table, and only an N that no rule decides is built,
+    from the table's H_1..H_L, and scanned past the window.  A horizon h past
+    2L can make the largest N Incomplete only by a first failure past 2L,
+    which raises ConjectureViolation.  A conjectural verdict steps down to
+    the largest N with a proof.
     """
     p = _validated_prefix(prefix)
     L = len(p) + 1
-    depth = effective_horizon(L, horizon)
-    affine = min(depth, 2 * L)
-    at_1 = CoefficientVector(p + (1,)).sequence
-    terms_1 = at_1.prefix(affine)
-    # H_1..H_L do not involve N, and H_{L+1} holds it once, as N * H_1.
-    at_2 = CoefficientVector(p + (2,), head=terms_1[:L] + [terms_1[L] + 1]).sequence
-    slopes = [b - a for a, b in zip(terms_1, at_2.prefix(affine))]
+    window = effective_horizon(L)
+    head, table = gap_table(p, min(effective_horizon(L, horizon), 2 * L))
 
-    def verdict_at(n: int):
-        # H_1..H_affine are affine in N, so the two vectors above give them.
-        head = [a + (n - 1) * s for a, s in zip(terms_1, slopes)]
-        return classify(CoefficientVector(p + (n,), head=head), horizon)
+    def decide(n: int):
+        # A ProofTag, or the verdict of the scan past the window.
+        coeffs = p + (n,)
+        found = window_rules(coeffs, [a - b * n for a, b in table[:window]], head, horizon)
+        if found is None or found is FAILS_PAST_WINDOW:
+            cv = CoefficientVector(coeffs, head=head)
+            return scan_past_window(cv, horizon, found is FAILS_PAST_WINDOW)
+        return found
 
-    max_n = window_max_n(p, at_1.gaps(affine), at_2.gaps(affine))
+    max_n = window_max_n(p, table)
     shape = family_shape(p + (1,))
     bound = family_bound(shape.g, shape.k) if shape else None
     if bound is not None:
         max_n = min(max_n, bound.max_n)
     if not max_n:
         return EmpiricalMax(0, 0, None)
-    top = verdict_at(max_n)
-    if top.is_incomplete:
-        raise ConjectureViolation(p + (max_n,), top.first_failure_index)
-    if top.is_complete:
-        return EmpiricalMax(max_n, max_n, top.proof)
-    for n in range(max_n - 1, 0, -1):
-        v = verdict_at(n)
-        if v.is_complete:
-            return EmpiricalMax(max_n, n, v.proof)
+    for n in range(max_n, 0, -1):
+        found = decide(n)
+        if isinstance(found, ProofTag):
+            return EmpiricalMax(max_n, n, found)
+        if n == max_n and found.is_incomplete:
+            raise ConjectureViolation(p + (max_n,), found.first_failure_index)
     return EmpiricalMax(max_n, 0, None)
 
 

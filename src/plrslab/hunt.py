@@ -49,6 +49,8 @@ import itertools
 import json
 import logging
 import math
+import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
@@ -57,7 +59,7 @@ from .errors import ConjectureViolation
 from .seqcore import CoefficientVector, Sequence
 from .verdicts import (FAILS_PAST_WINDOW, CompletenessVerdict, ProofTag, brown_scan, classify,
                        effective_horizon, scan_past_window, window_rules)
-from .families import empirical_max_n, passing_range
+from .families import empirical_max_n, gap_table, passing_range
 
 log = logging.getLogger(__name__)
 
@@ -284,8 +286,10 @@ def census_rows_to_csv(rows: list[CensusRow]) -> str:
 
 
 def parse_census_csv(text: str) -> list[CensusRow]:
-    """Records from a rows file, or rows from `census --format csv`."""
-    reader = csv.reader(io.StringIO(text))
+    """Records from a rows file, or rows from `census --format csv`.  Lines are
+    read one at a time, with no StringIO copy of the text at four bytes a
+    character, and rows share one string per verdict and proof tag."""
+    reader = csv.reader(m.group() for m in re.finditer(r"[^\n]*\n|[^\n]+", text))
     header = next(reader, None)
     if header not in (RECORDS_CSV_HEADER, CENSUS_CSV_HEADER):
         raise ValueError(f"unexpected census CSV header {header}")
@@ -296,8 +300,8 @@ def parse_census_csv(text: str) -> list[CensusRow]:
             CensusRow(
                 tuple(map(int, vec.rstrip("+").split(","))),
                 int(ff) if ff else None,
-                verdict,
-                proof,
+                sys.intern(verdict),
+                sys.intern(proof),
                 run,
             )
         )
@@ -307,29 +311,6 @@ def parse_census_csv(text: str) -> list[CensusRow]:
 def _row(vector: tuple[int, ...], v: CompletenessVerdict) -> CensusRow:
     proof = v.proof.rule.value if v.proof is not None else ""
     return CensusRow(vector, v.first_failure_index, v.status.value, proof)
-
-
-def _gap_table(prefix: tuple[int, ...], terms: list[int], window: int) -> list[tuple[int, int]]:
-    """[(alpha_n, beta_n) for n = 1..window]: every leaf [prefix, c] has B_n = alpha_n - beta_n c.
-
-    `terms` = [H_1, ..., H_L] of the leaves.  For n <= 2L, c = c_L multiplies
-    only H_1..H_{n-L}, which do not involve it, so H_n = u_n + c v_n: up to
-    n = L, u_n = H_n and v_n = 0, and past it u_n = sum c_i u_{n-i} and
-    v_n = sum c_i v_{n-i} + H_{n-L} over i < L.  As B_n = 1 + S_{n-1} - H_n,
-    alpha_n = 1 + u_1 + ... + u_{n-1} - u_n and beta_n = v_n - v_1 - ... - v_{n-1}.
-    """
-    L = len(terms)
-    nonzero = [(i, c) for i, c in enumerate(prefix, 1) if c]
-    u, v = list(terms), [0] * L
-    for m in range(L, window):  # u[m] + c v[m] = H_{m+1}
-        a = b = 0
-        for i, c in nonzero:
-            a += c * u[m - i]
-            b += c * v[m - i]
-        u.append(a)
-        v.append(b + terms[m - L])
-    sums = zip(itertools.accumulate(u, initial=0), itertools.accumulate(v, initial=0))
-    return [(1 + u_sum - un, vn - v_sum) for un, vn, (u_sum, v_sum) in zip(u, v, sums)]
 
 
 def _leaf_row(
@@ -356,10 +337,10 @@ def _census_records(
     its first failing c_{j+1}: one run record stands for it and every larger
     value.  The leaves below one node of depth L - 1 are decided together:
     their window gaps B_1..B_W, W = max(2L - 1, 2), are affine in c_L, so one
-    table per node (_gap_table) gives each leaf's, and classify's rules read
-    them (_leaf_row).  The leaves below one node of depth L - 2 share their
-    merged generators [.., c_{L-1} + c_L], so that node holds one dict of
-    merged verdicts; it is dropped when the walk leaves the node.
+    table per node (families.gap_table) gives each leaf's, and classify's
+    rules read them (_leaf_row).  The leaves below one node of depth L - 2
+    share their merged generators [.., c_{L-1} + c_L], so that node holds
+    one dict of merged verdicts; it is dropped when the walk leaves the node.
 
     Each reloaded record must be the walk's next: a run equal to it, or a
     leaf of its vector with one of the three verdicts.  A leaf's window gaps
@@ -414,15 +395,16 @@ def _census_records(
             term = base + c
             if term > 1 + total:
                 run = CensusRow(prefix + (c,), j + 2, "incomplete", "", run=True)
-                if replayed(run.vector, True) not in (None, run):
+                rec = replayed(run.vector, True)
+                if rec not in (None, run):
                     raise ValueError(f"record {label(run)} does not fail where it says")
-                yield run
+                yield run if rec is None else rec
                 return
             if j + 1 < length:
                 yield from walk(prefix + (c,), terms + [term], total + term, merged)
                 continue
             if table is None:
-                table = _gap_table(prefix, terms, window)
+                table = gap_table(prefix, window)[1]
                 passing = passing_range(table)
             yield leaf(prefix + (c,), table, passing, terms, merged)
 
@@ -441,16 +423,6 @@ def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
             raise RuntimeError(f"{list(vector)} re-verifies to an earlier failure {n}")
         if n == expected and gap >= 0:
             raise RuntimeError(f"{list(vector)} does not fail at term {expected}")
-
-
-def _supplemental_vectors(length: int) -> list[CoefficientVector]:
-    # At L = 1 the conjectured window 2L-1 = 1 is vacuous and the capped
-    # enumeration ([1], [2]) never fails; every [c] with c >= 3 lies beyond
-    # the cap and first fails at term 2, so one representative is scanned to
-    # make the reported maximum meaningful.
-    if length == 1:
-        return [CoefficientVector((3,))]
-    return []
 
 
 def _aggregate(
@@ -588,9 +560,11 @@ def first_failure_census(
     n = len(reloaded)
     log.debug("census L=%d: %d records reloaded, %d found", length, n, len(records) - n)
 
-    records.extend(
-        _row(cv.coefficients, classify(cv, deep_horizon)) for cv in _supplemental_vectors(length)
-    )
+    if length == 1:
+        # The window 2L - 1 = 1 is vacuous and [1], [2] never fail; every [c]
+        # with c >= 3 lies past the cap and first fails at term 2, so [3] is
+        # scanned to make the reported maximum meaningful.
+        records.append(_row((3,), classify(CoefficientVector((3,)), deep_horizon)))
     return _aggregate(length, records, deep_horizon)
 
 

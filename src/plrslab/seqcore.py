@@ -107,6 +107,12 @@ class CoefficientVector:
         return Sequence(self)
 
 
+def nonzero_runs(c: SequenceT[int]) -> tuple[tuple[int, int, int], ...]:
+    """(start, stop, v) for each maximal run c[start:stop] of one value v != 0; none for c = ()."""
+    cuts = [0, *(i for i in range(1, len(c)) if c[i] != c[i - 1]), len(c)]
+    return tuple((a, b, c[a]) for a, b in zip(cuts, cuts[1:]) if a < b and c[a])
+
+
 class Sequence:
     """Lazily extended memo of terms and prefix sums for one generator.
 
@@ -132,11 +138,8 @@ class Sequence:
     def __init__(
         self, generator: CoefficientVector, *, head: Optional[SequenceT[int]] = None
     ) -> None:
-        c = generator.coefficients
-        self._length = len(c)
-        # (start, stop, v): c[start:stop] is a maximal run of v != 0.
-        cuts = [0, *(i for i in range(1, len(c)) if c[i] != c[i - 1]), len(c)]
-        self._runs = tuple((a, b, c[a]) for a, b in zip(cuts, cuts[1:]) if c[a])
+        self._length = len(generator.coefficients)
+        self._runs = nonzero_runs(generator.coefficients)
         self._terms: list[int] = list(head) if head else [1]
         self._sums: list[int] = [0, *accumulate(head)] if head else [0, 1]  # H_1 + ... + H_k
 

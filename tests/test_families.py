@@ -20,11 +20,12 @@ from plrslab import families
 from plrslab.cli import main
 from plrslab.families import (
     FamilySpec,
+    gap_table,
     parse_figure_csv,
     shifted_one_vector,
     window_max_n,
 )
-from plrslab.verdicts import effective_horizon
+from plrslab.verdicts import FAILS_PAST_WINDOW, effective_horizon
 
 
 class TestFib:
@@ -118,14 +119,16 @@ class TestCorollaryShift:
 
 @pytest.fixture
 def probed(monkeypatch):
-    """The last coefficients that empirical_max_n hands to classify, in order."""
+    """The last coefficients whose window gaps empirical_max_n hands to
+    classify's rules, in order."""
     seen = []
+    rules = families.window_rules
 
-    def counting(cv, horizon=None):
-        seen.append(cv.coefficients[-1])
-        return classify(cv, horizon)
+    def counting(coeffs, gaps, head, horizon=None, merged=None):
+        seen.append(coeffs[-1])
+        return rules(coeffs, gaps, head, horizon, merged)
 
-    monkeypatch.setattr(families, "classify", counting)
+    monkeypatch.setattr(families, "window_rules", counting)
     return seen
 
 
@@ -142,7 +145,7 @@ class TestEmpiricalMax:
     def test_each_probe_classified_once(self, probed):
         emp = empirical_max_n([1, 1, 0, 0])
         assert emp.max_n == emp.proven_max_n == 6
-        # The gaps give 6 directly; one classify there supplies the proof.
+        # The gap table gives 6 directly; the window rules there supply the proof.
         assert probed == [6]
 
     def test_conjectural_max_steps_down_to_a_proof(self, probed):
@@ -152,13 +155,20 @@ class TestEmpiricalMax:
         assert probed == [emp.max_n, emp.max_n - 1]
 
     def test_failure_past_the_window_is_a_violation(self, monkeypatch):
-        # [1,1,0,0,6] passes B_1..B_10; pretend a horizon of 15 finds B_13 < 0.
-        def fails_at_13(cv, horizon=None):
+        # [1,1,0,0,6] passes B_1..B_10; pretend that no rule proves it and
+        # that a horizon of 15 finds B_13 < 0.
+        rules, scan = families.window_rules, families.scan_past_window
+
+        def no_rule_at_6(coeffs, gaps, head, horizon=None, merged=None):
+            return None if coeffs[-1] == 6 else rules(coeffs, gaps, head, horizon, merged)
+
+        def fails_at_13(cv, horizon, above_bound):
             if cv.coefficients[-1] == 6:
                 return CompletenessVerdict.incomplete(13, 1 + cv.sequence.partial_sum(12))
-            return classify(cv, horizon)
+            return scan(cv, horizon, above_bound)
 
-        monkeypatch.setattr(families, "classify", fails_at_13)
+        monkeypatch.setattr(families, "window_rules", no_rule_at_6)
+        monkeypatch.setattr(families, "scan_past_window", fails_at_13)
         with pytest.raises(ConjectureViolation) as exc:
             empirical_max_n([1, 1, 0, 0], horizon=15)
         assert exc.value.vector == (1, 1, 0, 0, 6)
@@ -166,15 +176,55 @@ class TestEmpiricalMax:
 
     @pytest.mark.parametrize("horizon", [None, 15])
     def test_classify_gets_the_callers_horizon(self, monkeypatch, horizon):
-        seen = []
+        # Both halves of classify, the window rules and the scan past the
+        # window, see the caller's horizon.
+        ruled, scanned = [], []
+        rules, scan = families.window_rules, families.scan_past_window
 
-        def spy(cv, h=None):
-            seen.append(h)
-            return classify(cv, h)
+        def rules_spy(coeffs, gaps, head, h=None, merged=None):
+            ruled.append(h)
+            return rules(coeffs, gaps, head, h, merged)
 
-        monkeypatch.setattr(families, "classify", spy)
+        def scan_spy(cv, h, above_bound):
+            scanned.append(h)
+            return scan(cv, h, above_bound)
+
+        monkeypatch.setattr(families, "window_rules", rules_spy)
+        monkeypatch.setattr(families, "scan_past_window", scan_spy)
         empirical_max_n([1, 1, 1, 0, 0, 0, 0, 0], horizon)
-        assert seen and set(seen) == {horizon}
+        assert ruled and set(ruled) == {horizon}
+        assert scanned and set(scanned) == {horizon}
+
+    def test_vector_built_only_where_no_rule_decides(self, monkeypatch):
+        # Over the 8 x 8 figure grid, a probe [prefix, N] is built as a
+        # CoefficientVector exactly when the window rules leave it open.
+        built, probes, open_probes = [], [], []
+        init = CoefficientVector.__post_init__
+        rules = families.window_rules
+
+        def counting_init(cv, head):
+            built.append(tuple(cv.coefficients))
+            init(cv, head)
+
+        def rules_spy(coeffs, gaps, head, horizon=None, merged=None):
+            found = rules(coeffs, gaps, head, horizon, merged)
+            probes.append(coeffs)
+            if found is None or found is FAILS_PAST_WINDOW:
+                open_probes.append(coeffs)
+            return found
+
+        monkeypatch.setattr(CoefficientVector, "__post_init__", counting_init)
+        monkeypatch.setattr(families, "window_rules", rules_spy)
+        opened = 0
+        for k in range(1, 9):
+            for g in range(1, 9):
+                prefix = (1,) * g + (0,) * k
+                built.clear()
+                open_probes.clear()
+                empirical_max_n(prefix)
+                assert [c for c in built if c[:-1] == prefix] == open_probes, prefix
+                opened += len(open_probes)
+        assert len(probes) >= 64 and 0 < opened < len(probes)
 
     def test_prefix_with_no_complete_extension(self):
         emp = empirical_max_n([2])
@@ -191,23 +241,24 @@ class TestWindowMaxN:
     def test_negative_slope_that_does_not_bind(self):
         # B_11 of [1,0,0,0,0,N] is 45, 50, 55 at N = 1, 2, 3: beta < 0.
         prefix = (1, 0, 0, 0, 0)
-        at_1, at_2 = (CoefficientVector(prefix + (n,)).sequence.gaps(11) for n in (1, 2))
-        assert (at_1[10], at_2[10]) == (45, 50)
-        assert window_max_n(prefix, at_1, at_2) == max_n_single_one(4).max_n == 11
+        _, table = gap_table(prefix, 11)
+        alpha, beta = table[10]
+        assert [alpha - beta * n for n in (1, 2, 3)] == [45, 50, 55]
+        assert window_max_n(prefix, table) == max_n_single_one(4).max_n == 11
 
     def test_lower_end_above_one_raises(self):
         # B_2(N) = N - 3 rises with N and B_3(N) = 9 - N falls: N in [3, 9].
         with pytest.raises(ConjectureViolation) as exc:
-            window_max_n((1, 0), [0, -2, 8], [0, -1, 7])
+            window_max_n((1, 0), [(0, 0), (-3, -1), (9, 1)])
         assert exc.value.vector == (1, 0, 3)
         assert exc.value.first_failure is None
 
     def test_empty_interval(self):
         # N >= 3 from below, N <= 2 from above.
-        assert window_max_n((1, 0), [0, -2, 1], [0, -1, 0]) == 0
+        assert window_max_n((1, 0), [(0, 0), (-3, -1), (2, 1)]) == 0
 
     def test_flat_negative_gap(self):
-        assert window_max_n((1, 0), [0, -1, 8], [0, -1, 7]) == 0
+        assert window_max_n((1, 0), [(0, 0), (-1, 0), (9, 1)]) == 0
 
 
 class TestFigureTable:

@@ -351,6 +351,21 @@ class TestCensusCheckpoint:
             assert ckpt.read_text() == CKPT_L3
             assert parse_census_csv(rows.read_text()) == list(fresh.records)
 
+    @pytest.mark.parametrize("L", [3, 4])
+    def test_replay_keeps_the_reloaded_records(self, census_reports, L):
+        # A resume holds one object per record: the walk yields each reloaded
+        # record itself, run records too, and the parsed rows share one
+        # string per verdict and proof tag.
+        records = list(census_reports[L].records)
+        reloaded = parse_census_csv(census_rows_to_csv(records))
+        replayed = list(_census_records(L, 4 * L, reloaded))
+        assert replayed == records
+        assert all(a is b for a, b in zip(replayed, reloaded))
+        assert any(r.run for r in reloaded)
+        for field in ("verdict", "proof"):
+            texts = [getattr(r, field) for r in reloaded]
+            assert len({id(t) for t in texts}) == len(set(texts)), field
+
     def test_resume_discards_uncheckpointed_rows(self, tmp_path, census_reports, monkeypatch):
         # Rows beside a missing, empty or torn checkpoint header are of an
         # unknown deep horizon: they are recomputed, not double-counted.

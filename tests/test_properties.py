@@ -29,8 +29,8 @@ from plrslab import (
     value_of,
     weak_window_check,
 )
-from plrslab import hunt, seqcore
-from plrslab.families import passing_range
+from plrslab import families, hunt, seqcore
+from plrslab.families import gap_table, passing_range
 from plrslab.seqcore import Sequence
 from plrslab.verdicts import _BOUND_RULE_TAGS, effective_horizon, window_rules
 
@@ -455,6 +455,37 @@ sibling_prefixes = st.one_of(
 )
 
 
+class TestGapTable:
+    """One table of gap lines gives every [prefix, N]'s gaps up to 2L."""
+
+    @given(
+        st.one_of(
+            prefixes(),
+            st.builds(lambda g, k: (1,) * g + (0,) * k, st.integers(1, 24), st.integers(1, 24)),
+        ),
+        st.data(),
+    )
+    @example((1,) * 24 + (0,) * 24, None)
+    @settings(max_examples=150, deadline=None)
+    def test_lines_give_the_gaps_to_2l(self, prefix, data):
+        # B_{L+1} = alpha - N, as beta = H_1 = 1, so the N it passes are
+        # 1..alpha; their number grows like 2^k, so the ends and a few
+        # between are checked.
+        L = len(prefix) + 1
+        head, table = gap_table(prefix, 2 * L)
+        assert head == Sequence(CoefficientVector(prefix + (1,))).prefix(L)
+        assert len(table) == 2 * L and table[L][1] == 1
+        top = table[L][0]
+        if top < 1:
+            return
+        probes = {1, top}
+        if data is not None:
+            probes.update(data.draw(st.lists(st.integers(1, top), max_size=3)))
+        for n in sorted(probes):
+            gaps = [a - b * n for a, b in table]
+            assert gaps == Sequence(CoefficientVector(prefix + (n,))).gaps(2 * L), (prefix, n)
+
+
 class TestSiblingGapTable:
     """The census decides the leaves below a prefix from one table of window gaps."""
 
@@ -473,7 +504,8 @@ class TestSiblingGapTable:
         horizon = None if past_4l is None else 4 * L + min(past_4l, 4 * L)
         window = effective_horizon(L)
         terms = Sequence(CoefficientVector(prefix + (1,))).prefix(L)  # H_1..H_L: no c_L in them
-        table = hunt._gap_table(prefix, terms, window)
+        head, table = gap_table(prefix, window)
+        assert head == terms
         assert len(table) == window
         passing = passing_range(table)
         merged = {}
@@ -543,10 +575,25 @@ class TestHeads:
     @given(prefixes(), st.sampled_from([None, 0, 3]))
     @settings(max_examples=150, deadline=None)
     def test_empirical_max_n_heads_are_fresh_terms(self, prefix, past_2l):
-        # [prefix, 2] starts from [prefix, 1]'s terms, and the classified
-        # vector from the two affine lines through them.
+        # Each probe's window rules read the table's H_1..H_L, and the
+        # vectors started from them (a probe that no rule decides, to be
+        # scanned, or a merged generator) get the vector's own terms.
         horizon = None if past_2l is None else 2 * (len(prefix) + 1) + past_2l
         fresh = empirical_max_n(prefix, horizon)
-        with _checked_heads():
+        rules, scan = families.window_rules, families.scan_past_window
+        probes, scanned = [], []
+
+        def checked_rules(coeffs, gaps, head, h=None, merged=None):
+            assert list(head) == Sequence(CoefficientVector(coeffs)).prefix(len(coeffs)), coeffs
+            probes.append(coeffs)
+            return rules(coeffs, gaps, head, h, merged)
+
+        def counted_scan(cv, h, above_bound):
+            scanned.append(cv.coefficients)
+            return scan(cv, h, above_bound)
+
+        with _checked_heads(), mock.patch.object(families, "window_rules", checked_rules), \
+                mock.patch.object(families, "scan_past_window", counted_scan):
             assert empirical_max_n(prefix, horizon) == fresh
-            assert _CheckedSequence.heads >= 1 + (fresh.max_n > 0)
+            assert len(probes) >= (fresh.max_n > 0)
+            assert _CheckedSequence.heads >= len(scanned)
