@@ -32,7 +32,6 @@ from .verdicts import (
     classify,
     is_complete_up_to,
     subset_sum_reachable,
-    weak_window_check,
 )
 from .zeck import (
     DistinctDecomposition,
@@ -61,8 +60,6 @@ from .hunt import (
     AddFrontOnesReport,
     CensusReport,
     add_front_ones_scan,
-    check_fail_at_2l_minus_1,
-    enumerate_vectors,
     first_failure_census,
 )
 
@@ -93,13 +90,11 @@ __all__ = [
     "VectorValidationError",
     "add_front_ones_scan",
     "brown_scan",
-    "check_fail_at_2l_minus_1",
     "classify",
     "corollary_shift_bound",
     "distinct_decompose",
     "empirical_max_n",
     "enumerate_legal",
-    "enumerate_vectors",
     "family_bound",
     "family_shape",
     "fib",
@@ -115,5 +110,4 @@ __all__ = [
     "subset_sum_reachable",
     "terms_prefix",
     "value_of",
-    "weak_window_check",
 ]

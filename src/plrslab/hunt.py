@@ -14,17 +14,20 @@ computes one new term per node; once B_{j+1} < 0, that prefix first fails at
 term j + 1 whatever follows, and so does the prefix with any larger c_j.
 Only the prefixes that reach length L with no negative gap are classified.
 The gaps B_1..B_{2L-1} of the leaves below one prefix of length L - 1 are
-affine in c_L, so one table per prefix gives every leaf's, and classify's
-rules decide the leaf from them; only a leaf that no rule proves is built
-as a vector, to be scanned past 2L - 1.
+affine in c_L, so one table per prefix gives them all, and each of
+classify's rules fires on ranges of c_L, decided once per prefix; the
+merge-last rule asks each ancestor's own table, not a merged vector.  Only
+a leaf that no rule proves is built as a vector, to be scanned past 2L - 1.
 
 The census is a list of records.  A record is a CensusRow whose vector is
 a prefix p of length <= L; it stands for every completion of p, all of
-which share its first failure, verdict and proof.  A run record (run set)
-stands as well for every prefix that raises p's last coefficient within its
-range: once c_{j+1} fails at term j + 2, so does every larger value.  The
-search yields one run record per failing run and one per classified
-vector, in lexicographic order, so the records tile the enumeration.
+which share its first failure, verdict and proof.  A record with an end
+stands as well for every prefix that raises p's last coefficient up to it:
+a run record, to the top of its range, as once c_{j+1} fails at term j + 2
+so does every larger value; and a record of leaves, for a run of c_L that
+share their fields.  The search yields one run record per failing run and
+one record per run of leaves, in lexicographic order, so the records tile
+the enumeration.
 Output that lists every vector is written per record:
 CensusReport.json_rows() and csv_rows() join the record's fields to the
 texts of its completions, built once per prefix length from L - 3 on, so
@@ -34,11 +37,13 @@ CensusReport.rows() expands the records to one CensusRow per vector for
 callers that inspect rows one by one.
 
 A checkpointed census appends each record to a rows file as the search
-finds it, one line per record under a "record,..." header, a run marked by
-a "+" after its last coefficient; the checkpoint file names L and the deep
-horizon.  A rerun drops a torn last line, replays the records through the
-search from the first vector, re-checking each leaf's window gaps from its
-prefix's table, and classifies only the leaves past them.
+finds it, under a "record,..." header: a run as one line, marked by a "+"
+after its last coefficient, and any other record as one line per vector;
+the checkpoint file names L and the deep horizon.  A rerun drops a torn
+last line, reads consecutive lines of leaves that share their fields back
+as one record, replays the records through the search from the first
+vector, re-checking each leaf's window gaps from its prefix's table, and
+classifies only the leaves past them.
 """
 
 from __future__ import annotations
@@ -53,12 +58,12 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ConjectureViolation
-from .seqcore import CoefficientVector, Sequence
-from .verdicts import (FAILS_PAST_WINDOW, CompletenessVerdict, ProofTag, brown_scan, classify,
-                       effective_horizon, scan_past_window, window_rules)
+from .seqcore import CoefficientVector
+from .verdicts import (FAILS_PAST_WINDOW, CompleteLasts, CompletenessVerdict, ProofRule, classify,
+                       effective_horizon, failure_pieces, rule_pieces, scan_past_window)
 from .families import empirical_max_n, gap_table, passing_range
 
 log = logging.getLogger(__name__)
@@ -80,12 +85,6 @@ def enumeration_size(length: int) -> int:
     return _completion_counts(length)[0]
 
 
-def enumerate_vectors(length: int) -> Iterator[CoefficientVector]:
-    """All capped vectors of the given length, in lexicographic order."""
-    for coeffs in itertools.product(*coefficient_ranges(length)):
-        yield CoefficientVector(coeffs)
-
-
 def _completion_counts(length: int) -> list[int]:
     """counts[j] is the number of completions of a prefix of length j."""
     ranges = coefficient_ranges(length)
@@ -96,26 +95,34 @@ def _completion_counts(length: int) -> list[int]:
 # Census
 
 
-@dataclass(frozen=True, slots=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """A census record: every vector it stands for shares the other fields.
 
-    It stands for every completion of `vector`, and with `run` set for every
-    completion of `vector` with its last coefficient raised up to the top of
-    that coefficient's range.  At full length and without `run` it is the
-    row of that one vector.
+    It stands for every completion of `vector`, and with `end` set for every
+    completion of `vector` with its last coefficient raised up to `end`.  At
+    full length and without `end` it is the row of that one vector.  A run
+    record, whose prefix first fails at its own last term, ends at the top of
+    that coefficient's range: every larger value fails there too.
     """
 
     vector: tuple[int, ...]
     first_failure: Optional[int]
     verdict: str
     proof: str
-    run: bool = False
+    end: Optional[int] = None
 
 
-def _run_width(ranges: list[range], rec: CensusRow) -> int:
-    """How many values of its last coefficient the record stands for."""
-    return ranges[len(rec.vector) - 1].stop - rec.vector[-1] if rec.run else 1
+def _last(rec: CensusRow) -> int:
+    """The last value of its last coefficient that the record stands for."""
+    return rec.vector[-1] if rec.end is None else rec.end
+
+
+def _is_run(rec: CensusRow) -> bool:
+    return rec.end is not None and rec.first_failure == len(rec.vector) + 1
+
+
+def _label(rec: CensusRow) -> str:
+    return f"{list(rec.vector)}{'+' * _is_run(rec)}"
 
 
 def _expand(
@@ -131,10 +138,10 @@ def _expand(
         depth = length
     for rec in records:
         j = len(rec.vector) - 1
-        if j + 1 - rec.run >= depth:
+        if j + 1 - (rec.end is not None) >= depth:
             yield rec
             continue
-        for c in range(rec.vector[j], rec.vector[j] + _run_width(ranges, rec)):
+        for c in range(rec.vector[j], _last(rec) + 1):
             prefix = rec.vector[:j] + (c,)
             for suffix in itertools.product(*ranges[j + 1:depth]):
                 yield CensusRow(prefix + suffix, rec.first_failure, rec.verdict, rec.proof)
@@ -154,9 +161,10 @@ def _record_texts(
     by row_sep.  The rows "c_{j+1} sep ... sep c_L" that complete a prefix
     of length j are built once per j, as one "\0"-joined block per value of
     c_{j+1}, and shared by every record of that length.  A record of prefix
-    length j takes all of them; a run record takes the slice from its last
-    coefficient on, after its first j - 1 coefficients, and a leaf is one
-    row.  A tail is built once per (first failure, verdict, proof).
+    length j takes all of them; one with an end takes the slice from its
+    last coefficient to its end, after its first j - 1 coefficients (joined
+    into one block at full length), and a leaf is one row.  A tail is built
+    once per (first failure, verdict, proof).
 
     Each block gives three pieces: the first row's start, the block with
     every "\0" replaced by tail + row_sep + start, and the last row's tail;
@@ -182,9 +190,11 @@ def _record_texts(
         if end is None:
             end = tails[key] = tail(rec)
         j = len(rec.vector)
-        if rec.run:
+        if rec.end is not None:
             j -= 1
-            pieces = blocks(j)[rec.vector[j] - ranges[j].start:]
+            pieces = blocks(j)[rec.vector[j] - ranges[j].start: rec.end + 1 - ranges[j].start]
+            if j == length - 1:
+                pieces = ["\0".join(pieces)]
         elif j == length:
             j -= 1
             pieces = [str(rec.vector[j])]
@@ -256,24 +266,30 @@ class CensusReport:
         quote = '"' if self.length > 1 else ""
 
         def tail(rec: CensusRow) -> str:
-            return quote + "," + _csv_line(_csv_fields(rec)[1:])
+            return quote + "," + _csv_line(_tail_fields(rec))
 
         return _record_texts(self.length, self.records, ",", quote, tail)
 
 
 CENSUS_CSV_HEADER = ["vector", "first_failure", "verdict", "proof_tag"]
-# The rows file of a checkpointed census: one line per record, a run record's
-# prefix ending in "+" ("1,0,3+" stands for every c_3 >= 3).
+# The rows file of a checkpointed census: one line per vector of each record,
+# but one line for a run record, its prefix ending in "+" ("1,0,3+" stands for
+# every c_3 >= 3).
 RECORDS_CSV_HEADER = ["record", *CENSUS_CSV_HEADER[1:]]
 
 
-def _csv_fields(r: CensusRow) -> list:
-    return [
-        ",".join(str(c) for c in r.vector) + "+" * r.run,
-        "" if r.first_failure is None else r.first_failure,
-        r.verdict,
-        r.proof,
-    ]
+def _tail_fields(r: CensusRow) -> list:
+    return ["" if r.first_failure is None else r.first_failure, r.verdict, r.proof]
+
+
+def _rows_file_fields(r: CensusRow) -> Iterator[list]:
+    """The rows-file lines of one record, as csv fields."""
+    if _is_run(r):
+        yield [",".join(map(str, r.vector)) + "+", *_tail_fields(r)]
+        return
+    head = "".join(f"{c}," for c in r.vector[:-1])
+    for c in range(r.vector[-1], _last(r) + 1):
+        yield [f"{head}{c}", *_tail_fields(r)]
 
 
 def census_rows_to_csv(rows: list[CensusRow]) -> str:
@@ -281,31 +297,48 @@ def census_rows_to_csv(rows: list[CensusRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RECORDS_CSV_HEADER)
-    writer.writerows(_csv_fields(r) for r in rows)
+    for r in rows:
+        writer.writerows(_rows_file_fields(r))
     return buf.getvalue()
 
 
 def parse_census_csv(text: str) -> list[CensusRow]:
-    """Records from a rows file, or rows from `census --format csv`.  Lines are
-    read one at a time, with no StringIO copy of the text at four bytes a
-    character, and rows share one string per verdict and proof tag."""
+    """Records from a rows file, or rows from `census --format csv`.
+
+    In a rows file, consecutive lines of one prefix of length L - 1 that
+    share first failure, verdict and proof are one record, as the census
+    finds them.  Lines are read one at a time, with no StringIO copy of the
+    text at four bytes a character, and rows share one string per verdict
+    and proof tag.
+    """
     reader = csv.reader(m.group() for m in re.finditer(r"[^\n]*\n|[^\n]+", text))
     header = next(reader, None)
     if header not in (RECORDS_CSV_HEADER, CENSUS_CSV_HEADER):
         raise ValueError(f"unexpected census CSV header {header}")
-    rows = []
+    rows: list[CensusRow] = []
+    joins = False  # whether the line before was a leaf line of a rows file
     for vec, ff, verdict, proof in reader:
         run = vec.endswith("+")
-        rows.append(
-            CensusRow(
-                tuple(map(int, vec.rstrip("+").split(","))),
-                int(ff) if ff else None,
-                sys.intern(verdict),
-                sys.intern(proof),
-                run,
-            )
-        )
+        vector = tuple(map(int, vec.rstrip("+").split(",")))
+        end = 2 ** len(vector) if run else None  # c_i <= 2^i at every position i
+        rec = CensusRow(vector, int(ff) if ff else None, sys.intern(verdict), sys.intern(proof), end)
+        if joins and not run:
+            _add(rows, rec)
+        else:
+            rows.append(rec)
+        joins = header == RECORDS_CSV_HEADER and not run
     return rows
+
+
+def _add(records: list[CensusRow], rec: CensusRow) -> None:
+    """Append rec, or join it to the last record when both stand for leaves of
+    one prefix, one run of them after the other, with the same fields."""
+    if records:
+        last = records[-1]
+        if last[1:4] == rec[1:4] and last.vector[:-1] == rec.vector[:-1] and _last(last) + 1 == rec.vector[-1]:
+            records[-1] = CensusRow(*last[:4], _last(rec))
+            return
+    records.append(rec)
 
 
 def _row(vector: tuple[int, ...], v: CompletenessVerdict) -> CensusRow:
@@ -313,19 +346,35 @@ def _row(vector: tuple[int, ...], v: CompletenessVerdict) -> CensusRow:
     return CensusRow(vector, v.first_failure_index, v.status.value, proof)
 
 
-def _leaf_row(
-    vector: tuple[int, ...], gaps: list[int], head: list[int], horizon: int, merged: dict
-) -> CensusRow:
-    """The row of a census leaf from its window gaps: classify's rules (a)-(e)
-    read them, and only a leaf they leave open is built, from the walk's terms
-    `head` = [H_1, ..., H_L], and scanned past the window."""
-    found = window_rules(vector, gaps, head, horizon, merged)
-    if isinstance(found, ProofTag):
-        return CensusRow(vector, None, "complete", found.rule.value)
-    if isinstance(found, int):
-        return CensusRow(vector, found, "incomplete", "")
-    cv = CoefficientVector(vector, head=head)
-    return _row(vector, scan_past_window(cv, horizon, found is FAILS_PAST_WINDOW))
+def _node_records(prefix: tuple[int, ...], head: list[int], first: int, stop: int,
+                  merged: Optional[CompleteLasts], horizon: int) -> list[CensusRow]:
+    """The records of the leaves [prefix, c], c in range(first, stop), from one
+    table of the lines of their window gaps, started from the walk's terms
+    `head` = [H_1, ..., H_L]: classify's rules (a)-(e) fire on ranges of c
+    (verdicts.failure_pieces and rule_pieces), rule (d) asking `merged`, the
+    CompleteLasts of prefix[:-1].  Only a leaf that no rule proves is built,
+    from `head`, and scanned past the window.  One record stands for each run
+    of leaves that share first failure, verdict and proof."""
+    table = gap_table(prefix, effective_horizon(len(prefix) + 1), head)[1]
+    passing = passing_range(table)
+    lo, hi = max(first, passing.start), min(stop, passing.stop)
+    if lo < hi:
+        pieces = failure_pieces(table, first, lo) + rule_pieces(prefix, table, lo, hi, merged)
+        pieces += failure_pieces(table, hi, stop)
+    else:
+        pieces = failure_pieces(table, first, stop)
+    records: list[CensusRow] = []
+    for a, b, found in pieces:
+        end = b - 1 if b - a > 1 else None
+        if isinstance(found, int):
+            _add(records, CensusRow(prefix + (a,), found, "incomplete", "", end))
+        elif isinstance(found, ProofRule):
+            _add(records, CensusRow(prefix + (a,), None, "complete", found.value, end))
+        else:
+            for c in range(a, b):
+                cv = CoefficientVector(prefix + (c,), head=head)
+                _add(records, _row(cv.coefficients, scan_past_window(cv, horizon, found is FAILS_PAST_WINDOW)))
+    return records
 
 
 def _census_records(
@@ -335,94 +384,99 @@ def _census_records(
 
     Expanded, they equal classifying each vector in turn.  A node stops at
     its first failing c_{j+1}: one run record stands for it and every larger
-    value.  The leaves below one node of depth L - 1 are decided together:
-    their window gaps B_1..B_W, W = max(2L - 1, 2), are affine in c_L, so one
-    table per node (families.gap_table) gives each leaf's, and classify's
-    rules read them (_leaf_row).  The leaves below one node of depth L - 2
-    share their merged generators [.., c_{L-1} + c_L], so that node holds
-    one dict of merged verdicts; it is dropped when the walk leaves the node.
+    value.  The leaves below one node of depth L - 1 are decided together
+    (_node_records): their window gaps B_1..B_W, W = max(2L - 1, 2), are
+    affine in c_L, so one table per node (families.gap_table) gives them all,
+    and each of classify's rules fires on ranges of c_L.  Rule (d) asks
+    whether [c_1..c_{L-2}, c_{L-1} + c_L] is Complete; each ancestor of depth
+    L - 2 or less holds the answer for its own prefix (verdicts.CompleteLasts),
+    found from one table when first asked and dropped when the walk leaves it.
 
     Each reloaded record must be the walk's next: a run equal to it, or a
-    leaf of its vector with one of the three verdicts.  A leaf's window gaps
-    are re-checked from the table: an incomplete leaf must first fail where
-    it says, within the deep horizon (past the window, by a scan of its
-    terms), and a complete or conjectural leaf must state no failure and
-    have no negative window gap.  Their proof tags, and a conjectural leaf's
-    gaps past the window, are trusted: re-deciding them would cost what the
-    resume saves.  A mismatch, or a record left past the end, raises
-    ValueError.
+    record of leaves of one node, with one of the three verdicts.  Each
+    leaf's window gaps are re-checked from the table: an incomplete leaf must
+    first fail where it says, within the deep horizon (past the window, by a
+    scan of its terms), and a complete or conjectural leaf must state no
+    failure and have no negative window gap.  Their proof tags, and a
+    conjectural leaf's gaps past the window, are trusted: re-deciding them
+    would cost what the resume saves.  The leaves of a node past the last
+    reloaded record are decided afresh.  A mismatch, or a record left past
+    the end, raises ValueError.
     """
     ranges = coefficient_ranges(length)
-    shared_depth = max(length - 2, 0)
     window = effective_horizon(length)
     pending = iter(reloaded)
 
-    def label(rec: CensusRow) -> str:
-        return f"{list(rec.vector)}{'+' * rec.run}"
-
-    def replayed(vector: tuple[int, ...], run: bool) -> Optional[CensusRow]:
-        rec = next(pending, None)
-        if rec is not None and (rec.vector, rec.run) != (vector, run):
-            raise ValueError(f"record {label(rec)} does not follow the records before it")
-        return rec
-
-    def leaf(vector: tuple[int, ...], table: list, passing: range, head: list, merged: dict):
-        c = vector[-1]
-        rec = replayed(vector, False)
-        if rec is None:
-            return _leaf_row(vector, [a - b * c for a, b in table], head, deep_horizon, merged)
+    def check(rec: CensusRow, prefix: tuple[int, ...], table: list, passing: range, head: list):
         n = rec.first_failure
-        # The first failure within the window, from the table.
-        first = None if c in passing else next(m for m, (a, b) in enumerate(table, 1) if a < b * c)
-        if rec.verdict == "incomplete" and n is not None and 1 <= n <= deep_horizon:
-            if first == n or first is None and n > window and CoefficientVector(
-                vector, head=head
-            ).sequence.first_gap_below(n, start=window + 1) == n:
-                return rec
-        elif rec.verdict in ("complete", "conjecturally_complete") and n is None and first is None:
-            return rec
-        raise ValueError(f"record {list(vector)} does not fail where it says ({rec.verdict}, {n})")
+        for c in range(rec.vector[-1], _last(rec) + 1):
+            # The first failure within the window, from the table.
+            first = None if c in passing else next(m for m, (a, b) in enumerate(table, 1) if a < b * c)
+            if rec.verdict == "incomplete" and n is not None and 1 <= n <= deep_horizon:
+                if first == n or first is None and n > window and CoefficientVector(
+                    prefix + (c,), head=head
+                ).sequence.first_gap_below(n, start=window + 1) == n:
+                    continue
+            elif rec.verdict in ("complete", "conjecturally_complete") and n is None and first is None:
+                continue
+            raise ValueError(f"record {list(prefix + (c,))} does not fail where it says ({rec.verdict}, {n})")
 
-    def walk(prefix: tuple[int, ...], terms: list[int], total: int, merged: Optional[dict]):
+    def leaves(prefix: tuple[int, ...], terms: list[int], stop: int, merged: Optional[CompleteLasts]):
+        c, table = ranges[-1].start, None
+        while c < stop and (rec := next(pending, None)) is not None:
+            if rec.vector != prefix + (c,) or not c <= _last(rec) < stop:
+                raise ValueError(f"record {_label(rec)} does not follow the records before it")
+            if table is None:
+                table = gap_table(prefix, window, terms)[1]
+                passing = passing_range(table)
+            check(rec, prefix, table, passing, terms)
+            yield rec
+            c = _last(rec) + 1
+        if c < stop:
+            yield from _node_records(prefix, terms, c, stop, merged, deep_horizon)
+
+    def walk(prefix: tuple[int, ...], terms: list[int], total: int, merged: Optional[CompleteLasts]):
         # terms = [H_1, ..., H_{j+1}] with total their sum; B_1..B_{j+1} >= 0.
+        # merged: the CompleteLasts of prefix, or at depth L - 1 of its parent.
         j = len(prefix)
-        if j == shared_depth:
-            merged = {}
+        r = ranges[j]
         # H_{j+2} = base + c_{j+1} * H_1, and B_{j+2} >= 0 iff H_{j+2} <= 1 + total.
         base = sum(c * terms[j - i] for i, c in enumerate(prefix)) + (j + 1 < length)
-        table = None
-        for c in ranges[j]:
-            term = base + c
-            if term > 1 + total:
-                run = CensusRow(prefix + (c,), j + 2, "incomplete", "", run=True)
-                rec = replayed(run.vector, True)
-                if rec not in (None, run):
-                    raise ValueError(f"record {label(run)} does not fail where it says")
-                yield run if rec is None else rec
-                return
-            if j + 1 < length:
-                yield from walk(prefix + (c,), terms + [term], total + term, merged)
-                continue
-            if table is None:
-                table = gap_table(prefix, window)[1]
-                passing = passing_range(table)
-            yield leaf(prefix + (c,), table, passing, terms, merged)
+        stop = min(max(2 + total - base, r.start), r.stop)  # the first failing c_{j+1}
+        if j + 1 < length:
+            for c in range(r.start, stop):
+                term = base + c
+                child = prefix + (c,)
+                below = CompleteLasts(child, merged, deep_horizon) if j + 1 < length - 1 else merged
+                yield from walk(child, terms + [term], total + term, below)
+        elif r.start < stop:
+            yield from leaves(prefix, terms, stop, merged)
+        if stop == r.stop:
+            return
+        run = CensusRow(prefix + (stop,), j + 2, "incomplete", "", r.stop - 1)
+        rec = next(pending, None)
+        if rec is not None and (rec.vector, rec.end) != (run.vector, run.end):
+            raise ValueError(f"record {_label(rec)} does not follow the records before it")
+        if rec not in (None, run):
+            raise ValueError(f"record {_label(run)} does not fail where it says")
+        yield run if rec is None else rec
 
-    yield from walk((), [1], 1, None)
+    yield from walk((), [1], 1, CompleteLasts((), None, deep_horizon) if length > 1 else None)
     if (rest := next(pending, None)) is not None:
-        raise ValueError(f"record {label(rest)} lies past the end of the L = {length} census")
+        raise ValueError(f"record {_label(rest)} lies past the end of the L = {length} census")
 
 
 def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
-    # Second pass, summing the prefix directly instead of using the
-    # Sequence's cumulative sums.
-    seq = Sequence(CoefficientVector(vector))
+    # Second pass, straight from the recurrence, sharing no code with Sequence.
+    terms: list[int] = []
     for n in range(1, expected + 1):
-        gap = 1 + sum(seq.prefix(n - 1) if n > 1 else []) - seq.term(n)
+        term = sum(c * t for c, t in zip(vector, reversed(terms[-len(vector):]))) + (n <= len(vector))
+        gap = 1 + sum(terms) - term
         if n < expected and gap < 0:
             raise RuntimeError(f"{list(vector)} re-verifies to an earlier failure {n}")
         if n == expected and gap >= 0:
             raise RuntimeError(f"{list(vector)} does not fail at term {expected}")
+        terms.append(term)
 
 
 def _aggregate(
@@ -430,13 +484,12 @@ def _aggregate(
 ) -> CensusReport:
     window = max(2 * length - 1, 2)
     counts = _completion_counts(length)
-    ranges = coefficient_ranges(length)
     max_ff = 0
     extremal: list[CensusRow] = []
     scanned = 0
     survivors = 0
     for rec in records:
-        covered = counts[len(rec.vector)] * _run_width(ranges, rec)
+        covered = counts[len(rec.vector)] * (_last(rec) - rec.vector[-1] + 1)
         scanned += covered
         if rec.first_failure is not None:
             if rec.first_failure > window:
@@ -549,16 +602,20 @@ def first_failure_census(
     reloaded = _load_checkpoint(length, deep_horizon, ckpt, rows_file) if ckpt else []
     found = _census_records(length, deep_horizon, reloaded)
     records = list(itertools.islice(found, len(reloaded)))
+    n = len(records)
     if rows_file is None:
         records.extend(found)
     else:
         with rows_file.open("a") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for rec in found:
-                writer.writerow(_csv_fields(rec))
+                writer.writerows(_rows_file_fields(rec))
                 records.append(rec)
-    n = len(reloaded)
     log.debug("census L=%d: %d records reloaded, %d found", length, n, len(records) - n)
+    if 0 < n < len(records):  # a node cut by a torn rows file: its leaves' records join
+        joined = [records[n - 1]]
+        _add(joined, records[n])
+        records[n - 1 : n + 1] = joined
 
     if length == 1:
         # The window 2L - 1 = 1 is vacuous and [1], [2] never fail; every [c]
@@ -570,15 +627,6 @@ def first_failure_census(
 
 # --------------------------------------------------------------------------
 # Targeted checks
-
-
-def check_fail_at_2l_minus_1(k: int) -> Optional[int]:
-    """First failure index of [1 x k, 0, 4]; expected to be exactly 2k + 3."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    cv = CoefficientVector((1,) * k + (0, 4))
-    scan = brown_scan(cv, 4 * (k + 2))
-    return scan.first_failure
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from itertools import product
 from plrslab import (
     CoefficientVector,
     brown_scan,
-    check_fail_at_2l_minus_1,
     classify,
     distinct_decompose,
     empirical_max_n,
@@ -126,6 +125,11 @@ def test_criterion_05_g_ones_regimes_as_csv():
         assert len(set(plateau)) == 1
         assert parse_figure_csv(_figure_csv(str(k), f"{g_values[0]}:{g_values[-1]}")) == rows
     _report(5, f"g-ones regimes match for k = 1..4 ({len(all_rows)} CSV rows round-trip)")
+
+
+def check_fail_at_2l_minus_1(k):
+    """First failure index of [1 x k, 0, 4], scanned to 4L."""
+    return brown_scan(CoefficientVector((1,) * k + (0, 4)), 4 * (k + 2)).first_failure
 
 
 def test_criterion_06_extremal_family_first_failure():

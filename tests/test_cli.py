@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -33,7 +32,8 @@ from plrslab.families import parse_figure_csv
 from plrslab.hunt import (
     CENSUS_CSV_HEADER,
     CensusRow,
-    _run_width,
+    _is_run,
+    _last,
     census_rows_to_csv,
     coefficient_ranges,
     parse_census_csv,
@@ -599,21 +599,21 @@ class TestCensus:
         if change == "per-value encoding":
             # one record per failing value, under the old header
             per_value = [
-                dataclasses.replace(r, vector=r.vector[:-1] + (c,), run=False)
+                r._replace(vector=r.vector[:-1] + (c,), end=None)
                 for r in records
-                for c in range(r.vector[-1], r.vector[-1] + _run_width(ranges, r))
+                for c in range(r.vector[-1], _last(r) + 1)
             ]
             text = census_rows_to_csv(per_value).replace("record,", "vector,", 1)
         else:
             # a run with room on both sides inside its coefficient's range
             at = next(
                 i for i, r in enumerate(records)
-                if r.run and r.vector[-1] - 1 > ranges[len(r.vector) - 1].start
+                if _is_run(r) and r.vector[-1] - 1 > ranges[len(r.vector) - 1].start
                 and r.vector[-1] + 1 < ranges[len(r.vector) - 1].stop
             )
             shift = -1 if "low" in change else 1
             vec = records[at].vector
-            records[at] = dataclasses.replace(records[at], vector=vec[:-1] + (vec[-1] + shift,))
+            records[at] = records[at]._replace(vector=vec[:-1] + (vec[-1] + shift,))
             text = census_rows_to_csv(records)
         rows.write_text(text)
         code, out, err = run(capsys, "census", "--L", "4", *files)
@@ -647,13 +647,13 @@ class TestCensus:
         ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
         files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
         leaves = []
-        leaf_row = hunt._leaf_row
+        node_records = hunt._node_records
 
-        def counting_leaf_row(vector, gaps, head, horizon, merged):
-            leaves.append(vector)
-            return leaf_row(vector, gaps, head, horizon, merged)
+        def counting_node_records(prefix, head, first, stop, merged, horizon):
+            leaves.extend(prefix + (c,) for c in range(first, stop))
+            return node_records(prefix, head, first, stop, merged, horizon)
 
-        monkeypatch.setattr(hunt, "_leaf_row", counting_leaf_row)
+        monkeypatch.setattr(hunt, "_node_records", counting_node_records)
         # finished; and stopped after writing the records of (1, 1) but
         # before listing it, so that every leaf is in the rows file
         for listed, written in [(every_prefix, by_prefix), ("1,0\n", records[:-2])]:
@@ -663,16 +663,14 @@ class TestCensus:
             assert run(capsys, *argv, *files) == fresh
             assert ckpt.read_text() == "census L=4 deep_horizon=16\n"
             assert rows.read_text() == census_rows_to_csv(records)
-            assert leaves == [r.vector for r in records if not r.run]
+            assert leaves == [r.vector for r in hunt._expand(4, [r for r in records if not _is_run(r)])]
 
     def test_rows_ending_inside_a_failing_prefix_exit_2(self, capsys, tmp_path):
         # One row per vector of 1,0,4, whose completions all fail at term 4,
         # stopping before its last: the census has the run 1,0,4+ there.
         records = list(first_failure_census(4).records)
-        at = records.index(CensusRow((1, 0, 4), 4, "incomplete", "", run=True))
-        per_vector = [
-            dataclasses.replace(records[at], vector=(1, 0, 4, c), run=False) for c in range(1, 17)
-        ]
+        at = records.index(CensusRow((1, 0, 4), 4, "incomplete", "", 8))  # every c_3 >= 4
+        per_vector = [records[at]._replace(vector=(1, 0, 4, c), end=None) for c in range(1, 17)]
         ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
         files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
         for stop in (1, 15):

@@ -124,9 +124,9 @@ def probed(monkeypatch):
     seen = []
     rules = families.window_rules
 
-    def counting(coeffs, gaps, head, horizon=None, merged=None):
+    def counting(coeffs, gaps, head, horizon=None):
         seen.append(coeffs[-1])
-        return rules(coeffs, gaps, head, horizon, merged)
+        return rules(coeffs, gaps, head, horizon)
 
     monkeypatch.setattr(families, "window_rules", counting)
     return seen
@@ -159,8 +159,8 @@ class TestEmpiricalMax:
         # that a horizon of 15 finds B_13 < 0.
         rules, scan = families.window_rules, families.scan_past_window
 
-        def no_rule_at_6(coeffs, gaps, head, horizon=None, merged=None):
-            return None if coeffs[-1] == 6 else rules(coeffs, gaps, head, horizon, merged)
+        def no_rule_at_6(coeffs, gaps, head, horizon=None):
+            return None if coeffs[-1] == 6 else rules(coeffs, gaps, head, horizon)
 
         def fails_at_13(cv, horizon, above_bound):
             if cv.coefficients[-1] == 6:
@@ -181,9 +181,9 @@ class TestEmpiricalMax:
         ruled, scanned = [], []
         rules, scan = families.window_rules, families.scan_past_window
 
-        def rules_spy(coeffs, gaps, head, h=None, merged=None):
+        def rules_spy(coeffs, gaps, head, h=None):
             ruled.append(h)
-            return rules(coeffs, gaps, head, h, merged)
+            return rules(coeffs, gaps, head, h)
 
         def scan_spy(cv, h, above_bound):
             scanned.append(h)
@@ -206,8 +206,8 @@ class TestEmpiricalMax:
             built.append(tuple(cv.coefficients))
             init(cv, head)
 
-        def rules_spy(coeffs, gaps, head, horizon=None, merged=None):
-            found = rules(coeffs, gaps, head, horizon, merged)
+        def rules_spy(coeffs, gaps, head, horizon=None):
+            found = rules(coeffs, gaps, head, horizon)
             probes.append(coeffs)
             if found is None or found is FAILS_PAST_WINDOW:
                 open_probes.append(coeffs)

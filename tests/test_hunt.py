@@ -12,14 +12,13 @@ from plrslab import (
     Sequence,
     add_front_ones_scan,
     brown_scan,
-    check_fail_at_2l_minus_1,
     classify,
-    enumerate_vectors,
     first_failure_census,
     hunt,
     verdicts,
 )
-from plrslab.families import EmpiricalMax, FamilySpec, empirical_max_n
+from plrslab import families
+from plrslab.families import BoundResult, EmpiricalMax, FamilySpec, empirical_max_n
 from plrslab.hunt import (
     RECORDS_CSV_HEADER,
     CensusRow,
@@ -27,13 +26,32 @@ from plrslab.hunt import (
     _census_records,
     _completion_counts,
     _expand,
-    _leaf_row,
+    _is_run,
+    _node_records,
     _row,
     census_rows_to_csv,
     coefficient_ranges,
     enumeration_size,
     parse_census_csv,
 )
+
+
+def enumerate_vectors(length):
+    """All capped vectors of the given length, in lexicographic order."""
+    for coeffs in itertools.product(*coefficient_ranges(length)):
+        yield CoefficientVector(coeffs)
+
+
+def check_fail_at_2l_minus_1(k):
+    """First failure index of [1 x k, 0, 4]; expected to be exactly 2k + 3."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return brown_scan(CoefficientVector((1,) * k + (0, 4)), 4 * (k + 2)).first_failure
+
+
+def leaf_vectors(length, records):
+    """The vectors of the leaf records among records, in order."""
+    return [r.vector for r in _expand(length, [r for r in records if not _is_run(r)])]
 
 
 class TestEnumeration:
@@ -80,9 +98,12 @@ class TestCensus:
         assert (1, 1, 0, 4) in report.extremal_vectors
 
     def test_length_six(self):
+        # 413 records: one per failing run of c_j, and one per run of leaves
+        # of one prefix of length L - 1 that share first failure, verdict and
+        # proof (791 with one record per leaf).
         report = first_failure_census(6)
         assert report.vectors_scanned == 3_231_360
-        assert len(report.records) == 791
+        assert len(report.records) == 413
         assert report.max_first_failure == 11
         assert report.extremal_vectors == ((1, 0, 2, 2, 2, 4), (1, 1, 1, 1, 0, 4))
         assert report.equality_window_vectors == 102
@@ -96,8 +117,13 @@ class TestCensus:
             first_failure_census(3, 11)
 
     def test_rows_csv_roundtrip(self, census_reports):
-        for rows in (list(census_reports[3].rows()), list(census_reports[4].records)):
-            assert parse_census_csv(census_rows_to_csv(rows)) == rows
+        # Records come back as they are; rows of one vector each come back
+        # joined into records of the same vectors.
+        for L in (3, 4):
+            records = list(census_reports[L].records)
+            assert parse_census_csv(census_rows_to_csv(records)) == records
+            rows = list(census_reports[L].rows())
+            assert list(_expand(L, parse_census_csv(census_rows_to_csv(rows)))) == rows
 
     def test_json_shape(self, census_reports):
         report = census_reports[3]
@@ -152,24 +178,24 @@ class TestPrunedCensus:
         if L > 3:
             cuts = sorted({*cuts[:: max(len(cuts) // 6, 1)], cuts[-1]})
             assert len(cuts) >= (6 if first != 2 else 2)
-        leaves = _counting_leaf_row(monkeypatch)
+        leaves = _counting_node_records(monkeypatch)
         for k in cuts:
             leaves.clear()
             assert list(_census_records(L, 4 * L, records[:k])) == records, k
-            assert leaves == [r.vector for r in records[k:] if not r.run], k
+            assert leaves == leaf_vectors(L, records[k:]), k
 
     def test_only_survivors_are_classified(self, monkeypatch):
         leaves = []
 
-        def counting_leaf_row(vector, gaps, head, horizon, merged):
-            row = _leaf_row(vector, gaps, head, horizon, merged)
-            leaves.append(row)
-            return row
+        def counting_node_records(prefix, *args):
+            found = _node_records(prefix, *args)
+            leaves.extend(_expand(5, found))
+            return found
 
-        monkeypatch.setattr(hunt, "_leaf_row", counting_leaf_row)
+        monkeypatch.setattr(hunt, "_node_records", counting_node_records)
         report = first_failure_census(5)
         assert report.vectors_scanned == 48_960
-        assert len(report.records) == 139
+        assert len(report.records) == 86  # 139 with one record per leaf
         assert len(leaves) == 107
         assert Counter(r.proof or r.verdict for r in leaves) == {
             "weak_window": 27,
@@ -183,39 +209,56 @@ class TestPrunedCensus:
         }
 
     def test_each_merged_vector_classified_once_per_prefix(self, monkeypatch):
-        # Of the 107 leaves, only the 17 that no rule proves are built as
-        # vectors, to be scanned past the window; each distinct merged vector
-        # below a node of depth L - 2 is decided once.  Deciding every leaf's
-        # merged vector afresh makes 194 calls, and classifying every leaf
-        # with the merged dict 143.
-        calls = []
-        proves, scan = verdicts.proves_complete, verdicts.scan_past_window
+        # Of the 107 leaves at L = 5, only the 17 that no rule proves are
+        # built as vectors, to be scanned past the window, and no merged
+        # vector is: each ancestor's merged generators are decided once, from
+        # its own gap table (one CompleteLasts found per ancestor).  At L = 6
+        # the 102 conjectural survivors are the only vectors built.  Before,
+        # L = 5 built 53 vectors: 36 merged ones besides the 17.
+        built, found, scanned = [], [], []
+        init, find, scan = CoefficientVector.__post_init__, verdicts.CompleteLasts._find, hunt.scan_past_window
 
-        def proves_spy(cv, horizon=None):
-            calls.append(cv.coefficients)
-            return proves(cv, horizon)
+        def counting_init(cv, head):
+            built.append(cv.coefficients)
+            init(cv, head)
+
+        def counting_find(lasts):
+            found.append(lasts.prefix)
+            return find(lasts)
 
         def scan_spy(cv, horizon, above_bound):
-            calls.append(cv.coefficients)
-            return scan(cv, horizon, above_bound)
+            v = scan(cv, horizon, above_bound)
+            scanned.append((cv.coefficients, v.status.value))
+            return v
 
-        monkeypatch.setattr(verdicts, "proves_complete", proves_spy)
+        monkeypatch.setattr(CoefficientVector, "__post_init__", counting_init)
+        monkeypatch.setattr(verdicts.CompleteLasts, "_find", counting_find)
+        monkeypatch.setattr(verdicts, "proves_complete", None)
         monkeypatch.setattr(hunt, "scan_past_window", scan_spy)
-        first_failure_census(5)
-        assert sum(len(c) == 5 for c in calls) == 17
-        assert len(calls) == 53
+        for L, unproved in ((5, 17), (6, 102)):
+            built.clear(), found.clear(), scanned.clear()
+            report = first_failure_census(L)
+            assert len(built) == unproved == report.equality_window_vectors
+            assert [v for v, _ in scanned] == built
+            assert {status for _, status in scanned} == {"conjecturally_complete"}
+            assert {len(v) for v in built} == {L}
+            assert len(found) == len(set(found)) > 0
+            assert {len(q) for q in found} <= set(range(L - 1))
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_merged_verdicts_held_per_prefix(self, monkeypatch, L):
         # Each node of depth L - 2 hands its leaves one dict of its own, and
         # that dict holds only merged vectors of its prefix.
-        held = {}  # id(dict) -> (dict, prefixes of the leaves it was handed)
+        # Each node of depth L - 2 hands its leaves' nodes one memo of its
+        # own (a CompleteLasts), and that memo, with the chain of its
+        # parents', holds only its own prefixes.
+        held = {}  # id(memo) -> (memo, prefixes of the leaves it was handed)
 
-        def leaf_row(vector, gaps, head, horizon, merged):
-            held.setdefault(id(merged), (merged, set()))[1].add(vector[: L - 2])
-            return _leaf_row(vector, gaps, head, horizon, merged)
+        def node_records(prefix, head, first, stop, merged, horizon):
+            held.setdefault(id(merged), (merged, set()))[1].add(prefix[: L - 2])
+            return _node_records(prefix, head, first, stop, merged, horizon)
 
-        monkeypatch.setattr(hunt, "_leaf_row", leaf_row)
+        monkeypatch.setattr(hunt, "_node_records", node_records)
         first_failure_census(L)
         prefixes = set()
         for merged, leaf_prefixes in held.values():
@@ -224,10 +267,27 @@ class TestPrunedCensus:
             (prefix,) = leaf_prefixes
             assert prefix not in prefixes
             prefixes.add(prefix)
-            for key in merged:
-                assert key[:-1] == prefix[: len(key) - 1], (prefix, key)
+            assert merged.prefix == prefix
+            level = merged
+            while level.parent is not None:
+                assert level.parent.prefix == level.prefix[:-1], (prefix, level.prefix)
+                level = level.parent
+            assert level.prefix == ()
         # At L <= 3 every leaf is settled before the merge-last rule.
-        assert any(merged for merged, _ in held.values()) == (L >= 4)
+        assert any(merged.ranges is not None for merged, _ in held.values()) == (L >= 4)
+
+    def test_merged_family_vector_above_its_bound_is_scanned(self, monkeypatch):
+        # A bound of 2 for [1, 0, N] puts [1, 0, 3], the merged generator of
+        # the leaf [1, 0, 1, 2], above it while it passes its window.  As
+        # classify's merge step does, the census scans it past the window
+        # and, finding no failure there, raises.
+        real = families.family_bound
+        too_low = BoundResult(2, "single_one", exact=True)
+        monkeypatch.setattr(families, "family_bound", lambda g, k: too_low if (g, k) == (1, 1) else real(g, k))
+        for run in (lambda: classify(CoefficientVector((1, 0, 1, 2))), lambda: first_failure_census(4)):
+            with pytest.raises(ConjectureViolation) as exc:
+                run()
+            assert (exc.value.vector, exc.value.first_failure) == ((1, 0, 3), None)
 
 
 def _oracle_rows(L: int) -> list[CensusRow]:
@@ -257,7 +317,7 @@ class TestRunRecords:
     def test_runs_start_at_first_failing_value(self, census_reports, L):
         report = census_reports.get(L) or first_failure_census(L)
         ranges = coefficient_ranges(L)
-        runs = [r for r in report.records if r.run]
+        runs = [r for r in report.records if _is_run(r)]
         assert runs
         for rec in runs:
             j = len(rec.vector)
@@ -321,15 +381,15 @@ class TestRowTexts:
 CKPT_L3 = "census L=3 deep_horizon=12\n"
 
 
-def _counting_leaf_row(monkeypatch) -> list:
-    """Patch hunt._leaf_row to record each leaf it decides."""
+def _counting_node_records(monkeypatch) -> list:
+    """Patch hunt._node_records to record each leaf it decides."""
     leaves = []
 
-    def leaf_row(vector, gaps, head, horizon, merged):
-        leaves.append(vector)
-        return _leaf_row(vector, gaps, head, horizon, merged)
+    def node_records(prefix, head, first, stop, merged, horizon):
+        leaves.extend(prefix + (c,) for c in range(first, stop))
+        return _node_records(prefix, head, first, stop, merged, horizon)
 
-    monkeypatch.setattr(hunt, "_leaf_row", leaf_row)
+    monkeypatch.setattr(hunt, "_node_records", node_records)
     return leaves
 
 
@@ -340,14 +400,14 @@ class TestCensusCheckpoint:
         fresh = census_reports[3]
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        leaves = _counting_leaf_row(monkeypatch)
+        leaves = _counting_node_records(monkeypatch)
         for k in range(len(fresh.records) + 1):
             rows.write_text(census_rows_to_csv(fresh.records[:k]))
             ckpt.write_text(CKPT_L3)
             leaves.clear()
             resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
             assert resumed == fresh, k
-            assert leaves == [r.vector for r in fresh.records[k:] if not r.run]
+            assert leaves == leaf_vectors(3, fresh.records[k:])
             assert ckpt.read_text() == CKPT_L3
             assert parse_census_csv(rows.read_text()) == list(fresh.records)
 
@@ -361,7 +421,7 @@ class TestCensusCheckpoint:
         replayed = list(_census_records(L, 4 * L, reloaded))
         assert replayed == records
         assert all(a is b for a, b in zip(replayed, reloaded))
-        assert any(r.run for r in reloaded)
+        assert any(_is_run(r) for r in reloaded)
         for field in ("verdict", "proof"):
             texts = [getattr(r, field) for r in reloaded]
             assert len({id(t) for t in texts}) == len(set(texts)), field
@@ -372,7 +432,7 @@ class TestCensusCheckpoint:
         fresh = census_reports[3]
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        leaves = _counting_leaf_row(monkeypatch)
+        leaves = _counting_node_records(monkeypatch)
         for ckpt_text in (None, "", CKPT_L3[:-1], "census L=3"):
             rows.write_text(census_rows_to_csv(fresh.records[:6]))
             ckpt.unlink(missing_ok=True)
@@ -381,7 +441,7 @@ class TestCensusCheckpoint:
             leaves.clear()
             resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
             assert resumed == fresh
-            assert leaves == [r.vector for r in fresh.records if not r.run]
+            assert leaves == leaf_vectors(3, fresh.records)
             assert ckpt.read_text() == CKPT_L3
             assert parse_census_csv(rows.read_text()) == list(fresh.records)
 
@@ -427,31 +487,36 @@ class TestCensusCheckpoint:
 
     @pytest.mark.parametrize("k", [1, 2, 50, 107])
     def test_interrupted_run_keeps_every_record_found(self, tmp_path, monkeypatch, k):
-        # The run stops at its k-th leaf.  Every record found before it is in
-        # the rows file, and the rerun classifies only the remaining leaves.
+        # The run stops as it comes to decide its k-th leaf, with the other
+        # leaves of that leaf's node.  Every record found before that node
+        # is in the rows file, and the rerun decides only the leaves after it.
         fresh = first_failure_census(5)
-        leaf_at = [i for i, r in enumerate(fresh.records) if not r.run]
-        assert len(leaf_at) == 107
+        leaves = leaf_vectors(5, fresh.records)
+        assert len(leaves) == 107
+        node = leaves[k - 1][:-1]
+        before = leaves.index(next(v for v in leaves if v[:-1] == node))
+        at = next(i for i, r in enumerate(fresh.records) if not _is_run(r) and r.vector[:-1] == node)
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        leaves = _counting_leaf_row(monkeypatch)
-        counting = hunt._leaf_row
+        decided = _counting_node_records(monkeypatch)
+        counting = hunt._node_records
 
-        def stopping_leaf_row(vector, gaps, head, horizon, merged):
-            if len(leaves) == k - 1:
+        def stopping_node_records(prefix, head, first, stop, merged, horizon):
+            if len(decided) + stop - first >= k:
                 raise RuntimeError("stopped")
-            return counting(vector, gaps, head, horizon, merged)
+            return counting(prefix, head, first, stop, merged, horizon)
 
-        monkeypatch.setattr(hunt, "_leaf_row", stopping_leaf_row)
+        monkeypatch.setattr(hunt, "_node_records", stopping_node_records)
         with pytest.raises(RuntimeError, match="stopped"):
             first_failure_census(5, checkpoint_path=ckpt, rows_path=rows)
-        assert parse_census_csv(rows.read_text()) == list(fresh.records[: leaf_at[k - 1]])
+        assert len(decided) == before
+        assert parse_census_csv(rows.read_text()) == list(fresh.records[:at])
 
-        monkeypatch.setattr(hunt, "_leaf_row", counting)
-        leaves.clear()
+        monkeypatch.setattr(hunt, "_node_records", counting)
+        decided.clear()
         resumed = first_failure_census(5, checkpoint_path=ckpt, rows_path=rows)
         assert resumed == fresh
-        assert len(leaves) == 107 - (k - 1)
+        assert decided == leaves[before:]
         assert parse_census_csv(rows.read_text()) == list(fresh.records)
 
     def test_finished_resume_leaves_rows_file_alone(self, tmp_path, census_reports):

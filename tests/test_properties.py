@@ -1,6 +1,7 @@
 """Cross-cutting invariants, mostly oracle-vs-implementation equivalences."""
 
 import functools
+import itertools
 from itertools import combinations
 from unittest import mock
 
@@ -18,7 +19,6 @@ from plrslab import (
     distinct_decompose,
     empirical_max_n,
     enumerate_legal,
-    enumerate_vectors,
     family_bound,
     family_shape,
     is_complete_up_to,
@@ -27,12 +27,45 @@ from plrslab import (
     subset_sum_reachable,
     terms_prefix,
     value_of,
-    weak_window_check,
 )
 from plrslab import families, hunt, seqcore
 from plrslab.families import gap_table, passing_range
 from plrslab.seqcore import Sequence
-from plrslab.verdicts import _BOUND_RULE_TAGS, effective_horizon, window_rules
+from plrslab.verdicts import _BOUND_RULE_TAGS, CompleteLasts, effective_horizon, window_rules
+
+
+def enumerate_vectors(length):
+    """All capped vectors of the given length, in lexicographic order."""
+    for coeffs in itertools.product(*hunt.coefficient_ranges(length)):
+        yield CoefficientVector(coeffs)
+
+
+def weak_window_check(cv):
+    """The strict-window criterion: B_n >= 0 for n < L and B_n > 0 for
+    L <= n <= 2L - 1; at L = 1, c_1 <= 2."""
+    L = len(cv)
+    if L == 1:
+        return cv[0] <= 2
+    seq = Sequence(cv)
+    return seq.first_gap_below(L - 1) is None and seq.first_gap_below(2 * L - 1, 1, L) is None
+
+
+def lasts_chain(prefix, horizon, memo):
+    """The CompleteLasts of prefix, its ancestors' in turn, shared through memo."""
+    level = None
+    for d in range(len(prefix) + 1):
+        if prefix[:d] not in memo:
+            memo[prefix[:d]] = CompleteLasts(prefix[:d], level, horizon)
+        level = memo[prefix[:d]]
+    return level
+
+
+def leaf_rows(L, prefix, first, stop, horizon, memo):
+    """The census rows of [prefix, c], c in range(first, stop), decided together
+    from the walk's H_1..H_L, rule (d) asking the shared chain in memo."""
+    head = Sequence(CoefficientVector(prefix + (1,))).prefix(L)  # no c_L in them
+    merged = lasts_chain(prefix[:-1], horizon, memo) if prefix else None
+    return list(hunt._expand(L, hunt._node_records(prefix, head, first, stop, merged, horizon)))
 
 
 @st.composite
@@ -116,22 +149,26 @@ class TestSharedMergedVerdicts:
     )
     @settings(max_examples=100, deadline=None)
     def test_shared_dict_matches_fresh_classify(self, vectors, horizon):
-        # One dict of merged verdicts shared by many calls at one horizon,
-        # over each drawn vector and its siblings [.., a, s - a]: every
-        # verdict, proof tag included, is a fresh call's, and so is every
-        # verdict the dict holds.
-        merged = {}
+        # One chain of CompleteLasts per prefix, shared by many node
+        # decisions at one horizon, over each drawn vector and its siblings
+        # [.., a, s - a]: every row, proof tag included, is a fresh
+        # classify's, and so is every last coefficient the chain holds.
+        memo = {}
         for cv in vectors:
-            siblings = [cv]
-            if len(cv) >= 2:
+            L, siblings = len(cv), [cv.coefficients]
+            if L >= 2:
                 head, s = cv.coefficients[:-2], cv[-2] + cv[-1]
-                siblings += [
-                    CoefficientVector(head + (a, s - a)) for a in range(len(cv) == 2, s)
-                ]
+                siblings += [head + (a, s - a) for a in range(L == 2, s)]
             for sib in siblings:
-                assert classify(sib, horizon, merged=merged) == classify(sib, horizon)
-        for key, complete in merged.items():
-            assert complete == classify(CoefficientVector(key), horizon).is_complete
+                rows = leaf_rows(L, sib[:-1], sib[-1], sib[-1] + 1, horizon, memo)
+                assert rows == [hunt._row(sib, classify(CoefficientVector(sib), horizon))]
+        for q, lasts in memo.items():
+            if lasts.ranges is None:
+                continue
+            top = max([1, *(b for _, b in lasts.ranges)])
+            for s in range(1, top + 2):
+                complete = any(a <= s < b for a, b in lasts.ranges)
+                assert complete == classify(CoefficientVector(q + (s,)), horizon).is_complete, (q, s)
 
 
 def scan_first_classify(coeffs, horizon):
@@ -436,7 +473,7 @@ def _census_leaf_prefixes(max_length=6):
     """The prefixes c_1..c_{L-1} of the census leaves, L <= max_length."""
     found = set()
     for L in range(1, max_length + 1):
-        found.update(r.vector[:-1] for r in hunt._census_records(L, 4 * L) if not r.run)
+        found.update(r.vector[:-1] for r in hunt._census_records(L, 4 * L) if not hunt._is_run(r))
     return sorted(found)
 
 
@@ -487,41 +524,51 @@ class TestGapTable:
 
 
 class TestSiblingGapTable:
-    """The census decides the leaves below a prefix from one table of window gaps."""
+    """The census decides the leaves below a prefix together, from one table of window gaps."""
 
-    @given(sibling_prefixes, st.one_of(st.none(), st.just(0), st.integers(1, 32)))
-    @example((1, 1, 1, 1, 1, 1, 0), 0)  # first fails at 2L - 1 = 15 for c_L = 4
-    @example((1, 0, 2), None)  # [1,0,2,3] is conjectural
-    @example((1, 0), 0)  # family_single_one up to its bound, 5
+    @given(sibling_prefixes, st.one_of(st.none(), st.just(0), st.integers(1, 32)), st.data())
+    @example((1, 1, 1, 1, 1, 1, 0), 0, None)  # first fails at 2L - 1 = 15 for c_L = 4
+    @example((1, 0, 2), None, None)  # [1,0,2,3] is conjectural
+    @example((1, 0), 0, None)  # family_single_one up to its bound, 5
     @settings(max_examples=150, deadline=None)
-    def test_table_path_matches_classify(self, prefix, past_4l):
-        # For every c_L with B_{L+1} >= 0 (the leaves the walk reaches), the
-        # table's gaps are the vector's, and the census row, decided from
-        # them with one merged dict for all siblings, is classify's; a proof
-        # tag from the window rules is classify's too, parameters included.
-        # The horizon is None, 4L, or past it up to 8L.
+    def test_table_path_matches_classify(self, prefix, past_4l, data):
+        # The table's gaps are each vector's, and the rows the node decides
+        # for a range of c_L, with one chain of merged verdicts for all of
+        # them, are classify's, one by one: first failure, verdict and proof.
+        # The range runs over every c_L with B_{L+1} >= 0 (the leaves the
+        # walk reaches) and one past, or, when drawn, from and to values
+        # around the ends of the passing range, the family bound and the
+        # strict window's.  The horizon is None, 4L, or past it up to 8L.
         L = len(prefix) + 1
         horizon = None if past_4l is None else 4 * L + min(past_4l, 4 * L)
         window = effective_horizon(L)
         terms = Sequence(CoefficientVector(prefix + (1,))).prefix(L)  # H_1..H_L: no c_L in them
         head, table = gap_table(prefix, window)
-        assert head == terms
+        assert head == terms and gap_table(prefix, window, terms) == (head, table)
         assert len(table) == window
         passing = passing_range(table)
-        merged = {}
-        survivors = range(1, table[L][0] + 1)  # B_{L+1} = alpha - c_L, as beta = H_1 = 1
-        assert table[L][1] == 1
-        for c in survivors:
-            vector = prefix + (c,)
-            cv = CoefficientVector(vector)
+        assert table[L][1] == 1  # B_{L+1} = alpha - c_L, as beta = H_1 = 1
+        first, stop = 1, max(table[L][0], 0) + 2
+        if data is not None:
+            shape = family_shape(prefix + (1,))
+            bound = shape and family_bound(shape.g, shape.k)
+            ends = [passing.start, passing.stop, stop, bound.max_n + 1 if bound else 1]
+            ends += [-(alpha // -beta) if beta > 0 else 1 for alpha, beta in table[L - 1:]]
+            near = st.sampled_from(ends).flatmap(lambda x: st.integers(max(x - 2, 1), max(x + 2, 3)))
+            first, stop = sorted((data.draw(near), data.draw(near)))
+            stop += 1
+        rows = leaf_rows(L, prefix, first, stop, horizon, {})
+        assert [r.vector for r in rows] == [prefix + (c,) for c in range(first, stop)]
+        for c, row in zip(range(first, stop), rows):
+            cv = CoefficientVector(prefix + (c,))
             gaps = [a - b * c for a, b in table]
-            assert gaps == Sequence(cv).gaps(window), vector
-            assert (c in passing) == (min(gaps) >= 0), vector
+            assert gaps == Sequence(cv).gaps(window), cv
+            assert (c in passing) == (min(gaps) >= 0), cv
             fresh = classify(cv, horizon)
-            assert hunt._leaf_row(vector, gaps, terms, horizon, merged) == hunt._row(vector, fresh)
-            found = window_rules(vector, gaps, terms, horizon)
+            assert row == hunt._row(cv.coefficients, fresh), cv
+            found = window_rules(cv.coefficients, gaps, terms, horizon)
             if isinstance(found, ProofTag):
-                assert fresh.proof == found, vector
+                assert fresh.proof == found, cv
 
 
 class TestDominantRootCrossCheck:
@@ -560,17 +607,19 @@ class TestHeads:
     @given(coefficient_vectors(max_length=7, max_coeff=4), st.sampled_from([None, 13, 20]))
     @settings(max_examples=150, deadline=None)
     def test_leaf_head_and_merged_dict_match_fresh_classify(self, cv, horizon):
-        # As a census leaf: its terms start from the walk's H_1..H_{L+1}, and
-        # merged verdicts come from a dict, first empty, then filled.
+        # As a census leaf: its terms start from the walk's H_1..H_L, and
+        # merged verdicts come from a chain of CompleteLasts, first empty,
+        # then found.
         fresh = classify(CoefficientVector(cv.coefficients), horizon)
-        merged = {}
+        L, memo = len(cv), {}
         with _checked_heads():
             for _ in range(2):
-                head = Sequence(cv).prefix(len(cv) + 1)
-                leaf = classify(CoefficientVector(cv.coefficients, head=head), horizon,
-                                merged=merged)
+                head = Sequence(cv).prefix(L + 1)
+                leaf = classify(CoefficientVector(cv.coefficients, head=head), horizon)
                 assert (leaf.status, leaf.proof) == (fresh.status, fresh.proof)
                 assert leaf == fresh
+                rows = leaf_rows(L, cv.coefficients[:-1], cv[-1], cv[-1] + 1, horizon, memo)
+                assert rows == [hunt._row(cv.coefficients, fresh)]
 
     @given(prefixes(), st.sampled_from([None, 0, 3]))
     @settings(max_examples=150, deadline=None)
@@ -583,10 +632,10 @@ class TestHeads:
         rules, scan = families.window_rules, families.scan_past_window
         probes, scanned = [], []
 
-        def checked_rules(coeffs, gaps, head, h=None, merged=None):
+        def checked_rules(coeffs, gaps, head, h=None):
             assert list(head) == Sequence(CoefficientVector(coeffs)).prefix(len(coeffs)), coeffs
             probes.append(coeffs)
-            return rules(coeffs, gaps, head, h, merged)
+            return rules(coeffs, gaps, head, h)
 
         def counted_scan(cv, h, above_bound):
             scanned.append(cv.coefficients)

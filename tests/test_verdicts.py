@@ -1,8 +1,10 @@
 import gc
 import tracemalloc
+from types import SimpleNamespace
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plrslab import (
     BoundResult,
@@ -15,11 +17,10 @@ from plrslab import (
     is_complete_up_to,
     subset_sum_reachable,
     terms_prefix,
-    weak_window_check,
 )
 from plrslab import families, verdicts
 from plrslab.seqcore import Sequence
-from plrslab.verdicts import verdict_to_json
+from plrslab.verdicts import FAILS_PAST_WINDOW, failure_pieces, rule_pieces, verdict_to_json
 
 
 def powerset_sums(terms):
@@ -49,6 +50,16 @@ class TestBrownScan:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             brown_scan(CoefficientVector((1, 1)), 0)
+
+
+def weak_window_check(cv):
+    """The strict-window criterion: B_n >= 0 for n < L and B_n > 0 for
+    L <= n <= 2L - 1; at L = 1, c_1 <= 2."""
+    L = len(cv)
+    if L == 1:
+        return cv[0] <= 2
+    gaps = Sequence(cv).gaps(2 * L - 1)
+    return min(gaps[: L - 1], default=0) >= 0 and min(gaps[L - 1:]) > 0
 
 
 class TestWeakWindow:
@@ -266,6 +277,67 @@ class TestClassify:
         ]
         assert payload["verdict"] == "incomplete"
         assert payload["witness"] == 4
+
+
+def _each_c(pieces):
+    return {c: found for a, b, found in pieces for c in range(a, b)}
+
+
+class TestRulePieces:
+    """The rules over a range of c_L, against each c read alone from the same
+    gap lines alpha_n - beta_n c (made up here, so every sign of beta shows)."""
+
+    @given(
+        st.lists(st.tuples(st.integers(-40, 40), st.integers(-4, 4)), min_size=4, max_size=4),
+        st.integers(1, 12), st.integers(1, 16), st.integers(1, 16), st.integers(0, 5),
+    )
+    @example([(3, 0), (-2, -1), (9, 3), (5, 1)], 1, 10, 1, 0)  # gaps of 0 at c = 2, 3
+    @example([(3, 0), (-4, -2), (0, 0), (40, 1)], 1, 12, 4, 2)  # B_6 = 0 for every c
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_match_each_c(self, lines, first, width, merged_lo, merged_width):
+        # [1, 0, 2, c]: neither rule (b) nor (c) applies, so the passing c are
+        # decided by (d), here the made-up range of merged_*, then by (e),
+        # B_n > 0 for n = 4..7.  B_4 = 100 - c keeps the passing c bounded.
+        prefix, L = (1, 0, 2), 4
+        table = [(0, 0), (1, 0), lines[0], (100, 1), *lines[1:]]
+        stop = first + width
+        passing = families.passing_range(table)
+        lo, hi = max(first, passing.start), min(stop, passing.stop)
+        merged = range(merged_lo, merged_lo + merged_width)
+
+        def complete(shift, a, b):
+            assert (shift, a, b) == (2, lo, hi)
+            return [(max(a, merged.start), min(b, merged.stop))] if a < merged.stop and merged.start < b else []
+
+        found = _each_c(failure_pieces(table, first, lo if lo < hi else stop))
+        if lo < hi:
+            found.update(_each_c(rule_pieces(prefix, table, lo, hi, SimpleNamespace(within=complete))))
+            found.update(_each_c(failure_pieces(table, hi, stop)))
+        for c in range(first, stop):
+            gaps = [a - b * c for a, b in table]
+            if min(gaps) < 0:
+                expected = next(n for n, gap in enumerate(gaps, 1) if gap < 0)
+            elif c in merged:
+                expected = ProofRule.MERGE_LAST
+            elif min(gaps[L - 1:]) > 0:
+                expected = ProofRule.WEAK_WINDOW
+            else:
+                expected = None
+            assert found.pop(c) == expected, (c, gaps)
+        assert not found
+
+    @pytest.mark.parametrize("prefix, rules", [
+        ((), {1: ProofRule.ALL_POSITIVE, 2: ProofRule.GEOMETRIC_L1}),
+        ((1, 1), {1: ProofRule.ALL_POSITIVE, 2: ProofRule.ALL_POSITIVE}),
+        ((1, 0), {c: ProofRule.FAMILY_SINGLE_ONE for c in (1, 2, 3)} | {4: FAILS_PAST_WINDOW}),
+    ])
+    def test_coefficients_and_family_bound(self, prefix, rules):
+        # Rules (b) and (c) read the prefix; (c) splits at the bound, 3 for [1, 0, N].
+        assert _each_c(rule_pieces(prefix, [], min(rules), max(rules) + 1, None)) == rules
+
+    def test_all_positive_shape_checked(self):
+        with pytest.raises(RuntimeError, match=r"\[1, 1, 3\] is not all-positive complete"):
+            rule_pieces((1, 1), [], 1, 4, None)
 
 
 class TestClassifySoundnessSpot:
