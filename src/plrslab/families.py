@@ -187,29 +187,19 @@ def passing_range(lines: SequenceT[tuple[int, int]]) -> range:
     return range(max(lo, 1), hi + 1)
 
 
-def gap_table(
-    prefix: tuple[int, ...], window: int, head: Optional[list[int]] = None
-) -> tuple[list[int], list[tuple[int, int]]]:
+def gap_table(prefix: tuple[int, ...], window: int) -> tuple[list[int], list[tuple[int, int]]]:
     """[H_1, ..., H_L] and the gap lines [(alpha_n, beta_n) for n = 1..window] of
     every [prefix, N]: B_n = alpha_n - beta_n N, for window <= 2L.
 
     Up to H_{2L}, N = c_L multiplies only H_1..H_L, which do not involve it,
     so H_n = u_n + N v_n.  As in Sequence, each run of a nonzero c adds c
     times a difference of prefix sums, of u and of v apart, so a term costs
-    O(runs), not O(nonzero c_i).  `head`, when given, is H_1..H_L, taken on
-    trust, and only the terms past it are computed.
+    O(runs), not O(nonzero c_i).
     """
     L = len(prefix) + 1
     runs = nonzero_runs(prefix)
-    us, vs, table = [0], [0], []  # us[k] = u_1 + ... + u_k, vs likewise
-    if head is None:
-        head = []
-    else:
-        for m, a in enumerate(head[: min(L, window)]):
-            table.append((1 + us[m] - a, 0))
-            us.append(us[m] + a)
-            vs.append(0)
-    for m in range(len(table), window):  # H_{m+1} = a + N b
+    head, us, vs, table = [], [0], [0], []  # us[k] = u_1 + ... + u_k, vs likewise
+    for m in range(window):  # H_{m+1} = a + N b
         a, b = (1, 0) if m < L else (0, head[m - L])
         for start, stop, c in runs:
             if start >= m:

@@ -12,38 +12,18 @@ H_{j+1} depends only on c_1..c_j and grows with c_j, so Brown's gap B_{j+1}
 shrinks as c_j grows.  A depth-first search over coefficient prefixes
 computes one new term per node; once B_{j+1} < 0, that prefix first fails at
 term j + 1 whatever follows, and so does the prefix with any larger c_j.
-Only the prefixes that reach length L with no negative gap are classified.
-The gaps B_1..B_{2L-1} of the leaves below one prefix of length L - 1 are
-affine in c_L, so one table per prefix gives them all, and each of
-classify's rules fires on ranges of c_L, decided once per prefix; the
-merge-last rule asks each ancestor's own table, not a merged vector.  Only
-a leaf that no rule proves is built as a vector, to be scanned past 2L - 1.
+The leaves below one prefix of length L - 1 are decided together, a range
+of c_L at a time (_node_records); only a leaf that no rule proves is built
+as a vector, to be scanned past 2L - 1.
 
-The census is a list of records.  A record is a CensusRow whose vector is
-a prefix p of length <= L; it stands for every completion of p, all of
-which share its first failure, verdict and proof.  A record with an end
-stands as well for every prefix that raises p's last coefficient up to it:
-a run record, to the top of its range, as once c_{j+1} fails at term j + 2
-so does every larger value; and a record of leaves, for a run of c_L that
-share their fields.  The search yields one run record per failing run and
-one record per run of leaves, in lexicographic order, so the records tile
-the enumeration.
-Output that lists every vector is written per record:
-CensusReport.json_rows() and csv_rows() join the record's fields to the
-texts of its completions, built once per prefix length from L - 3 on, so
-no per-vector object is made and memory is bounded by the rows of one
-prefix of length L - 2 (8,320 at L = 7), not by the output.
-CensusReport.rows() expands the records to one CensusRow per vector for
-callers that inspect rows one by one.
-
-A checkpointed census appends each record to a rows file as the search
-finds it, under a "record,..." header: a run as one line, marked by a "+"
-after its last coefficient, and any other record as one line per vector;
-the checkpoint file names L and the deep horizon.  A rerun drops a torn
-last line, reads consecutive lines of leaves that share their fields back
-as one record, replays the records through the search from the first
-vector, re-checking each leaf's window gaps from its prefix's table, and
-classifies only the leaves past them.
+The census is a list of records (CensusRow) that tile the enumeration in
+lexicographic order: one per failing run of c_j, and one per run of leaves
+of one prefix that share first failure, verdict and proof.  Output that
+lists every vector is written per record (_record_texts), so memory is
+bounded by the rows of one prefix of length L - 2 (8,320 at L = 7), not by
+the output.  A checkpointed census appends each record to a rows file as
+the search finds it, and a rerun replays the records through the search
+and decides only what lies past them (_census_records).
 """
 
 from __future__ import annotations
@@ -63,7 +43,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector
 from .verdicts import (FAILS_PAST_WINDOW, CompleteLasts, CompletenessVerdict, ProofRule, classify,
-                       effective_horizon, failure_pieces, rule_pieces, scan_past_window)
+                       effective_horizon, node_pieces, scan_past_window)
 from .families import empirical_max_n, gap_table, passing_range
 
 log = logging.getLogger(__name__)
@@ -307,9 +287,10 @@ def parse_census_csv(text: str) -> list[CensusRow]:
 
     In a rows file, consecutive lines of one prefix of length L - 1 that
     share first failure, verdict and proof are one record, as the census
-    finds them.  Lines are read one at a time, with no StringIO copy of the
-    text at four bytes a character, and rows share one string per verdict
-    and proof tag.
+    finds them, unless they fail at the term after their last coefficient:
+    only a "+" line stands for a run, and it must state the run's fields.
+    Lines are read one at a time, with no StringIO copy of the text at four
+    bytes a character, and rows share one string per verdict and proof tag.
     """
     reader = csv.reader(m.group() for m in re.finditer(r"[^\n]*\n|[^\n]+", text))
     header = next(reader, None)
@@ -322,7 +303,9 @@ def parse_census_csv(text: str) -> list[CensusRow]:
         vector = tuple(map(int, vec.rstrip("+").split(",")))
         end = 2 ** len(vector) if run else None  # c_i <= 2^i at every position i
         rec = CensusRow(vector, int(ff) if ff else None, sys.intern(verdict), sys.intern(proof), end)
-        if joins and not run:
+        if run and not _is_run(rec):
+            raise ValueError(f"record {_label(rec)}+ does not fail where it says")
+        if joins and not run and rec.first_failure != len(vector) + 1:
             _add(rows, rec)
         else:
             rows.append(rec)
@@ -348,23 +331,16 @@ def _row(vector: tuple[int, ...], v: CompletenessVerdict) -> CensusRow:
 
 def _node_records(prefix: tuple[int, ...], head: list[int], first: int, stop: int,
                   merged: Optional[CompleteLasts], horizon: int) -> list[CensusRow]:
-    """The records of the leaves [prefix, c], c in range(first, stop), from one
-    table of the lines of their window gaps, started from the walk's terms
-    `head` = [H_1, ..., H_L]: classify's rules (a)-(e) fire on ranges of c
-    (verdicts.failure_pieces and rule_pieces), rule (d) asking `merged`, the
-    CompleteLasts of prefix[:-1].  Only a leaf that no rule proves is built,
-    from `head`, and scanned past the window.  One record stands for each run
-    of leaves that share first failure, verdict and proof."""
-    table = gap_table(prefix, effective_horizon(len(prefix) + 1), head)[1]
-    passing = passing_range(table)
-    lo, hi = max(first, passing.start), min(stop, passing.stop)
-    if lo < hi:
-        pieces = failure_pieces(table, first, lo) + rule_pieces(prefix, table, lo, hi, merged)
-        pieces += failure_pieces(table, hi, stop)
-    else:
-        pieces = failure_pieces(table, first, stop)
+    """The records of the leaves [prefix, c], c in range(first, stop): their
+    window gaps B_1..B_W, W = max(2L - 1, 2), are affine in c, so one table
+    (families.gap_table) gives them all, and classify's rules are asked only
+    where an answer can change (verdicts.node_pieces), rule (d) asking
+    `merged`, the CompleteLasts of prefix[:-1].  Only a leaf that no rule
+    proves is built, from the walk's terms `head` = [H_1, ..., H_L], and
+    scanned past the window."""
+    table = gap_table(prefix, effective_horizon(len(prefix) + 1))[1]
     records: list[CensusRow] = []
-    for a, b, found in pieces:
+    for a, b, found in node_pieces(prefix, table, head, first, stop, merged, horizon):
         end = b - 1 if b - a > 1 else None
         if isinstance(found, int):
             _add(records, CensusRow(prefix + (a,), found, "incomplete", "", end))
@@ -385,12 +361,9 @@ def _census_records(
     Expanded, they equal classifying each vector in turn.  A node stops at
     its first failing c_{j+1}: one run record stands for it and every larger
     value.  The leaves below one node of depth L - 1 are decided together
-    (_node_records): their window gaps B_1..B_W, W = max(2L - 1, 2), are
-    affine in c_L, so one table per node (families.gap_table) gives them all,
-    and each of classify's rules fires on ranges of c_L.  Rule (d) asks
-    whether [c_1..c_{L-2}, c_{L-1} + c_L] is Complete; each ancestor of depth
-    L - 2 or less holds the answer for its own prefix (verdicts.CompleteLasts),
-    found from one table when first asked and dropped when the walk leaves it.
+    (_node_records).  Rule (d) asks whether [c_1..c_{L-2}, c_{L-1} + c_L] is
+    Complete; each ancestor of depth L - 2 or less holds the answer for its
+    own prefix (verdicts.CompleteLasts), dropped when the walk leaves it.
 
     Each reloaded record must be the walk's next: a run equal to it, or a
     record of leaves of one node, with one of the three verdicts.  Each
@@ -427,7 +400,7 @@ def _census_records(
             if rec.vector != prefix + (c,) or not c <= _last(rec) < stop:
                 raise ValueError(f"record {_label(rec)} does not follow the records before it")
             if table is None:
-                table = gap_table(prefix, window, terms)[1]
+                table = gap_table(prefix, window)[1]
                 passing = passing_range(table)
             check(rec, prefix, table, passing, terms)
             yield rec

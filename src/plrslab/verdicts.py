@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence as SequenceT
+from typing import Iterable, Optional, Sequence as SequenceT
 
 from .errors import CapTooLargeError, ConjectureViolation
 from .seqcore import CoefficientVector
@@ -245,6 +245,7 @@ def window_rules(
     gaps: SequenceT[int],
     head: SequenceT[int],
     horizon: Optional[int] = None,
+    lasts: Optional[CompleteLasts] = None,
 ):
     """Rules (a)-(e) of the classification, read from the window gaps.
 
@@ -256,8 +257,9 @@ def window_rules(
     (e) the strict window, B_n > 0 for L <= n <= W.
     Returns that n, a ProofTag, FAILS_PAST_WINDOW, or None when no rule
     fires.  Every rule is a completeness theorem, so only then can a gap
-    past the window change the verdict (scan_past_window).  rule_pieces
-    applies the same rules, in this order, to a range of c_L at once.
+    past the window change the verdict (scan_past_window).  `lasts`, when
+    given, is the CompleteLasts of c_1..c_{L-2}, which (d) asks in place of
+    building the merged generator.
     """
     if min(gaps) < 0:
         return next(n for n, gap in enumerate(gaps, 1) if gap < 0)
@@ -282,9 +284,13 @@ def window_rules(
 
     if L >= 2:
         key = coeffs[:-2] + (coeffs[-2] + coeffs[-1],)
-        # Only c_1..c_{L-2} enter H_1..H_{L-1}, so they are the merged
-        # generator's own.
-        if proves_complete(CoefficientVector(key, head=head[: L - 1]), horizon):
+        if lasts is not None:
+            complete = lasts.holds(key[-1])
+        else:
+            # Only c_1..c_{L-2} enter H_1..H_{L-1}, so they are the merged
+            # generator's own.
+            complete = proves_complete(CoefficientVector(key, head=head[: L - 1]), horizon)
+        if complete:
             return ProofTag.make(ProofRule.MERGE_LAST, merged_last=key[-1])
 
     # Rule (b) has decided every L = 1 vector, so L >= 2 and W = 2L - 1 here.
@@ -311,9 +317,8 @@ def scan_past_window(
 
 # --------------------------------------------------------------------------
 # The rules over a range of last coefficients: the window gaps of [prefix, c]
-# are lines alpha_n - beta_n c (families.gap_table), so each rule's answer
-# changes only at a few c.  A piece [a, b, found] says that window_rules answers
-# `found` for every c in range(a, b), a ProofRule standing for its ProofTag.
+# are lines alpha_n - beta_n c (families.gap_table), so window_rules' answer
+# changes only at a few c.
 
 
 def _cuts(lines: SequenceT[tuple[int, int]], t: int) -> set[int]:
@@ -321,11 +326,29 @@ def _cuts(lines: SequenceT[tuple[int, int]], t: int) -> set[int]:
     return {(a - t) // b + 1 if b > 0 else -((a - t) // -b) for a, b in lines if b}
 
 
-def _pieces(cuts: Iterable[int], lo: int, hi: int, found_at: Callable) -> list:
-    """Pieces over range(lo, hi) (lo among the cuts) of found_at, constant between cuts."""
+def node_pieces(prefix: tuple[int, ...], table: SequenceT[tuple[int, int]], head: SequenceT[int],
+                lo: int, hi: int, lasts: Optional[CompleteLasts], horizon: Optional[int]) -> list:
+    """window_rules for [prefix, c], c in range(lo, hi), whose window gaps are
+    table's lines, rule (d) asking `lasts`, the CompleteLasts of prefix[:-1].
+    A piece [a, b, found] says it answers `found` for every c in range(a, b),
+    a ProofRule standing for its ProofTag.  The answer can change only where
+    a line turns negative (a) or nonpositive (e), at c = 2 and 3 (b), past
+    the family bound (c) or at an end of lasts' ranges (d), so only those c
+    are asked."""
+    L = len(prefix) + 1
+    cuts = {lo, *_cuts(table, 0), *_cuts(table[L - 1:], 1)}
+    shape = families.family_shape(prefix + (1,))  # the shape does not depend on c
+    bound = shape and families.family_bound(shape.g, shape.k)
+    if 0 not in prefix:  # (b) decides every c that passes
+        cuts.update((2, 3))
+    elif bound:  # so does (c)
+        cuts.add(bound.max_n + 1)
+    elif lasts is not None:
+        cuts.update(s - prefix[-1] for r in lasts.found() for s in r)
     pieces = []
     for a in sorted(c for c in cuts if lo <= c < hi):
-        found = found_at(a)
+        found = window_rules(prefix + (a,), [x - y * a for x, y in table], head, horizon, lasts)
+        found = found.rule if isinstance(found, ProofTag) else found
         if not pieces or pieces[-1][2] != found:
             if pieces:
                 pieces[-1][1] = a
@@ -333,49 +356,11 @@ def _pieces(cuts: Iterable[int], lo: int, hi: int, found_at: Callable) -> list:
     return pieces
 
 
-def failure_pieces(table: SequenceT[tuple[int, int]], lo: int, hi: int) -> list:
-    """Rule (a) for c in range(lo, hi), each of which fails some line: the
-    least n with alpha_n - beta_n c < 0."""
-    first = lambda c: next(n for n, (a, b) in enumerate(table, 1) if a < b * c)  # noqa: E731
-    return _pieces({lo, *_cuts(table, 0)}, lo, hi, first)
-
-
-def rule_pieces(prefix: tuple[int, ...], table, lo: int, hi: int, merged) -> list:
-    """Rules (b)-(e) for c in range(lo, hi), every one of which passes the
-    window, in window_rules' order: (b) and (c) read the prefix, and c only
-    against the family bound; (d) reads merged.within(prefix[-1], lo, hi), the
-    c whose merged generator is Complete; (e) reads lines L..W."""
-    L = len(prefix) + 1
-    if all(c >= 1 for c in prefix):  # (b), as c_L >= 1
-        ones = prefix == (1,) * (L - 1)
-        if not ones or hi > 3:
-            bad = prefix + (max(lo, 3) if ones else lo,)
-            raise RuntimeError(f"{list(bad)} is not all-positive complete yet passed the scan")
-        geometric = ProofRule.GEOMETRIC_L1 if L == 1 else ProofRule.ALL_POSITIVE  # [2]
-        return _pieces({lo, 2}, lo, hi, lambda c: geometric if c == 2 else ProofRule.ALL_POSITIVE)
-
-    shape = families.family_shape(prefix + (1,))  # the shape does not depend on c
-    bound = shape and families.family_bound(shape.g, shape.k)
-    if bound:
-        rule, top = _BOUND_RULE_TAGS[bound.rule], bound.max_n
-        return _pieces({lo, top + 1}, lo, hi, lambda c: rule if c <= top else FAILS_PAST_WINDOW)
-
-    complete = merged.within(prefix[-1], lo, hi)
-    strict = table[L - 1:]
-
-    def found_at(c: int):
-        if any(a <= c < b for a, b in complete):
-            return ProofRule.MERGE_LAST
-        return ProofRule.WEAK_WINDOW if all(a > b * c for a, b in strict) else None
-
-    return _pieces({lo, *_cuts(strict, 1), *(c for r in complete for c in r)}, lo, hi, found_at)
-
-
 class CompleteLasts:
     """The last coefficients s that make [prefix, s] Complete, as rule (d) of
     [prefix, x, c] asks: its merged generator is [prefix, x + c].
 
-    Found when first asked, by rule_pieces over one gap table of the prefix
+    Found when first asked, by node_pieces over one gap table of the prefix
     and, for rule (d) in turn, the parent's (prefix[:-1]'s), so no merged
     vector is built.  As proves_complete does, an s above a family bound is
     scanned past the window: ConjectureViolation unless it fails there.
@@ -386,23 +371,25 @@ class CompleteLasts:
     def __init__(self, prefix: tuple[int, ...], parent: Optional[CompleteLasts], horizon):
         self.prefix, self.parent, self.horizon, self.ranges = prefix, parent, horizon, None
 
-    def within(self, shift: int, lo: int, hi: int) -> list:
-        """The c in range(lo, hi) with shift + c among these s, as sorted (a, b) ranges."""
+    def holds(self, s: int) -> bool:
+        return any(a <= s < b for a, b in self.found())
+
+    def found(self) -> list:
+        """These s, as sorted (a, b) ranges."""
         if self.ranges is None:
             self.ranges = self._find()
-        return [(max(a - shift, lo), min(b - shift, hi)) for a, b in self.ranges
-                if a - shift < hi and b - shift > lo]
+        return self.ranges
 
     def _find(self) -> list:
         q = self.prefix
         head, table = families.gap_table(q, effective_horizon(len(q) + 1))
         passing = families.passing_range(table)
         ranges = []
-        for a, b, found in rule_pieces(q, table, passing.start, passing.stop, self.parent) if passing else ():
+        for a, b, found in node_pieces(q, table, head, passing.start, passing.stop, self.parent, self.horizon):
             if found is FAILS_PAST_WINDOW:
                 for s in range(a, b):
                     scan_past_window(CoefficientVector(q + (s,), head=head), self.horizon, True)
-            elif found is not None:
+            elif isinstance(found, ProofRule):
                 ranges.append((a, b))
         return ranges
 

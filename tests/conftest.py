@@ -4,7 +4,33 @@ import itertools
 
 import pytest
 
-from plrslab import first_failure_census
+from plrslab import CoefficientVector, brown_scan, first_failure_census
+from plrslab.hunt import coefficient_ranges
+from plrslab.seqcore import Sequence
+
+
+def enumerate_vectors(length):
+    """All capped vectors of the given length, in lexicographic order."""
+    for coeffs in itertools.product(*coefficient_ranges(length)):
+        yield CoefficientVector(coeffs)
+
+
+def weak_window_check(cv):
+    """The strict-window criterion: B_n >= 0 for n < L and B_n > 0 for
+    L <= n <= 2L - 1; at L = 1, c_1 <= 2."""
+    L = len(cv)
+    if L == 1:
+        return cv[0] <= 2
+    seq = Sequence(cv)
+    return seq.first_gap_below(L - 1) is None and seq.first_gap_below(2 * L - 1, 1, L) is None
+
+
+def check_fail_at_2l_minus_1(k):
+    """First failure index of [1 x k, 0, 4], scanned to 4L; expected to be
+    exactly 2k + 3."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return brown_scan(CoefficientVector((1,) * k + (0, 4)), 4 * (k + 2)).first_failure
 
 
 @pytest.fixture(scope="session")

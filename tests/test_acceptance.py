@@ -28,6 +28,8 @@ from plrslab import (
 from plrslab.cli import main
 from plrslab.families import figure1_table, parse_figure_csv
 
+from conftest import check_fail_at_2l_minus_1
+
 
 def _report(number: int, detail: str) -> None:
     print(f"[acceptance] criterion {number:02d} PASS: {detail}")
@@ -125,11 +127,6 @@ def test_criterion_05_g_ones_regimes_as_csv():
         assert len(set(plateau)) == 1
         assert parse_figure_csv(_figure_csv(str(k), f"{g_values[0]}:{g_values[-1]}")) == rows
     _report(5, f"g-ones regimes match for k = 1..4 ({len(all_rows)} CSV rows round-trip)")
-
-
-def check_fail_at_2l_minus_1(k):
-    """First failure index of [1 x k, 0, 4], scanned to 4L."""
-    return brown_scan(CoefficientVector((1,) * k + (0, 4)), 4 * (k + 2)).first_failure
 
 
 def test_criterion_06_extremal_family_first_failure():

@@ -35,18 +35,7 @@ from plrslab.hunt import (
     parse_census_csv,
 )
 
-
-def enumerate_vectors(length):
-    """All capped vectors of the given length, in lexicographic order."""
-    for coeffs in itertools.product(*coefficient_ranges(length)):
-        yield CoefficientVector(coeffs)
-
-
-def check_fail_at_2l_minus_1(k):
-    """First failure index of [1 x k, 0, 4]; expected to be exactly 2k + 3."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return brown_scan(CoefficientVector((1,) * k + (0, 4)), 4 * (k + 2)).first_failure
+from conftest import check_fail_at_2l_minus_1, enumerate_vectors
 
 
 def leaf_vectors(length, records):
@@ -63,9 +52,10 @@ class TestEnumeration:
         assert enumeration_size(3) == 80
         assert enumeration_size(4) == 1440
 
-    def test_lexicographic_and_capped(self):
+    def test_lexicographic_and_capped(self, census_reports):
         vectors = [tuple(v) for v in enumerate_vectors(3)]
         assert vectors == sorted(vectors)
+        assert vectors == [r.vector for r in census_reports[3].rows()]
         for vec in vectors:
             assert 1 <= vec[0] <= 2
             assert 0 <= vec[1] <= 4
@@ -100,7 +90,7 @@ class TestCensus:
     def test_length_six(self):
         # 413 records: one per failing run of c_j, and one per run of leaves
         # of one prefix of length L - 1 that share first failure, verdict and
-        # proof (791 with one record per leaf).
+        # proof.
         report = first_failure_census(6)
         assert report.vectors_scanned == 3_231_360
         assert len(report.records) == 413
@@ -213,8 +203,7 @@ class TestPrunedCensus:
         # built as vectors, to be scanned past the window, and no merged
         # vector is: each ancestor's merged generators are decided once, from
         # its own gap table (one CompleteLasts found per ancestor).  At L = 6
-        # the 102 conjectural survivors are the only vectors built.  Before,
-        # L = 5 built 53 vectors: 36 merged ones besides the 17.
+        # the 102 conjectural survivors are the only vectors built.
         built, found, scanned = [], [], []
         init, find, scan = CoefficientVector.__post_init__, verdicts.CompleteLasts._find, hunt.scan_past_window
 
@@ -247,8 +236,6 @@ class TestPrunedCensus:
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_merged_verdicts_held_per_prefix(self, monkeypatch, L):
-        # Each node of depth L - 2 hands its leaves one dict of its own, and
-        # that dict holds only merged vectors of its prefix.
         # Each node of depth L - 2 hands its leaves' nodes one memo of its
         # own (a CompleteLasts), and that memo, with the chain of its
         # parents', holds only its own prefixes.
@@ -585,6 +572,10 @@ class TestCensusCheckpoint:
             ('"1,0,5+",4,incomplete,', '"1,0,5",4,incomplete,', r"\[1, 0, 5\] does not follow"),
             ('"1,0,5+",4,incomplete,', '"1,0,5+",5,incomplete,', r"\[1, 0, 5\]\+ does not fail"),
             ('"1,0,5+",4,incomplete,', '"1,0,5+",4,complete,', r"\[1, 0, 5\]\+ does not fail"),
+            ('"1,0,5+",4,incomplete,', '"1,0,5+",,complete,family_single_one', r"\[1, 0, 5\]\+ does not fail"),
+            # or that run as one line per value: only a "+" line is a run
+            ('"1,0,5+",4,incomplete,', "\n".join(f'"1,0,{c}",4,incomplete,' for c in range(5, 9)),
+             r"\[1, 0, 5\] does not follow"),
         ],
     )
     def test_forged_leaf_rejected(self, tmp_path, census_reports, line, forged, error):
@@ -599,6 +590,18 @@ class TestCensusCheckpoint:
         rows.write_text(text.replace(line + "\n", forged + "\n"))
         with pytest.raises(ValueError, match=error):
             first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+
+    def test_plus_line_at_leaf_depth_must_state_a_run(self, tmp_path, census_reports):
+        # "1+" in place of the leaves [1] and [2] of L = 1, stated complete.
+        ckpt = tmp_path / "census.ckpt"
+        rows = tmp_path / "census.rows.csv"
+        ckpt.write_text("census L=1 deep_horizon=4\n")
+        rows.write_text(census_rows_to_csv([]) + "1+,,complete,all_positive\n")
+        with pytest.raises(ValueError, match=r"\[1\]\+ does not fail where it says"):
+            first_failure_census(1, checkpoint_path=ckpt, rows_path=rows)
+        ckpt.write_text("census L=1 deep_horizon=4\n")
+        rows.write_text(census_rows_to_csv(census_reports[1].records[:2]))
+        assert first_failure_census(1, checkpoint_path=ckpt, rows_path=rows) == census_reports[1]
 
     def test_leaf_failing_past_the_deep_horizon_refused_unscanned(
         self, tmp_path, census_reports, monkeypatch

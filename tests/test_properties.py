@@ -28,26 +28,12 @@ from plrslab import (
     terms_prefix,
     value_of,
 )
-from plrslab import families, hunt, seqcore
+from plrslab import families, hunt, seqcore, verdicts
 from plrslab.families import gap_table, passing_range
 from plrslab.seqcore import Sequence
 from plrslab.verdicts import _BOUND_RULE_TAGS, CompleteLasts, effective_horizon, window_rules
 
-
-def enumerate_vectors(length):
-    """All capped vectors of the given length, in lexicographic order."""
-    for coeffs in itertools.product(*hunt.coefficient_ranges(length)):
-        yield CoefficientVector(coeffs)
-
-
-def weak_window_check(cv):
-    """The strict-window criterion: B_n >= 0 for n < L and B_n > 0 for
-    L <= n <= 2L - 1; at L = 1, c_1 <= 2."""
-    L = len(cv)
-    if L == 1:
-        return cv[0] <= 2
-    seq = Sequence(cv)
-    return seq.first_gap_below(L - 1) is None and seq.first_gap_below(2 * L - 1, 1, L) is None
+from conftest import enumerate_vectors, weak_window_check
 
 
 def lasts_chain(prefix, horizon, memo):
@@ -536,39 +522,45 @@ class TestSiblingGapTable:
         # for a range of c_L, with one chain of merged verdicts for all of
         # them, are classify's, one by one: first failure, verdict and proof.
         # The range runs over every c_L with B_{L+1} >= 0 (the leaves the
-        # walk reaches) and one past, or, when drawn, from and to values
-        # around the ends of the passing range, the family bound and the
-        # strict window's.  The horizon is None, 4L, or past it up to 8L.
+        # walk reaches) and one past; then, when drawn, from and to values
+        # around the ends of the passing range, the family bound, the c where
+        # a line turns negative or nonpositive, and the ends of the merged
+        # generator's complete ranges.  The horizon is None, 4L, or past it
+        # up to 8L.
         L = len(prefix) + 1
         horizon = None if past_4l is None else 4 * L + min(past_4l, 4 * L)
         window = effective_horizon(L)
         terms = Sequence(CoefficientVector(prefix + (1,))).prefix(L)  # H_1..H_L: no c_L in them
         head, table = gap_table(prefix, window)
-        assert head == terms and gap_table(prefix, window, terms) == (head, table)
+        assert head == terms
         assert len(table) == window
         passing = passing_range(table)
         assert table[L][1] == 1  # B_{L+1} = alpha - c_L, as beta = H_1 = 1
-        first, stop = 1, max(table[L][0], 0) + 2
+        memo = {}
+        spans = [(1, max(table[L][0], 0) + 2)]
         if data is not None:
             shape = family_shape(prefix + (1,))
             bound = shape and family_bound(shape.g, shape.k)
-            ends = [passing.start, passing.stop, stop, bound.max_n + 1 if bound else 1]
-            ends += [-(alpha // -beta) if beta > 0 else 1 for alpha, beta in table[L - 1:]]
+            ends = [passing.start, passing.stop, spans[0][1], bound.max_n + 1 if bound else 1]
+            ends += sorted(verdicts._cuts(table, 0) | verdicts._cuts(table, 1))
+            if prefix:
+                ends += [s - prefix[-1] for r in lasts_chain(prefix[:-1], horizon, memo).found() for s in r]
             near = st.sampled_from(ends).flatmap(lambda x: st.integers(max(x - 2, 1), max(x + 2, 3)))
-            first, stop = sorted((data.draw(near), data.draw(near)))
-            stop += 1
-        rows = leaf_rows(L, prefix, first, stop, horizon, {})
-        assert [r.vector for r in rows] == [prefix + (c,) for c in range(first, stop)]
-        for c, row in zip(range(first, stop), rows):
-            cv = CoefficientVector(prefix + (c,))
-            gaps = [a - b * c for a, b in table]
-            assert gaps == Sequence(cv).gaps(window), cv
-            assert (c in passing) == (min(gaps) >= 0), cv
-            fresh = classify(cv, horizon)
-            assert row == hunt._row(cv.coefficients, fresh), cv
-            found = window_rules(cv.coefficients, gaps, terms, horizon)
-            if isinstance(found, ProofTag):
-                assert fresh.proof == found, cv
+            first, last = sorted((data.draw(near), data.draw(near)))
+            spans.append((first, last + 1))
+        for first, stop in spans:
+            rows = leaf_rows(L, prefix, first, stop, horizon, memo)
+            assert [r.vector for r in rows] == [prefix + (c,) for c in range(first, stop)]
+            for c, row in zip(range(first, stop), rows):
+                cv = CoefficientVector(prefix + (c,))
+                gaps = [a - b * c for a, b in table]
+                assert gaps == Sequence(cv).gaps(window), cv
+                assert (c in passing) == (min(gaps) >= 0), cv
+                fresh = classify(cv, horizon)
+                assert row == hunt._row(cv.coefficients, fresh), cv
+                found = window_rules(cv.coefficients, gaps, terms, horizon)
+                if isinstance(found, ProofTag):
+                    assert fresh.proof == found, cv
 
 
 class TestDominantRootCrossCheck:

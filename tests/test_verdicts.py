@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-from types import SimpleNamespace
 from itertools import combinations
 
 import pytest
@@ -20,7 +19,9 @@ from plrslab import (
 )
 from plrslab import families, verdicts
 from plrslab.seqcore import Sequence
-from plrslab.verdicts import FAILS_PAST_WINDOW, failure_pieces, rule_pieces, verdict_to_json
+from plrslab.verdicts import FAILS_PAST_WINDOW, CompleteLasts, effective_horizon, node_pieces, verdict_to_json
+
+from conftest import weak_window_check
 
 
 def powerset_sums(terms):
@@ -50,16 +51,6 @@ class TestBrownScan:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             brown_scan(CoefficientVector((1, 1)), 0)
-
-
-def weak_window_check(cv):
-    """The strict-window criterion: B_n >= 0 for n < L and B_n > 0 for
-    L <= n <= 2L - 1; at L = 1, c_1 <= 2."""
-    L = len(cv)
-    if L == 1:
-        return cv[0] <= 2
-    gaps = Sequence(cv).gaps(2 * L - 1)
-    return min(gaps[: L - 1], default=0) >= 0 and min(gaps[L - 1:]) > 0
 
 
 class TestWeakWindow:
@@ -283,8 +274,8 @@ def _each_c(pieces):
     return {c: found for a, b, found in pieces for c in range(a, b)}
 
 
-class TestRulePieces:
-    """The rules over a range of c_L, against each c read alone from the same
+class TestNodePieces:
+    """window_rules over a range of c_L, against each c read alone from the same
     gap lines alpha_n - beta_n c (made up here, so every sign of beta shows)."""
 
     @given(
@@ -296,23 +287,15 @@ class TestRulePieces:
     @settings(max_examples=300, deadline=None)
     def test_pieces_match_each_c(self, lines, first, width, merged_lo, merged_width):
         # [1, 0, 2, c]: neither rule (b) nor (c) applies, so the passing c are
-        # decided by (d), here the made-up range of merged_*, then by (e),
-        # B_n > 0 for n = 4..7.  B_4 = 100 - c keeps the passing c bounded.
+        # decided by (d), here the made-up range of merged_* (merged last
+        # coefficients 2 + c), then by (e), B_n > 0 for n = 4..7.
         prefix, L = (1, 0, 2), 4
         table = [(0, 0), (1, 0), lines[0], (100, 1), *lines[1:]]
         stop = first + width
-        passing = families.passing_range(table)
-        lo, hi = max(first, passing.start), min(stop, passing.stop)
         merged = range(merged_lo, merged_lo + merged_width)
-
-        def complete(shift, a, b):
-            assert (shift, a, b) == (2, lo, hi)
-            return [(max(a, merged.start), min(b, merged.stop))] if a < merged.stop and merged.start < b else []
-
-        found = _each_c(failure_pieces(table, first, lo if lo < hi else stop))
-        if lo < hi:
-            found.update(_each_c(rule_pieces(prefix, table, lo, hi, SimpleNamespace(within=complete))))
-            found.update(_each_c(failure_pieces(table, hi, stop)))
+        lasts = CompleteLasts((1, 0), None, None)
+        lasts.ranges = [(merged.start + 2, merged.stop + 2)] if merged else []
+        found = _each_c(node_pieces(prefix, table, [], first, stop, lasts, None))
         for c in range(first, stop):
             gaps = [a - b * c for a, b in table]
             if min(gaps) < 0:
@@ -332,12 +315,14 @@ class TestRulePieces:
         ((1, 0), {c: ProofRule.FAMILY_SINGLE_ONE for c in (1, 2, 3)} | {4: FAILS_PAST_WINDOW}),
     ])
     def test_coefficients_and_family_bound(self, prefix, rules):
-        # Rules (b) and (c) read the prefix; (c) splits at the bound, 3 for [1, 0, N].
-        assert _each_c(rule_pieces(prefix, [], min(rules), max(rules) + 1, None)) == rules
+        # Rules (b) and (c) read the coefficients; (c) splits at the bound, 3
+        # for [1, 0, N].  Every made-up gap is positive.
+        table = [(100, 0)] * effective_horizon(len(prefix) + 1)
+        assert _each_c(node_pieces(prefix, table, [], min(rules), max(rules) + 1, None, None)) == rules
 
     def test_all_positive_shape_checked(self):
         with pytest.raises(RuntimeError, match=r"\[1, 1, 3\] is not all-positive complete"):
-            rule_pieces((1, 1), [], 1, 4, None)
+            node_pieces((1, 1), [(100, 0)] * 5, [], 1, 4, None, None)
 
 
 class TestClassifySoundnessSpot:
