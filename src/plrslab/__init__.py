@@ -28,7 +28,6 @@ from .verdicts import (
     ProofRule,
     ProofTag,
     Reachability,
-    brown_scan,
     classify,
     is_complete_up_to,
     subset_sum_reachable,
@@ -89,7 +88,6 @@ __all__ = [
     "TrailingZeroError",
     "VectorValidationError",
     "add_front_ones_scan",
-    "brown_scan",
     "classify",
     "corollary_shift_bound",
     "distinct_decompose",

@@ -19,7 +19,7 @@ import logging
 import math
 import sys
 from dataclasses import astuple
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__, families, hunt, zeck
 from .errors import (
@@ -30,12 +30,11 @@ from .errors import (
     OutOfRangeError,
     PLRSError,
 )
-from .seqcore import STR_MAX_BITS, CoefficientVector, term_texts, terms_prefix
+from .seqcore import TEXT_DECOMPOSE_MAX_BITS, CoefficientVector, term_texts, terms_prefix
 from .verdicts import (
     BITMAP_BUDGET_BITS,
     DEFAULT_ORACLE_CAP,
     VerdictStatus,
-    brown_scan,
     classify,
     effective_horizon,
     is_complete_up_to,
@@ -77,6 +76,12 @@ def _print_json(envelope: dict, *slots: tuple[str, Iterable[str]]) -> None:
         sys.stdout.write(head + marker)
         sys.stdout.writelines(pieces)
     sys.stdout.write(text + "\n")
+
+
+def _joined(texts: list[str], size: int = 64) -> Iterator[str]:
+    """", ".join(texts) in pieces of `size` texts, for a JSON array slot."""
+    for i in range(0, len(texts), size):
+        yield (", " if i else "") + ", ".join(texts[i:i + size])
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
@@ -131,15 +136,11 @@ def cmd_gen(args) -> int:
     if args.count < 1:
         raise OutOfRangeError("--count must be >= 1")
     _check_prefix_size(cv, args.count)
-    terms = terms_prefix(cv, args.count)
-    envelope = _envelope(
-        "gen",
-        {"vector": list(cv), "count": args.count},
-        {"terms": terms},
-    )
-    csv_table = (["n", "term"], [[i + 1, t] for i, t in enumerate(terms)])
-    text = [" ".join(str(t) for t in terms)] if args.format == "text" else []
-    _emit(args, envelope, text, csv_table)
+    texts = term_texts(cv, args.count)
+    envelope = _envelope("gen", {"vector": list(cv), "count": args.count}, {"terms": []})
+    csv_table = (["n", "term"], ([i, t] for i, t in enumerate(texts, 1)))
+    text = [" ".join(texts)] if args.format == "text" else []
+    _emit(args, envelope, text, csv_table, [('"terms": [', _joined(texts))])
     return EXIT_OK
 
 
@@ -150,7 +151,7 @@ def cmd_analyze(args) -> int:
     horizon = effective_horizon(len(cv), args.horizon)
     _check_prefix_size(cv, horizon)
     verdict = classify(cv, args.horizon)
-    gaps = brown_scan(cv, horizon).gaps
+    gaps = cv.sequence.gaps(horizon)
     payload = verdict_to_json(cv, verdict, gaps)
     payload["witness_verified"] = None
     if verdict.is_incomplete and verdict.witness is not None:
@@ -208,12 +209,10 @@ def cmd_decompose(args) -> int:
                 texts = term_texts(cv, len(digits))[::-1]
                 results["legal"] = {"N": args.n, "digits": list(digits), "terms": [],
                                     "legal": zeck.is_legal(cv, digits), "rendered": ""}
-                slots = [('"terms": [', (f", {t}" if i else t for i, t in enumerate(texts))),
+                slots = [('"terms": [', _joined(texts)),
                          ('"rendered": "', zeck.render_pieces(args.n, digits, texts))]
             elif args.n:
-                # Past the cut str() takes time quadratic in a term's digits; below
-                # it render_pieces calls str() on the terms under nonzero digits only.
-                big = args.n.bit_length() > STR_MAX_BITS
+                big = args.n.bit_length() > TEXT_DECOMPOSE_MAX_BITS
                 terms = (term_texts if big else terms_prefix)(cv, len(digits))[::-1]
                 lines.append("legal: " + "".join(zeck.render_pieces(args.n, digits, terms)))
             else:

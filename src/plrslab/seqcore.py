@@ -119,6 +119,7 @@ class Sequence:
     With S_k = H_1 + ... + H_k and the maximal runs c_{start+1} = ... =
     c_stop = v != 0, H_{m+1} = [m < L] + sum over runs with start < m of
     v (S_{m-start} - S_{max(m-stop, 0)}): two runs for [1 x g, 0 x k, N].
+    A one-wide run reads H_{m-start} itself; v = 1 adds without a multiply.
 
     CoefficientVector.sequence holds one per vector and frees it with the
     vector; a Sequence built directly is a private memo, for independent
@@ -154,11 +155,13 @@ class Sequence:
                 for start, stop, v in runs:
                     if start >= m:
                         break
-                    val += v * (sums[m - start] - (sums[m - stop] if m > stop else 0))
+                    x = terms[m - stop] if stop - start == 1 else sums[m - start] - sums[max(m - stop, 0)]
+                    val += x if v == 1 else v * x
             else:
                 val = 0
                 for start, stop, v in runs:
-                    val += v * (sums[m - start] - sums[m - stop])
+                    x = terms[m - stop] if stop - start == 1 else sums[m - start] - sums[m - stop]
+                    val += x if v == 1 else v * x
             terms.append(val)
             sums.append(sums[-1] + val)
 
@@ -211,9 +214,12 @@ def terms_prefix(cv: CoefficientVector, n: int) -> list[int]:
 
 
 #: Terms of at most this many bits are rendered by str(); term_texts carries
-#: larger ones in decimal arithmetic.  A decimal step beats str() from about
-#: 1,500 bits on; the margin covers setting up the decimal part.
-STR_MAX_BITS = 2048
+#: larger ones in decimal arithmetic.  Rendering every term up to 1,536-4,096
+#: bits, cuts of 1,024-1,152 bits came out fastest.
+STR_MAX_BITS = 1024
+#: Text-mode decompose str()s only the terms under nonzero digits, which beat
+#: term_texts up to 2,500-2,900 bits over the eight bench legal generators.
+TEXT_DECOMPOSE_MAX_BITS = 2048
 
 
 def term_texts(cv: CoefficientVector, m: int) -> list[str]:
@@ -223,8 +229,8 @@ def term_texts(cv: CoefficientVector, m: int) -> list[str]:
     past the cut the recurrence goes on in exact decimal arithmetic, seeded by
     parsing the last L texts and keeping a window of L terms, and each further
     text costs O(digits) per nonzero c_i.  Its last L terms must equal the int
-    terms' texts: as c_L >= 1, the recurrence runs backwards as well, so that
-    check vouches for every decimal term.
+    terms (Decimal == int: exact, and free of str()'s digit limit); as c_L >= 1
+    the recurrence runs backwards too, so that vouches for every decimal term.
     """
     terms = cv.sequence.prefix(m) if m > 0 else []
     k = bisect_right(terms, STR_MAX_BITS, key=int.bit_length)  # terms never decrease
@@ -235,20 +241,23 @@ def term_texts(cv: CoefficientVector, m: int) -> list[str]:
 
     c = cv.coefficients
     L = len(c)
-    nonzero = [(i, v) for i, v in enumerate(c) if v]
+    # window[-1 - i] is H_{n-i}; None stands for a coefficient of 1, added unmultiplied.
+    steps = [(i, None if v == 1 else decimal.Decimal(v)) for i, v in enumerate(c) if v]
+    one, zero = decimal.Decimal(1), decimal.Decimal(0)
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           traps=[decimal.Inexact, decimal.Rounded])
     window = deque(map(decimal.Decimal, texts[-L:]), maxlen=L)  # ..., H_n
     with decimal.localcontext(ctx):
         for n in range(k, m):  # H_1..H_n known, computing H_{n+1}
-            val = decimal.Decimal(1 if n < L else 0)
-            for i, v in nonzero:
+            val = one if n < L else zero
+            for i, v in steps:
                 if i >= n:
                     break
-                val += v * window[-1 - i]
+                x = window[-1 - i]
+                val += x if v is None else v * x
             window.append(val)
             texts.append(str(val))
-    for j in range(max(k, m - L), m):
-        if texts[j] != str(terms[j]):
+    for j, val in zip(range(m - len(window), m), window):
+        if val != terms[j]:
             raise RuntimeError(f"decimal term H_{j + 1} of {cv} differs from the int term")
     return texts

@@ -117,20 +117,6 @@ def effective_horizon(length: int, horizon: Optional[int] = None) -> int:
     return floor if horizon is None else max(horizon, floor)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    first_failure: Optional[int]
-    gaps: tuple[int, ...]
-
-
-def brown_scan(cv: CoefficientVector, horizon: int) -> ScanResult:
-    """Scan B_1..B_horizon and report the least index with a negative gap."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    seq = cv.sequence
-    return ScanResult(seq.first_gap_below(horizon), tuple(seq.gaps(horizon)))
-
-
 # --------------------------------------------------------------------------
 # Subset-sum oracle
 

@@ -25,10 +25,10 @@ machinery (it filters raw digit strings through the legality predicate) so
 it can serve as the oracle for the constructive path.
 
 All three searches bisect the terms <= N, refused once they could pass the
-memory budget.  render_pieces also takes terms already in decimal, as
-seqcore.term_texts renders them: by str() up to its cut, and past it by an
-exact decimal recurrence whose texts cost time linear in their digits, not
-quadratic.
+memory budget.  Distinct sums follow Brown: up to the first negative gap the
+sums of distinct H_1..H_j fill [0, S_j], so bit vectors start only there.
+render_pieces also takes terms in decimal, as seqcore.term_texts renders
+them, in time linear in their digits past its cut.
 """
 
 from __future__ import annotations
@@ -98,16 +98,20 @@ def is_legal(cv: CoefficientVector, digits: SequenceT[int]) -> bool:
 def _terms_upto(cv: CoefficientVector, n: int) -> list[int]:
     """[H_1, ..., H_k] for the largest k with H_k <= n (n >= 1, cv not [1]).
 
-    Grows the memo L terms at a time, as H_{k+L} >= 2 H_k, then bisects;
-    refused once its k terms of up to bits(H_k) bits pass the budget."""
+    Visits H_L, H_2L, ... up to the first above n, as H_{k+L} >= 2 H_k, then
+    bisects; refused once its k terms of up to bits(H_k) bits pass the budget.
+    Visits that can neither stop nor refuse are skipped: as bits(H_{m+1}) <=
+    bits(H_m) + g for g = bits(c_1 + ... + c_L), the j terms after H_k stay
+    below 2^(b-1) <= n while bits(H_k) + j g < b = bits(n), and inside the
+    budget while (k + j) b is."""
     step = k = len(cv)
+    g, b = sum(cv.coefficients).bit_length(), n.bit_length()
     while (h := cv.sequence.term(k)) <= n:
         if k * h.bit_length() > BITMAP_BUDGET_BITS:
-            raise CapExceededError(
-                f"the terms of {list(cv)} up to a {n.bit_length()}-bit N may need "
-                f"over the {BITMAP_BUDGET_BITS}-bit budget"
-            )
-        k += step
+            raise CapExceededError(f"the terms of {list(cv)} up to a {b}-bit N may need "
+                                   f"over the {BITMAP_BUDGET_BITS}-bit budget")
+        j = min((b - 1 - h.bit_length()) // g, BITMAP_BUDGET_BITS // b - k)
+        k += max(step, j // step * step)
     terms = cv.sequence.prefix(k)
     return terms[:bisect_right(terms, n)]
 
@@ -218,8 +222,10 @@ def distinct_decompose(
 ) -> Optional[DistinctDecomposition]:
     """A set of distinct terms summing to n, or None when no such set exists.
 
-    Runs the subset-sum bit vector over every term <= n and back-traces,
-    preferring the largest usable term at each step.
+    Back-traces over the sums of distinct terms <= n, preferring the largest
+    usable term at each step.  By Brown's criterion the sums of H_1..H_j are
+    the interval [0, S_j] while B_1..B_j >= 0, so subset-sum bit vectors
+    start at the first negative gap; a complete generator needs none.
     """
     if n < 1:
         raise ValueError("target must be >= 1")
@@ -233,19 +239,21 @@ def distinct_decompose(
             f"back-trace over {len(terms)} terms for a {n.bit_length()}-bit target "
             "exceeds the bitmap budget"
         )
-    full = (1 << (n + 1)) - 1
-    layers = [1]
-    bits = 1
-    for t in terms:
-        bits = (bits | (bits << t)) & full
-        layers.append(bits)
-    if not (bits >> n) & 1:
+    seq = cv.sequence
+    f = seq.first_gap_below(len(terms)) or len(terms) + 1
+    layers = []  # layers[j]: the sums of H_1..H_{f+j} up to n, as bits
+    if f <= len(terms):
+        full = (1 << (n + 1)) - 1
+        bits = (1 << (seq.partial_sum(f - 1) + 1)) - 1  # the sums of H_1..H_{f-1}, as S_{f-1} < H_f <= n
+        for t in terms[f - 1:]:
+            bits = (bits | (bits << t)) & full
+            layers.append(bits)
+    if not (layers[-1] >> n & 1 if layers else n <= seq.partial_sum(len(terms))):
         return None
-    picked: list[int] = []
-    rem = n
+    picked, rem = [], n
     for i in range(len(terms), 0, -1):
         t = terms[i - 1]
-        if t <= rem and (layers[i - 1] >> (rem - t)) & 1:
+        if t <= rem and (rem - t <= seq.partial_sum(i - 1) if i <= f else layers[i - 1 - f] >> (rem - t) & 1):
             picked.append(i)
             rem -= t
     if rem != 0:

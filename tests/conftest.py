@@ -1,12 +1,28 @@
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple, Optional
 
 import pytest
 
-from plrslab import CoefficientVector, brown_scan, first_failure_census
+from plrslab import CoefficientVector, first_failure_census
 from plrslab.hunt import coefficient_ranges
 from plrslab.seqcore import Sequence
+
+
+class Scan(NamedTuple):
+    first_failure: Optional[int]
+    gaps: tuple[int, ...]
+
+
+def brown_scan(cv, horizon):
+    """B_1..B_horizon from the definition, B_n = 1 + H_1 + ... + H_{n-1} - H_n,
+    and the least n with B_n < 0 (None when there is none)."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    terms = Sequence(cv).prefix(horizon)
+    gaps = tuple(1 + s - t for s, t in zip(itertools.accumulate(terms, initial=0), terms))
+    return Scan(next((n for n, b in enumerate(gaps, 1) if b < 0), None), gaps)
 
 
 def enumerate_vectors(length):

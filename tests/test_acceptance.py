@@ -11,7 +11,6 @@ from itertools import product
 
 from plrslab import (
     CoefficientVector,
-    brown_scan,
     classify,
     distinct_decompose,
     empirical_max_n,
@@ -28,7 +27,7 @@ from plrslab import (
 from plrslab.cli import main
 from plrslab.families import figure1_table, parse_figure_csv
 
-from conftest import check_fail_at_2l_minus_1
+from conftest import brown_scan, check_fail_at_2l_minus_1
 
 
 def _report(number: int, detail: str) -> None:

@@ -18,6 +18,7 @@ import plrslab
 from plrslab import (
     CoefficientVector,
     NoLegalDecompositionError,
+    Sequence,
     cli,
     distinct_decompose,
     first_failure_census,
@@ -144,7 +145,7 @@ class TestAnalyze:
 
     def test_oversized_horizon_exit_five(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "classify", _no_work)
-        monkeypatch.setattr(cli, "brown_scan", _no_work)
+        monkeypatch.setattr(Sequence, "gaps", _no_work)
         code, out, err = run(capsys, "analyze", "1,1", "--horizon", str(10**9))
         assert code == 5
         assert out == ""

@@ -11,7 +11,6 @@ from plrslab import (
     ConjectureViolation,
     Sequence,
     add_front_ones_scan,
-    brown_scan,
     classify,
     first_failure_census,
     hunt,
@@ -35,7 +34,7 @@ from plrslab.hunt import (
     parse_census_csv,
 )
 
-from conftest import check_fail_at_2l_minus_1, enumerate_vectors
+from conftest import brown_scan, check_fail_at_2l_minus_1, enumerate_vectors
 
 
 def leaf_vectors(length, records):

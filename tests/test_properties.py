@@ -14,7 +14,6 @@ from plrslab import (
     ConjectureViolation,
     ProofRule,
     ProofTag,
-    brown_scan,
     classify,
     distinct_decompose,
     empirical_max_n,
@@ -33,7 +32,7 @@ from plrslab.families import gap_table, passing_range
 from plrslab.seqcore import Sequence
 from plrslab.verdicts import _BOUND_RULE_TAGS, CompleteLasts, effective_horizon, window_rules
 
-from conftest import enumerate_vectors, weak_window_check
+from conftest import brown_scan, enumerate_vectors, weak_window_check
 
 
 def lasts_chain(prefix, horizon, memo):

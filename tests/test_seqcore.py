@@ -1,3 +1,4 @@
+import decimal
 import sys
 from unittest import mock
 
@@ -126,6 +127,26 @@ class TestTerms:
         assert Sequence(CoefficientVector(coeffs)).prefix(n) == naive_terms(coeffs, n)
 
     @given(
+        st.lists(st.tuples(st.sampled_from([0, 1, 1, 2, 7]), st.sampled_from([1, 1, 2, 4])), max_size=6),
+        st.integers(0, 30),
+    )
+    @example([(3, 1), (1, 1), (2, 3), (0, 2), (1, 4), (5, 1), (0, 1), (1, 1)], 0)
+    @example([(1, 1), (4, 1), (1, 2), (0, 3), (1, 1), (2, 1), (2, 1)], 5)
+    @settings(max_examples=200, deadline=None)
+    def test_single_runs_mixed_with_longer_runs(self, blocks, k):
+        # One-wide runs (v = 1 and v > 1), which read H_{m-start} from the
+        # memo, next to longer runs, which take a difference of prefix sums;
+        # from H_1 a term at a time across the +1 phase, and from a head of
+        # k terms before, at or past L.
+        coeffs = [1] + [v for v, width in blocks for _ in range(width)] + [1]
+        n = 3 * len(coeffs) + 5
+        expected = naive_terms(coeffs, n)
+        seq = Sequence(CoefficientVector(coeffs))
+        assert [seq.term(i) for i in range(1, n + 1)] == expected
+        if k:
+            assert Sequence(CoefficientVector(coeffs), head=expected[:k]).prefix(n) == expected
+
+    @given(
         st.lists(st.integers(0, 4), min_size=1, max_size=9),
         st.integers(1, 20),
     )
@@ -231,6 +252,20 @@ class TestTermTexts:
         with mock.patch.object(seqcore, "STR_MAX_BITS", 8):
             texts = term_texts(CoefficientVector(coeffs), m)
         assert texts == [str(h) for h in naive_terms(coeffs, m)[:m]]
+
+    def test_past_the_default_digit_limit(self):
+        # The closing check compares Decimal == int, exact and without the
+        # int/str digit limit: texts past 4,300 digits need no lifted limit.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int/str digit limit before Python 3.10.7")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            texts = term_texts(CoefficientVector((9,)), 4600)  # H_n = 9^(n-1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(texts[-1]) > 4300
+        assert [decimal.Decimal(texts[i]) for i in (0, 1000, 4599)] == [1, 9**1000, 9**4599]
 
     def test_terms_below_the_cut_come_from_str(self, monkeypatch):
         cv = CoefficientVector((2, 1))

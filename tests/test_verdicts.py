@@ -11,7 +11,6 @@ from plrslab import (
     CoefficientVector,
     ConjectureViolation,
     ProofRule,
-    brown_scan,
     classify,
     is_complete_up_to,
     subset_sum_reachable,
@@ -21,7 +20,7 @@ from plrslab import families, verdicts
 from plrslab.seqcore import Sequence
 from plrslab.verdicts import FAILS_PAST_WINDOW, CompleteLasts, effective_horizon, node_pieces, verdict_to_json
 
-from conftest import weak_window_check
+from conftest import brown_scan, weak_window_check
 
 
 def powerset_sums(terms):
@@ -34,23 +33,25 @@ def powerset_sums(terms):
 
 
 class TestBrownScan:
+    # What analyze reads: Sequence.gaps, and first_gap_below for classify's scan.
     def test_one_three_fails_at_three(self):
-        scan = brown_scan(CoefficientVector((1, 3)), 10)
-        assert scan.first_failure == 3
-        assert scan.gaps[:3] == (0, 0, -1)
+        seq = CoefficientVector((1, 3)).sequence
+        assert seq.first_gap_below(10) == 3
+        assert seq.gaps(10)[:3] == [0, 0, -1]
+        assert tuple(seq.gaps(10)) == brown_scan(CoefficientVector((1, 3)), 10).gaps
 
     def test_fibonacci_never_fails(self):
-        assert brown_scan(CoefficientVector((1, 1)), 50).first_failure is None
+        assert CoefficientVector((1, 1)).sequence.first_gap_below(50) is None
 
     def test_one_zero_four_fails_at_five(self):
-        assert brown_scan(CoefficientVector((1, 0, 4)), 10).first_failure == 5
+        assert CoefficientVector((1, 0, 4)).sequence.first_gap_below(10) == 5
 
     def test_trace_covers_whole_horizon(self):
-        assert len(brown_scan(CoefficientVector((1, 3)), 10).gaps) == 10
+        assert len(CoefficientVector((1, 3)).sequence.gaps(10)) == 10
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
-            brown_scan(CoefficientVector((1, 1)), 0)
+            CoefficientVector((1, 1)).sequence.gaps(0)
 
 
 class TestWeakWindow:

@@ -1,11 +1,16 @@
 import json
+from bisect import bisect_right
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plrslab import (
     CapExceededError,
     CoefficientVector,
     NoLegalDecompositionError,
+    Sequence,
+    zeck,
     distinct_decompose,
     enumerate_legal,
     is_legal,
@@ -17,6 +22,52 @@ from plrslab.cli import main
 
 FIB = CoefficientVector((1, 1))
 ONE_THREE = CoefficientVector((1, 3))
+
+
+def _distinct_by_bit_vectors(coeffs, n):
+    """Indices of distinct_decompose's answer from a subset-sum bit vector over
+    every term <= n, back-traced largest term first; None when n has none."""
+    seq = Sequence(CoefficientVector(coeffs))
+    terms = []
+    while (t := seq.term(len(terms) + 1)) <= n:
+        terms.append(t)
+    full = (1 << (n + 1)) - 1
+    layers = [1]
+    for t in terms:
+        layers.append((layers[-1] | layers[-1] << t) & full)
+    if not layers[-1] >> n & 1:
+        return None
+    picked, rem = [], n
+    for i in range(len(terms), 0, -1):
+        t = terms[i - 1]
+        if t <= rem and layers[i - 1] >> (rem - t) & 1:
+            picked.append(i)
+            rem -= t
+    return tuple(reversed(picked))
+
+
+def _terms_upto_by_steps(cv, n, budget):
+    """The terms <= n found by visiting H_L, H_2L, ... one by one; None where
+    a visited k has k terms of up to bits(H_k) bits over the budget."""
+    step = k = len(cv)
+    while (h := cv.sequence.term(k)) <= n:
+        if k * h.bit_length() > budget:
+            return None
+        k += step
+    terms = cv.sequence.prefix(k)
+    return terms[:bisect_right(terms, n)]
+
+
+def _witness(coeffs):
+    """1 + S_{f-1} for the first negative gap B_f, or None within 40 terms."""
+    seq = Sequence(CoefficientVector(coeffs))
+    f = seq.first_gap_below(40)
+    return None if f is None else 1 + seq.partial_sum(f - 1)
+
+
+_generators = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(
+    lambda c: (c[0] or 1, *c[1:-1], c[-1] or 1) if len(c) > 1 else (c[0] or 2,)
+).filter(lambda c: c != (1,))
 
 
 class TestIsLegal:
@@ -130,6 +181,67 @@ class TestDistinctDecompose:
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
             distinct_decompose(FIB, 10**7)
+
+    @pytest.mark.parametrize(
+        "coeffs", [(1, 3), (1, 0, 4), (1, 1), (2,), (1, 2), (3, 2), (1, 0, 2, 2, 2, 3, 1, 2), (1, 4, 1)]
+    )
+    def test_same_indices_as_bit_vectors_past_the_witness(self, coeffs):
+        # Complete and incomplete generators, N from 1 to well past the
+        # witness 1 + S_{f-1}: the intervals [0, S_j] up to the first
+        # negative gap pick exactly what the bit vectors pick.
+        top = 3 * (_witness(coeffs) or 300) + 40
+        for n in range(1, top):
+            dd = distinct_decompose(CoefficientVector(coeffs), n)
+            assert (dd and dd.indices) == _distinct_by_bit_vectors(coeffs, n), n
+
+    @given(_generators, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_indices_as_bit_vectors(self, coeffs, data):
+        w = _witness(coeffs)
+        ns = [data.draw(st.integers(1, 4 * (w or 500) + 20), label="n")]
+        if w is not None:
+            ns += [w - 1, w, w + 1]  # w - 1 >= 1, as B_1 = 0
+        for n in ns:
+            dd = distinct_decompose(CoefficientVector(coeffs), n)
+            assert (dd and dd.indices) == _distinct_by_bit_vectors(coeffs, n), n
+
+
+class TestTermsUpto:
+    @pytest.mark.parametrize("coeffs", [(2, 1), (1, 1), (3, 2), (1, 0, 4), (2, 1, 3, 0, 0, 0, 2), (7,), (15,)])
+    @pytest.mark.parametrize("budget", [40, 150, 700, 4000])
+    def test_refuses_at_the_budget_edge_as_steps_of_l(self, coeffs, budget):
+        # On both sides of each term around the edge: the same terms or the
+        # same refusal, with the memo grown exactly as far.
+        ref = Sequence(CoefficientVector(coeffs)).prefix(200)
+        refused = 0
+        for h in ref:
+            for n in (h - 1, h, h + 1):
+                if n < 1:
+                    continue
+                cv, by_steps = CoefficientVector(coeffs), CoefficientVector(coeffs)
+                expected = _terms_upto_by_steps(by_steps, n, budget)
+                with mock.patch.object(zeck, "BITMAP_BUDGET_BITS", budget):
+                    if expected is None:
+                        refused += 1
+                        with pytest.raises(CapExceededError, match="budget"):
+                            zeck._terms_upto(cv, n)
+                    else:
+                        assert zeck._terms_upto(cv, n) == expected
+                assert len(cv.sequence._terms) == len(by_steps.sequence._terms)
+        assert refused
+
+    @given(_generators, st.integers(1, 2**400), st.integers(10, 20000))
+    @settings(max_examples=200, deadline=None)
+    def test_same_answer_as_steps_of_l(self, coeffs, n, budget):
+        cv, by_steps = CoefficientVector(coeffs), CoefficientVector(coeffs)
+        expected = _terms_upto_by_steps(by_steps, n, budget)
+        with mock.patch.object(zeck, "BITMAP_BUDGET_BITS", budget):
+            try:
+                got = zeck._terms_upto(cv, n)
+            except CapExceededError:
+                got = None
+        assert got == expected
+        assert len(cv.sequence._terms) == len(by_steps.sequence._terms)
 
 
 class TestRendering:
