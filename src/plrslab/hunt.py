@@ -22,8 +22,8 @@ of one prefix that share first failure, verdict and proof.  Output that
 lists every vector is written per record (_record_texts), so memory is
 bounded by the rows of one prefix of length L - 2 (8,320 at L = 7), not by
 the output.  A checkpointed census appends each record to a rows file as
-the search finds it, and a rerun replays the records through the search
-and decides only what lies past them (_census_records).
+the search finds it, one line per record, and a rerun replays the records
+through the search and decides only what lies past them (_census_records).
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ class CensusRow(NamedTuple):
     completion of `vector` with its last coefficient raised up to `end`.  At
     full length and without `end` it is the row of that one vector.  A run
     record, whose prefix first fails at its own last term, ends at the top of
-    that coefficient's range: every larger value fails there too.
+    that coefficient's range: every larger value fails there too.  The rows
+    file writes one line per record: "1,0,5+" for a run, "1,0,1:3" for
+    leaves with an end, "1,0,4" for one leaf.
     """
 
     vector: tuple[int, ...]
@@ -252,9 +254,9 @@ class CensusReport:
 
 
 CENSUS_CSV_HEADER = ["vector", "first_failure", "verdict", "proof_tag"]
-# The rows file of a checkpointed census: one line per vector of each record,
-# but one line for a run record, its prefix ending in "+" ("1,0,3+" stands for
-# every c_3 >= 3).
+# The rows file of a checkpointed census: one line per record.  A run's prefix
+# ends in "+" ("1,0,3+" stands for every c_3 >= 3), and a record of leaves
+# with an end adds ":" and the end ("1,0,1:3" stands for c_3 = 1..3).
 RECORDS_CSV_HEADER = ["record", *CENSUS_CSV_HEADER[1:]]
 
 
@@ -262,14 +264,12 @@ def _tail_fields(r: CensusRow) -> list:
     return ["" if r.first_failure is None else r.first_failure, r.verdict, r.proof]
 
 
-def _rows_file_fields(r: CensusRow) -> Iterator[list]:
-    """The rows-file lines of one record, as csv fields."""
-    if _is_run(r):
-        yield [",".join(map(str, r.vector)) + "+", *_tail_fields(r)]
-        return
-    head = "".join(f"{c}," for c in r.vector[:-1])
-    for c in range(r.vector[-1], _last(r) + 1):
-        yield [f"{head}{c}", *_tail_fields(r)]
+def _rows_file_fields(r: CensusRow) -> list:
+    """The rows-file line of one record, as csv fields."""
+    record = ",".join(map(str, r.vector))
+    if r.end is not None:
+        record += "+" if _is_run(r) else f":{r.end}"
+    return [record, *_tail_fields(r)]
 
 
 def census_rows_to_csv(rows: list[CensusRow]) -> str:
@@ -277,39 +277,32 @@ def census_rows_to_csv(rows: list[CensusRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RECORDS_CSV_HEADER)
-    for r in rows:
-        writer.writerows(_rows_file_fields(r))
+    writer.writerows(map(_rows_file_fields, rows))
     return buf.getvalue()
 
 
 def parse_census_csv(text: str) -> list[CensusRow]:
-    """Records from a rows file, or rows from `census --format csv`.
+    """Records from a rows file, one per line.
 
-    In a rows file, consecutive lines of one prefix of length L - 1 that
-    share first failure, verdict and proof are one record, as the census
-    finds them, unless they fail at the term after their last coefficient:
-    only a "+" line stands for a run, and it must state the run's fields.
-    Lines are read one at a time, with no StringIO copy of the text at four
-    bytes a character, and rows share one string per verdict and proof tag.
+    A line ending in "+" must state a run's fields, and one with an end
+    (":b") must not.  Lines are read one at a time, with no StringIO copy of
+    the text at four bytes a character, and records share one string per
+    verdict and proof tag.
     """
     reader = csv.reader(m.group() for m in re.finditer(r"[^\n]*\n|[^\n]+", text))
     header = next(reader, None)
-    if header not in (RECORDS_CSV_HEADER, CENSUS_CSV_HEADER):
-        raise ValueError(f"unexpected census CSV header {header}")
+    if header != RECORDS_CSV_HEADER:
+        raise ValueError(f"unexpected census rows header {header}")
     rows: list[CensusRow] = []
-    joins = False  # whether the line before was a leaf line of a rows file
-    for vec, ff, verdict, proof in reader:
-        run = vec.endswith("+")
-        vector = tuple(map(int, vec.rstrip("+").split(",")))
-        end = 2 ** len(vector) if run else None  # c_i <= 2^i at every position i
+    for record, ff, verdict, proof in reader:
+        prefix, colon, last = record.partition(":")
+        run = not colon and prefix.endswith("+")
+        vector = tuple(map(int, prefix.removesuffix("+").split(",")))
+        end = int(last) if colon else 2 ** len(vector) if run else None  # c_i <= 2^i
         rec = CensusRow(vector, int(ff) if ff else None, sys.intern(verdict), sys.intern(proof), end)
-        if run and not _is_run(rec):
-            raise ValueError(f"record {_label(rec)}+ does not fail where it says")
-        if joins and not run and rec.first_failure != len(vector) + 1:
-            _add(rows, rec)
-        else:
-            rows.append(rec)
-        joins = header == RECORDS_CSV_HEADER and not run
+        if run != _is_run(rec):
+            raise ValueError(f"record {list(vector)}+ does not fail where it says")
+        rows.append(rec)
     return rows
 
 
@@ -582,13 +575,9 @@ def first_failure_census(
         with rows_file.open("a") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for rec in found:
-                writer.writerows(_rows_file_fields(rec))
+                writer.writerow(_rows_file_fields(rec))
                 records.append(rec)
     log.debug("census L=%d: %d records reloaded, %d found", length, n, len(records) - n)
-    if 0 < n < len(records):  # a node cut by a torn rows file: its leaves' records join
-        joined = [records[n - 1]]
-        _add(joined, records[n])
-        records[n - 1 : n + 1] = joined
 
     if length == 1:
         # The window 2L - 1 = 1 is vacuous and [1], [2] never fail; every [c]

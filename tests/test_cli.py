@@ -685,18 +685,64 @@ class TestCensus:
     def test_forged_leaf_record_exit_2(self, capsys, tmp_path):
         # A complete leaf restated as failing past the window: the rerun
         # re-scans it and refuses the rows file, rather than report a
-        # conjecture violation (exit 6).
+        # conjecture violation (exit 6).  Then leaves past the family bound,
+        # ends below the start, past the top of the range or no number, an
+        # end short of L, and a run written as leaves with an end.
         ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
         files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
         fresh = run(capsys, "census", "--L", "3", *files)
         assert fresh[0] == 0
         text = rows.read_text()
-        assert '"1,0,1",,complete,family_single_one\n' in text
-        rows.write_text(text.replace('"1,0,1",,complete,family_single_one', '"1,0,1",9,incomplete,'))
-        code, out, err = run(capsys, "census", "--L", "3", *files)
-        assert code == 2
-        assert out == ""
-        assert "record [1, 0, 1] does not fail where it says" in err
+        line = '"1,0,1:3",,complete,family_single_one'
+        assert line + "\n" in text
+        for forged, message in [
+            ('"1,0,1:3",9,incomplete,', "record [1, 0, 1] does not fail where it says"),
+            ('"1,0,1:4",,complete,family_single_one', "record [1, 0, 4] does not fail where it says"),
+            ('"1,0,1:0",,complete,family_single_one', "record [1, 0, 1] does not follow"),
+            ('"1,0,1:99999999999999",,complete,family_single_one', "record [1, 0, 1] does not follow"),
+            ('"1,0,1:x",,complete,family_single_one', "invalid literal"),
+            ('"1,0,1:",,complete,family_single_one', "invalid literal"),
+            ('"1,1:2",,complete,family_single_one', "record [1, 1] does not follow"),
+            ('"1,0,5:8",4,incomplete,', "record [1, 0, 5]+ does not fail where it says"),
+        ]:
+            ckpt.write_text("census L=3 deep_horizon=12\n")
+            rows.write_text(text.replace(line, forged))
+            code, out, err = run(capsys, "census", "--L", "3", *files)
+            assert (code, out) == (2, ""), forged
+            assert message in err, forged
+
+    @pytest.mark.parametrize("L", [4, 5])
+    def test_rows_file_of_one_line_per_leaf_resumes(self, capsys, tmp_path, L):
+        # A fresh rows file has one line per record.  A finished rows file
+        # with one line per leaf, as earlier versions wrote, resumes with the
+        # same stdout and is left as it is, and so does one torn inside a
+        # node's leaves.
+        argv = ["census", "--L", str(L), "--deep", "--format", "json"]
+        ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
+        files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
+        code, fresh, _ = run(capsys, *argv, *files)
+        assert code == 0
+        records = first_failure_census(L).records
+        assert rows.read_text().count("\n") == len(records) + 1
+        per_leaf = [
+            r if _is_run(r) else r._replace(vector=r.vector[:-1] + (c,), end=None)
+            for r in records
+            for c in ([None] if _is_run(r) else range(r.vector[-1], _last(r) + 1))
+        ]
+        assert len(per_leaf) > len(records)
+        text = census_rows_to_csv(per_leaf)
+        # torn in the last leaf's line that has a leaf of its node before it
+        cut = next(
+            i for i in range(len(per_leaf) - 1, 0, -1)
+            if not _is_run(per_leaf[i]) and per_leaf[i - 1].vector[:-1] == per_leaf[i].vector[:-1]
+        )
+        torn = census_rows_to_csv(per_leaf[:cut]) + text.splitlines(keepends=True)[cut + 1][:3]
+        for written, kept in [(text, text), (torn, census_rows_to_csv(per_leaf[:cut]))]:
+            ckpt.write_text(f"census L={L} deep_horizon={4 * L}\n")
+            rows.write_text(written)
+            assert run(capsys, *argv, *files) == (0, fresh, "")
+            after = rows.read_text()
+            assert after == text if written is text else after.startswith(kept)
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unusable_checkpoint_path_exit_2(self, capsys, tmp_path, where):
@@ -726,9 +772,10 @@ class TestCensus:
 
     def test_csv_roundtrip(self, capsys):
         code, out, _ = run(capsys, "census", "--L", "2", "--format", "csv")
-        rows = parse_census_csv(out)
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == CENSUS_CSV_HEADER
         assert len(rows) == 8
-        assert rows[0].vector == (1, 1)
+        assert rows[0][0] == "1,1"
 
     def test_deep_required_for_l5(self, capsys):
         code, _, err = run(capsys, "census", "--L", "5")

@@ -106,13 +106,15 @@ class TestCensus:
             first_failure_census(3, 11)
 
     def test_rows_csv_roundtrip(self, census_reports):
-        # Records come back as they are; rows of one vector each come back
-        # joined into records of the same vectors.
+        # Records come back as they are, one line each, and so do rows of
+        # one vector each.
         for L in (3, 4):
             records = list(census_reports[L].records)
-            assert parse_census_csv(census_rows_to_csv(records)) == records
+            text = census_rows_to_csv(records)
+            assert text.count("\n") == len(records) + 1
+            assert parse_census_csv(text) == records
             rows = list(census_reports[L].rows())
-            assert list(_expand(L, parse_census_csv(census_rows_to_csv(rows)))) == rows
+            assert parse_census_csv(census_rows_to_csv(rows)) == rows
 
     def test_json_shape(self, census_reports):
         report = census_reports[3]
@@ -554,11 +556,12 @@ class TestCensusCheckpoint:
         "line,forged,error",
         [
             # a complete leaf stated to fail, or to fail at no term
-            ('"1,0,1",,complete,family_single_one', '"1,0,1",9,incomplete,', "does not fail"),
-            ('"1,0,1",,complete,family_single_one', '"1,0,1",,incomplete,', "does not fail"),
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:3",9,incomplete,', "does not fail"),
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:3",,incomplete,', "does not fail"),
             # a complete leaf with a first failure, and a verdict no census writes
-            ('"1,0,1",,complete,family_single_one', '"1,0,1",4,complete,family_single_one', "does not fail"),
-            ('"1,0,1",,complete,family_single_one', '"1,0,1",,proven,family_single_one', r"does not fail where it says \(proven"),
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:3",4,complete,family_single_one', "does not fail"),
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:3",,proven,family_single_one',
+             r"does not fail where it says \(proven"),
             # [1, 0, 4] first fails at 5, not earlier or later
             ('"1,0,4",5,incomplete,', '"1,0,4",4,incomplete,', "does not fail"),
             ('"1,0,4",5,incomplete,', '"1,0,4",6,incomplete,', "does not fail"),
@@ -566,15 +569,30 @@ class TestCensusCheckpoint:
             # or at none: a negative window gap refutes a complete or conjectural leaf
             ('"1,0,4",5,incomplete,', '"1,0,4",,complete,family_single_one', "does not fail"),
             ('"1,0,4",5,incomplete,', '"1,0,4",,conjecturally_complete,', "does not fail"),
+            # leaves whose end passes the family bound, lies below their start,
+            # or past the top of the range (refused before any leaf is checked),
+            # or is no number
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:4",,complete,family_single_one',
+             r"\[1, 0, 4\] does not fail"),
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:0",,complete,family_single_one',
+             r"\[1, 0, 1\] does not follow"),
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:99999999999999",,complete,family_single_one',
+             r"\[1, 0, 1\] does not follow"),
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:x",,complete,family_single_one', "invalid literal"),
+            ('"1,0,1:3",,complete,family_single_one', '"1,0,1:",,complete,family_single_one', "invalid literal"),
+            # an end on a prefix shorter than L
+            ('"1,1,1:2",,complete,all_positive', '"1,1:2",,complete,all_positive', r"\[1, 1\] does not follow"),
             # a leaf where the walk has a run of [1, 0, 5..8], and that run
             # with a misstated first failure or verdict
             ('"1,0,5+",4,incomplete,', '"1,0,5",4,incomplete,', r"\[1, 0, 5\] does not follow"),
             ('"1,0,5+",4,incomplete,', '"1,0,5+",5,incomplete,', r"\[1, 0, 5\]\+ does not fail"),
             ('"1,0,5+",4,incomplete,', '"1,0,5+",4,complete,', r"\[1, 0, 5\]\+ does not fail"),
             ('"1,0,5+",4,incomplete,', '"1,0,5+",,complete,family_single_one', r"\[1, 0, 5\]\+ does not fail"),
-            # or that run as one line per value: only a "+" line is a run
+            # or that run as one line per value, or as leaves with an end:
+            # only a "+" line is a run
             ('"1,0,5+",4,incomplete,', "\n".join(f'"1,0,{c}",4,incomplete,' for c in range(5, 9)),
              r"\[1, 0, 5\] does not follow"),
+            ('"1,0,5+",4,incomplete,', '"1,0,5:8",4,incomplete,', r"\[1, 0, 5\]\+ does not fail"),
         ],
     )
     def test_forged_leaf_rejected(self, tmp_path, census_reports, line, forged, error):
@@ -631,6 +649,8 @@ class TestCensusCheckpoint:
         text = rows.read_text()
         assert text.startswith("record,first_failure,verdict,proof_tag\n")
         assert '"1,0,5+",4,incomplete,\n' in text  # every c_3 >= 5 after (1, 0)
+        assert '"1,0,1:3",,complete,family_single_one\n' in text  # c_3 = 1..3
+        assert '"1,0,4",5,incomplete,\n' in text
         assert parse_census_csv(text) == list(census_reports[3].records)
 
     def test_checkpoint_requires_rows_file(self, tmp_path):
