@@ -5,107 +5,52 @@ incomplete with proof-tagged verdicts, compute legal (generalized
 Zeckendorf) and distinct-term decompositions, evaluate closed-form family
 bounds against empirical search, and run exhaustive first-failure censuses
 hunting for counterexamples to the 2L-1 window conjecture.
+
+Importing the package loads no submodule: each public name is imported
+from its module on first use (PEP 562), so a command pays only for the
+modules it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CapExceededError,
-    CapTooLargeError,
-    ConjectureViolation,
-    EmptyVectorError,
-    LeadingZeroError,
-    NegativeCoefficientError,
-    NoLegalDecompositionError,
-    OutOfRangeError,
-    PLRSError,
-    TrailingZeroError,
-    VectorValidationError,
-)
-from .seqcore import CoefficientVector, Sequence, terms_prefix
-from .verdicts import (
-    CompletenessVerdict,
-    ProofRule,
-    ProofTag,
-    Reachability,
-    classify,
-    is_complete_up_to,
-    subset_sum_reachable,
-)
-from .zeck import (
-    DistinctDecomposition,
-    distinct_decompose,
-    enumerate_legal,
-    is_legal,
-    legal_decompose,
-    render_decomposition,
-    value_of,
-)
-from .families import (
-    BoundResult,
-    EmpiricalMax,
-    FamilySpec,
-    corollary_shift_bound,
-    empirical_max_n,
-    family_bound,
-    family_shape,
-    fib,
-    figure1_table,
-    max_n_double_one,
-    max_n_g_ones,
-    max_n_single_one,
-)
-from .hunt import (
-    AddFrontOnesReport,
-    CensusReport,
-    add_front_ones_scan,
-    first_failure_census,
-)
+#: The public names of each submodule.
+_EXPORTS = {
+    "errors": (
+        "CapExceededError", "CapTooLargeError", "ConjectureViolation", "EmptyVectorError",
+        "LeadingZeroError", "NegativeCoefficientError", "NoLegalDecompositionError",
+        "OutOfRangeError", "PLRSError", "TrailingZeroError", "VectorValidationError",
+    ),
+    "seqcore": ("CoefficientVector", "Sequence", "terms_prefix"),
+    "verdicts": (
+        "CompletenessVerdict", "ProofRule", "ProofTag", "Reachability", "classify",
+        "is_complete_up_to", "subset_sum_reachable",
+    ),
+    "zeck": (
+        "DistinctDecomposition", "distinct_decompose", "enumerate_legal", "is_legal",
+        "legal_decompose", "render_decomposition", "value_of",
+    ),
+    "families": (
+        "BoundResult", "EmpiricalMax", "FamilySpec", "corollary_shift_bound", "empirical_max_n",
+        "family_bound", "family_shape", "fib", "figure1_table", "max_n_double_one",
+        "max_n_g_ones", "max_n_single_one",
+    ),
+    "hunt": ("AddFrontOnesReport", "CensusReport", "add_front_ones_scan", "first_failure_census"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AddFrontOnesReport",
-    "BoundResult",
-    "CapExceededError",
-    "CapTooLargeError",
-    "CensusReport",
-    "CoefficientVector",
-    "CompletenessVerdict",
-    "ConjectureViolation",
-    "DistinctDecomposition",
-    "EmpiricalMax",
-    "EmptyVectorError",
-    "FamilySpec",
-    "LeadingZeroError",
-    "NegativeCoefficientError",
-    "NoLegalDecompositionError",
-    "OutOfRangeError",
-    "PLRSError",
-    "ProofRule",
-    "ProofTag",
-    "Reachability",
-    "Sequence",
-    "TrailingZeroError",
-    "VectorValidationError",
-    "add_front_ones_scan",
-    "classify",
-    "corollary_shift_bound",
-    "distinct_decompose",
-    "empirical_max_n",
-    "enumerate_legal",
-    "family_bound",
-    "family_shape",
-    "fib",
-    "figure1_table",
-    "first_failure_census",
-    "is_complete_up_to",
-    "is_legal",
-    "legal_decompose",
-    "max_n_double_one",
-    "max_n_g_ones",
-    "max_n_single_one",
-    "render_decomposition",
-    "subset_sum_reachable",
-    "terms_prefix",
-    "value_of",
-]
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

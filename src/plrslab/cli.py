@@ -12,16 +12,15 @@ past the max(2L - 1, 2) window (a conjecture violation) found by any command.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
-import logging
 import math
 import sys
 from dataclasses import astuple
 from typing import Iterable, Iterator, Optional
 
-from . import __version__, families, hunt, zeck
+# Only what every command needs: each cmd_* imports the plrslab modules it
+# runs, and json and csv are imported by the writers of those formats.
+from . import __version__
 from .errors import (
     CapExceededError,
     CapTooLargeError,
@@ -30,16 +29,8 @@ from .errors import (
     OutOfRangeError,
     PLRSError,
 )
-from .seqcore import TEXT_DECOMPOSE_MAX_BITS, CoefficientVector, term_texts, terms_prefix
-from .verdicts import (
-    BITMAP_BUDGET_BITS,
-    DEFAULT_ORACLE_CAP,
-    VerdictStatus,
-    classify,
-    effective_horizon,
-    is_complete_up_to,
-    verdict_to_json,
-)
+from .seqcore import (BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, TEXT_DECOMPOSE_MAX_BITS,
+                      CoefficientVector, term_texts, terms_prefix)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -51,10 +42,11 @@ EXIT_VIOLATION = 6
 #: Most rows census --format json|csv prints: L = 7 has 420,076,800, L = 8 1.08e11.
 CENSUS_ROW_BUDGET = 2**30
 
+# Keyed by VerdictStatus value, so that building it loads no verdicts module.
 _STATUS_EXIT = {
-    VerdictStatus.COMPLETE: EXIT_OK,
-    VerdictStatus.INCOMPLETE: EXIT_INCOMPLETE,
-    VerdictStatus.CONJECTURALLY_COMPLETE: EXIT_CONJECTURAL,
+    "complete": EXIT_OK,
+    "incomplete": EXIT_INCOMPLETE,
+    "conjecturally_complete": EXIT_CONJECTURAL,
 }
 
 
@@ -70,6 +62,8 @@ def _envelope(command: str, inputs: dict, results) -> dict:
 def _print_json(envelope: dict, *slots: tuple[str, Iterable[str]]) -> None:
     """Write the envelope as one JSON line.  Each (marker, pieces) slot's pieces
     go right after the marker's next occurrence, so no large value is one string."""
+    import json
+
     text = json.dumps(envelope, ensure_ascii=False)
     for marker, pieces in slots:
         head, _, text = text.partition(marker)
@@ -85,6 +79,8 @@ def _joined(texts: list[str], size: int = 64) -> Iterator[str]:
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -145,6 +141,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .verdicts import classify, effective_horizon, is_complete_up_to, verdict_to_json
+
     cv = CoefficientVector.parse(args.vector)
     if args.oracle_cap < 1:
         raise OutOfRangeError("--oracle-cap must be >= 1")
@@ -180,10 +178,12 @@ def cmd_analyze(args) -> int:
     )
     csv_table = (["n", "gap"], [[i + 1, g] for i, g in enumerate(gaps)])
     _emit(args, envelope, lines, csv_table)
-    return _STATUS_EXIT[verdict.status]
+    return _STATUS_EXIT[verdict.status.value]
 
 
 def cmd_decompose(args) -> int:
+    from . import zeck
+
     cv = CoefficientVector.parse(args.vector)
     if args.n < 0:
         raise OutOfRangeError("N must be >= 0")
@@ -240,6 +240,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from . import families
+
     chosen = [name for name in ("single_one", "double_one", "g_ones", "shift") if getattr(args, name)]
     if len(chosen) != 1:
         raise OutOfRangeError("choose exactly one of --single-one/--double-one/--g-ones/--shift")
@@ -282,6 +284,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_maxn(args) -> int:
+    from . import families
+    from .verdicts import effective_horizon
+
     prefix = [int(p) for p in args.prefix.split(",")]
     horizon = effective_horizon(len(prefix) + 1, args.horizon)
     # H_{L+1} >= N gives B_{L+1} <= 1 + H_1 + ... + H_L - N, and H_1..H_L do
@@ -305,6 +310,10 @@ def cmd_maxn(args) -> int:
 
 
 def cmd_census(args) -> int:
+    import logging
+
+    from . import hunt
+
     if args.length >= 5 and not args.deep:
         raise OutOfRangeError(f"census at L = {args.length} needs --deep (large enumeration)")
     if args.format != "text" and (rows := hunt.enumeration_size(args.length)) > CENSUS_ROW_BUDGET:
@@ -315,12 +324,23 @@ def cmd_census(args) -> int:
     # The largest capped vector, [2, 4, ..., 2^L], has the largest terms.
     top = CoefficientVector([r.stop - 1 for r in hunt.coefficient_ranges(args.length)])
     _check_prefix_size(top, args.deep_horizon or 4 * args.length)
+    # Only the census logs.  Logging is set per call, on the package logger
+    # only: a host's root handlers stay as they are, and -v of one call does
+    # not carry over.
+    log, handler = logging.getLogger("plrslab"), logging.StreamHandler(sys.stderr)
+    level = log.level
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
+    log.addHandler(handler)
     try:
         report = hunt.first_failure_census(
             args.length, args.deep_horizon, checkpoint_path=args.checkpoint, rows_path=args.rows
         )
     except OSError as exc:  # an unusable --checkpoint or --rows path
         raise OutOfRangeError(str(exc)) from exc
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     if args.format == "json":
         envelope = _envelope(
             "census",
@@ -345,6 +365,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from . import families
+
     rows = families.figure1_table(_parse_span(args.k_range), _parse_span(args.g_range))
     # Only the form that --format prints is built.
     payload = [vars(r) for r in rows] if args.format == "json" else []  # flat rows, field order
@@ -444,14 +466,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _run(argv: Optional[list[str]]) -> int:
     args = build_parser().parse_args(argv)
-    # Logging is set per call, on the package logger only: a host's root
-    # handlers stay as they are, and -v of one call does not carry over.
-    log = logging.getLogger("plrslab")
-    level = log.level
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
-    log.addHandler(handler)
     try:
         # Looked up per call, so a rebound cmd_<name> is the one that runs.
         return globals()[f"cmd_{args.command}"](args)
@@ -464,9 +478,6 @@ def _run(argv: Optional[list[str]]) -> int:
     except (PLRSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
 
 
 if __name__ == "__main__":

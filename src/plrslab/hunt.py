@@ -281,25 +281,31 @@ def census_rows_to_csv(rows: list[CensusRow]) -> str:
     return buf.getvalue()
 
 
-def parse_census_csv(text: str) -> list[CensusRow]:
+def parse_census_csv(text: str, source: str = "rows file") -> list[CensusRow]:
     """Records from a rows file, one per line.
 
     A line ending in "+" must state a run's fields, and one with an end
-    (":b") must not.  Lines are read one at a time, with no StringIO copy of
-    the text at four bytes a character, and records share one string per
-    verdict and proof tag.
+    (":b") must not.  A line that is not four fields of a record is refused,
+    naming `source` and the line.  Lines are read one at a time, with no
+    StringIO copy of the text at four bytes a character, and records share
+    one string per verdict and proof tag.
     """
     reader = csv.reader(m.group() for m in re.finditer(r"[^\n]*\n|[^\n]+", text))
     header = next(reader, None)
     if header != RECORDS_CSV_HEADER:
         raise ValueError(f"unexpected census rows header {header}")
     rows: list[CensusRow] = []
-    for record, ff, verdict, proof in reader:
-        prefix, colon, last = record.partition(":")
-        run = not colon and prefix.endswith("+")
-        vector = tuple(map(int, prefix.removesuffix("+").split(",")))
-        end = int(last) if colon else 2 ** len(vector) if run else None  # c_i <= 2^i
-        rec = CensusRow(vector, int(ff) if ff else None, sys.intern(verdict), sys.intern(proof), end)
+    for fields in reader:
+        try:
+            record, ff, verdict, proof = fields
+            prefix, colon, last = record.partition(":")
+            run = not colon and prefix.endswith("+")
+            vector = tuple(map(int, prefix.removesuffix("+").split(",")))
+            end = int(last) if colon else 2 ** len(vector) if run else None  # c_i <= 2^i
+            first = int(ff) if ff else None
+        except ValueError:
+            raise ValueError(f"{source} line {reader.line_num} is not a census record: {fields}") from None
+        rec = CensusRow(vector, first, sys.intern(verdict), sys.intern(proof), end)
         if run != _is_run(rec):
             raise ValueError(f"record {list(vector)}+ does not fail where it says")
         rows.append(rec)
@@ -532,7 +538,7 @@ def _load_checkpoint(length: int, deep_horizon: int, ckpt: Path, rows: Path) -> 
             f"rows file {rows} does not start with the run-record header "
             f"{','.join(RECORDS_CSV_HEADER)!r}; remove it and the checkpoint to rerun"
         )
-    records = parse_census_csv(whole)
+    records = parse_census_csv(whole, f"rows file {rows}")
     if whole != text:
         rows.write_text(whole)
     return records

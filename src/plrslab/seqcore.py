@@ -41,6 +41,13 @@ from .errors import (
     VectorValidationError,
 )
 
+#: Default ceiling (largest target) for subset-sum cross-checks and
+#: distinct-term decompositions.
+DEFAULT_ORACLE_CAP = 10**6
+
+#: Memory budget, in bits, for reachability and back-trace bitmaps.
+BITMAP_BUDGET_BITS = 2**28
+
 
 def _reject_coefficients(coeffs: tuple) -> None:
     """Raise for the first coefficient that is not a nonnegative int."""

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence as SequenceT
 
 from .errors import CapTooLargeError, ConjectureViolation
-from .seqcore import CoefficientVector
-
-#: Default ceiling (largest target) for subset-sum cross-checks and
-#: distinct-term decompositions.
-DEFAULT_ORACLE_CAP = 10**6
-
-#: Memory budget, in bits, for reachability and back-trace bitmaps.
-BITMAP_BUDGET_BITS = 2**28
+from .seqcore import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, CoefficientVector  # noqa: F401 (re-export)
 
 
 class ProofRule(str, enum.Enum):

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence as SequenceT
 
 from .errors import CapExceededError, CapTooLargeError, NoLegalDecompositionError
-from .seqcore import CoefficientVector
-from .verdicts import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP
+from .seqcore import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, CoefficientVector
 
 DigitString = tuple[int, ...]
 

@@ -21,12 +21,14 @@ from plrslab import (
     Sequence,
     cli,
     distinct_decompose,
+    families,
     first_failure_census,
     hunt,
     is_legal,
     legal_decompose,
     terms_prefix,
     value_of,
+    verdicts,
 )
 from plrslab.cli import main
 from plrslab.families import parse_figure_csv
@@ -45,6 +47,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """`python ARGS` in a new interpreter that imports this checkout's plrslab."""
+    env = {**os.environ, "PYTHONPATH": str(Path(plrslab.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def _no_work(*args, **kwargs):
@@ -99,7 +109,7 @@ class TestGen:
         assert "positive" in err
 
     def test_oversized_count_exit_five(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "terms_prefix", _no_work)
+        monkeypatch.setattr(Sequence, "prefix", _no_work)
         code, out, err = run(capsys, "gen", "1,1", "--count", str(10**9))
         assert code == 5
         assert out == ""
@@ -144,7 +154,7 @@ class TestAnalyze:
         assert payload["gaps"][0] == 0
 
     def test_oversized_horizon_exit_five(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "classify", _no_work)
+        monkeypatch.setattr(verdicts, "classify", _no_work)
         monkeypatch.setattr(Sequence, "gaps", _no_work)
         code, out, err = run(capsys, "analyze", "1,1", "--horizon", str(10**9))
         assert code == 5
@@ -395,7 +405,7 @@ class TestMaxn:
     def test_oversized_horizon_exit_five(self, capsys, monkeypatch):
         # [1,1,N] fails at term 4 once N > 1 + H_1 + H_2 + H_3 = 8; 20,000
         # terms of [1,1,8] may pass the bitmap budget.
-        monkeypatch.setattr(cli.families, "empirical_max_n", _no_work)
+        monkeypatch.setattr(families, "empirical_max_n", _no_work)
         code, out, err = run(capsys, "maxn", "1,1", "--horizon", "20000")
         assert code == 5
         assert out == ""
@@ -700,8 +710,9 @@ class TestCensus:
             ('"1,0,1:4",,complete,family_single_one', "record [1, 0, 4] does not fail where it says"),
             ('"1,0,1:0",,complete,family_single_one', "record [1, 0, 1] does not follow"),
             ('"1,0,1:99999999999999",,complete,family_single_one', "record [1, 0, 1] does not follow"),
-            ('"1,0,1:x",,complete,family_single_one', "invalid literal"),
-            ('"1,0,1:",,complete,family_single_one', "invalid literal"),
+            ('"1,0,1:x",,complete,family_single_one', f"rows file {rows} line 2 is not a census record"),
+            ('"1,0,1:",,complete,family_single_one', f"rows file {rows} line 2 is not a census record"),
+            ('"1,x,1",,complete,family_single_one', f"rows file {rows} line 2 is not a census record"),
             ('"1,1:2",,complete,family_single_one', "record [1, 1] does not follow"),
             ('"1,0,5:8",4,incomplete,', "record [1, 0, 5]+ does not fail where it says"),
         ]:
@@ -886,11 +897,7 @@ class TestParserReuse:
         assert "invalid choice: 'csv'" in err
 
     def test_parser_not_built_at_import(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(plrslab.__file__).resolve().parents[1])}
-        code = "import plrslab.cli as c; print(c.build_parser.cache_info().currsize)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = _fresh("-c", "import plrslab.cli as c; print(c.build_parser.cache_info().currsize)")
         assert (proc.returncode, proc.stdout) == (0, "0\n")
 
     def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
@@ -965,13 +972,85 @@ def test_results_only_on_stdout(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    env = {**os.environ, "PYTHONPATH": str(Path(plrslab.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "plrslab", "gen", "1,3", "--count", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = _fresh("-m", "plrslab", "gen", "1,3", "--count", "4")
     assert proc.returncode == 0
     assert proc.stdout == "1 2 5 11\n"
+
+
+# Runs `python -m plrslab ARGV` in this interpreter; prints its exit code, its
+# stdout and the modules it loaded as one JSON object.
+_LOADED_BY_RUN = """
+import io, json, runpy, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+sys.argv = ["plrslab", *sys.argv[1:]]
+with redirect_stdout(io.StringIO()) as out:
+    try:
+        runpy.run_module("plrslab", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "out": out.getvalue(), "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+IMPORT_ARGVS = {
+    "gen": ["gen", "2", "--count", "3"],
+    "analyze": ["analyze", "1,3", "--format", "json"],
+    "decompose": ["decompose", "2,1", "40", "--format", "json"],
+    "bound": ["bound", "--single-one", "--k", "5"],
+    "maxn": ["maxn", "1,1,0,0"],
+    "figure": ["figure", "--k-range", "1:2", "--g-range", "1:2", "--format", "csv"],
+    "census": ["census", "--L", "3"],
+}
+
+
+def _loaded_by(argv: list[str]) -> tuple[int, str, set[str]]:
+    """Exit code, stdout and newly loaded modules of `python -m plrslab argv`."""
+    proc = _fresh("-c", _LOADED_BY_RUN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    return report["code"], report["out"], set(report["loaded"])
+
+
+class TestImportSurface:
+    """A command loads only the plrslab modules that it runs."""
+
+    def test_package_import_loads_no_submodule(self):
+        proc = _fresh("-c", "import sys, plrslab; print(sorted(m for m in sys.modules if 'plrslab' in m))")
+        assert (proc.returncode, proc.stdout) == (0, "['plrslab']\n")
+
+    def test_gen_loads_cli_errors_and_seqcore_only(self):
+        code, out, loaded = _loaded_by(IMPORT_ARGVS["gen"])
+        assert (code, out) == (0, "1 2 4\n")
+        assert {m for m in loaded if m.startswith("plrslab.")} == {
+            "plrslab.cli", "plrslab.errors", "plrslab.seqcore"
+        }
+        assert not {"logging", "json", "csv"} & loaded  # text output needs neither format
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_census_loads_hunt(self, capsys, command):
+        code, out, loaded = _loaded_by(IMPORT_ARGVS[command])
+        assert (code, out) == _outcome(capsys, IMPORT_ARGVS[command])[:2]
+        assert ("plrslab.hunt" in loaded) == (command == "census")
+        assert ("plrslab.zeck" in loaded) == (command == "decompose")
+        assert "logging" not in loaded or command == "census"
+
+    def test_every_public_name_resolves(self):
+        code = (
+            "import plrslab\n"
+            "assert all(getattr(plrslab, name) is not None for name in plrslab.__all__)\n"
+            "from plrslab import *\n"
+            "try:\n"
+            "    plrslab.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = _fresh("-c", code)
+        assert (proc.returncode, proc.stdout) == (
+            0, "module 'plrslab' has no attribute 'no_such_name'\n"
+        ), proc.stderr
+
+    def test_verbose_census_logs_in_a_fresh_process(self):
+        proc = _fresh("-m", "plrslab", "-v", "census", "--L", "3")
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("DEBUG plrslab.hunt: census L=3")
+        assert proc.stdout == _fresh("-m", "plrslab", "census", "--L", "3").stdout != ""
