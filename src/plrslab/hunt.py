@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import logging
 import math
 import re
@@ -235,6 +234,7 @@ class CensusReport:
         of one {"vector", "first_failure", "verdict", "proof_tag"} object per
         vector, in lexicographic order.
         """
+        import json  # here, so that a census without JSON output does not load it
 
         def tail(rec: CensusRow) -> str:
             fields = {"first_failure": rec.first_failure, "verdict": rec.verdict, "proof_tag": rec.proof}
