@@ -48,20 +48,12 @@ class FamilySpec:
 def family_shape(coefficients: SequenceT[int]) -> Optional[FamilySpec]:
     """Parse [1 x g, 0 x k, N] with g >= 1, k >= 1; None for any other shape."""
     c = tuple(coefficients)
-    if len(c) < 3 or c[-2] != 0:  # no room for g, k >= 1, or no zero before N
+    if len(c) < 3 or c[-2] != 0 or c[-1] == 0:  # no room for g, k >= 1, no zero before N, or N = 0
         return None
-    g = 0
-    while g < len(c) and c[g] == 1:
-        g += 1
-    if g == 0:
+    g = c.index(0)
+    if g == 0 or c[:g] != (1,) * g or any(c[g:-1]):
         return None
-    j = g
-    while j < len(c) and c[j] == 0:
-        j += 1
-    k = j - g
-    if k == 0 or j != len(c) - 1:
-        return None
-    return FamilySpec(g, k, c[-1])
+    return FamilySpec(g, len(c) - 1 - g, c[-1])
 
 
 @dataclass(frozen=True)
@@ -167,12 +159,12 @@ class EmpiricalMax:
 
 
 def _validated_prefix(prefix: Iterable[int]) -> tuple[int, ...]:
-    p = tuple(int(x) for x in prefix)
+    p = tuple(map(int, prefix))
     if not p:
         raise ValueError("prefix must be nonempty")
     if p[0] < 1:
         raise ValueError("prefix must start with a positive coefficient")
-    if any(x < 0 for x in p):
+    if min(p) < 0:
         raise ValueError("prefix coefficients must be nonnegative")
     return p
 
@@ -180,36 +172,50 @@ def _validated_prefix(prefix: Iterable[int]) -> tuple[int, ...]:
 def passing_range(lines: SequenceT[tuple[int, int]]) -> range:
     """The N >= 1 keeping every gap alpha - beta N >= 0, given its lines
     (alpha, beta), at least one with beta > 0: an interval, maybe empty."""
-    if any(beta == 0 and alpha < 0 for alpha, beta in lines):
-        return range(0)
-    hi = min(alpha // beta for alpha, beta in lines if beta > 0)
-    lo = max((-(alpha // -beta) for alpha, beta in lines if beta < 0), default=1)
-    return range(max(lo, 1), hi + 1)
+    lo, hi = 1, None
+    for alpha, beta in lines:  # alpha < x beta iff alpha / beta < x for beta > 0, > x for beta < 0
+        if beta > 0 and (hi is None or alpha < hi * beta):
+            hi = alpha // beta
+        elif beta < 0 and alpha < lo * beta:
+            lo = -(alpha // -beta)
+        elif beta == 0 and alpha < 0:
+            return range(0)
+    return range(lo, hi + 1)
 
 
 def gap_table(prefix: tuple[int, ...], window: int) -> tuple[list[int], list[tuple[int, int]]]:
     """[H_1, ..., H_L] and the gap lines [(alpha_n, beta_n) for n = 1..window] of
     every [prefix, N]: B_n = alpha_n - beta_n N, for window <= 2L.
 
-    Up to H_{2L}, N = c_L multiplies only H_1..H_L, which do not involve it,
-    so H_n = u_n + N v_n.  As in Sequence, each run of a nonzero c adds c
-    times a difference of prefix sums, of u and of v apart, so a term costs
-    O(runs), not O(nonzero c_i).
+    Up to H_{2L}, N = c_L multiplies only H_1..H_L, so H_n = u_n + N v_n, and
+    v_n = 0 up to n = L.  As in Sequence, each run of a nonzero c adds c times
+    a difference of prefix sums, of u and of v apart, so a term costs O(runs);
+    past L, every run (within c_1..c_{L-1}) has ended, so no index is clamped.
     """
     L = len(prefix) + 1
     runs = nonzero_runs(prefix)
-    head, us, vs, table = [], [0], [0], []  # us[k] = u_1 + ... + u_k, vs likewise
-    for m in range(window):  # H_{m+1} = a + N b
-        a, b = (1, 0) if m < L else (0, head[m - L])
+    head, us = [], [0]  # us[k] = u_1 + ... + u_k
+    for m in range(min(window, L)):  # H_{m+1} = u_{m+1}
+        a = 1
         for start, stop, c in runs:
             if start >= m:
                 break
-            lo = m - stop if m > stop else 0
-            a += c * (us[m - start] - us[lo])
-            b += c * (vs[m - start] - vs[lo])
-        if m < L:
-            head.append(a)
-        table.append((1 + us[m] - a, b - vs[m]))  # B_{m+1} = 1 + S_m - H_{m+1}
+            d = us[m - start] - us[m - stop if m > stop else 0]
+            a += d if c == 1 else c * d
+        head.append(a)
+        us.append(us[m] + a)
+    table = [(1 + s - a, 0) for s, a in zip(us, head)]  # B_{m+1} = 1 + S_m - H_{m+1}
+    vs = [0] * len(us)  # vs[k] = v_1 + ... + v_k
+    for m in range(L, window):  # H_{m+1} = a + N b
+        a, b = 0, head[m - L]
+        for start, stop, c in runs:
+            if c == 1:
+                a += us[m - start] - us[m - stop]
+                b += vs[m - start] - vs[m - stop]
+            else:
+                a += c * (us[m - start] - us[m - stop])
+                b += c * (vs[m - start] - vs[m - stop])
+        table.append((1 + us[m] - a, b - vs[m]))
         us.append(us[m] + a)
         vs.append(vs[m] + b)
     return head, table
@@ -256,8 +262,6 @@ def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> Emp
     bound = family_bound(shape.g, shape.k) if shape else None
     if bound is not None:
         max_n = min(max_n, bound.max_n)
-    if not max_n:
-        return EmpiricalMax(0, 0, None)
     for n in range(max_n, 0, -1):
         found = decide(n)
         if isinstance(found, ProofTag):

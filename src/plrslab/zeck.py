@@ -122,9 +122,9 @@ def legal_decompose(cv: CoefficientVector, n: int) -> DigitString:
     those terms could pass the memory budget).  Between blocks with P
     positions left the remainder stays below H_{P+1}, the largest value a
     legal completion of P digits can take; so with c_1..c_s matched, the
-    next block digit c_{s+1} is taken whenever s + 1 < L and c_{s+1} * H_j
-    still fits, and otherwise remainder // H_j closes the block (it is below
-    c_{s+1}).  n = 0 maps to the empty string.
+    next digit is c_{s+1} if s + 1 < L and c_{s+1} H_j fits, else remainder
+    // H_j (below c_{s+1}), closing the block: 0 at one comparison, others by
+    subtracting H_j (one divmod if c_{s+1} > 4).  n = 0 maps to the empty string.
     """
     if n < 0:
         raise ValueError("target must be >= 0")
@@ -146,17 +146,23 @@ def legal_decompose(cv: CoefficientVector, n: int) -> DigitString:
     state = 0  # 0 = between blocks, s >= 1 = matched c_1..c_s in current block
     for j in range(m, 0, -1):
         h = terms[j - 1]
-        if state == 0 and remaining >= terms[j]:
+        if remaining < h:  # digit 0: it matches c_{s+1} = 0 (never c_L) or closes the block
+            d, state = 0, state + 1 if c[state] == 0 else 0
+        elif state == 0 and remaining >= terms[j]:
             raise RuntimeError(f"no legal continuation for {n} under {cv}")
-        cnext = c[state]
-        if state + 1 < L and cnext * h <= remaining:
-            d, state = cnext, state + 1
         else:
-            d, state = remaining // h, 0
-            if d >= cnext:
+            cnext = c[state]
+            if cnext > 4:  # one divmod, where subtracting could take many steps
+                d, r = divmod(remaining, h)
+                d, remaining = (d, r) if d < cnext else (cnext, remaining - cnext * h)
+            else:
+                d = 0
+                while d < cnext and remaining >= h:
+                    d, remaining = d + 1, remaining - h
+            state = state + 1 if d == cnext else 0
+            if state == L:  # the digit is c_L or more
                 raise RuntimeError(f"no legal continuation for {n} under {cv}")
         digits.append(d)
-        remaining -= d * h
     if remaining != 0:
         raise RuntimeError(f"greedy construction missed {n} under {cv}")
     return tuple(digits)

@@ -49,6 +49,51 @@ def check_fail_at_2l_minus_1(k):
     return brown_scan(CoefficientVector((1,) * k + (0, 4)), 4 * (k + 2)).first_failure
 
 
+def greedy_legal_digits(cv, n):
+    """The legal digits of n >= 0 by the plain greedy loop, for cv other than
+    [1]: with c_1..c_s matched, take c_{s+1} while s + 1 < L and c_{s+1} * H_j
+    fits, else close the block with remainder // H_j.  The reference for
+    zeck.legal_decompose."""
+    c, seq = cv.coefficients, Sequence(cv)
+    m = 0
+    while seq.term(m + 1) <= n:
+        m += 1
+    digits, remaining, state = [], n, 0
+    for j in range(m, 0, -1):
+        h = seq.term(j)
+        if state + 1 < len(c) and c[state] * h <= remaining:
+            d, state = c[state], state + 1
+        else:
+            d, state = remaining // h, 0
+        digits.append(d)
+        remaining -= d * h
+    assert remaining == 0 and all(0 <= d <= max(c) for d in digits), (cv, n)
+    return tuple(digits)
+
+
+def passing_range_by_passes(lines):
+    """families.passing_range in three passes over the lines: the reference."""
+    if any(beta == 0 and alpha < 0 for alpha, beta in lines):
+        return range(0)
+    hi = min(alpha // beta for alpha, beta in lines if beta > 0)
+    lo = max((-(alpha // -beta) for alpha, beta in lines if beta < 0), default=1)
+    return range(max(lo, 1), hi + 1)
+
+
+def family_shape_by_loops(c):
+    """(g, k, N) for c = [1 x g, 0 x k, N] with g, k >= 1, else None, by walking
+    the ones and then the zeros: the reference for families.family_shape."""
+    if len(c) < 3 or c[-2] != 0:
+        return None
+    g = 0
+    while g < len(c) and c[g] == 1:
+        g += 1
+    j = g
+    while j < len(c) and c[j] == 0:
+        j += 1
+    return (g, j - g, c[-1]) if g and j > g and j == len(c) - 1 else None
+
+
 @pytest.fixture(scope="session")
 def census_reports():
     """Full first-failure censuses for L = 1..4, computed once per session."""

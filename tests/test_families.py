@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from plrslab import (
@@ -26,6 +28,8 @@ from plrslab.families import (
     window_max_n,
 )
 from plrslab.verdicts import FAILS_PAST_WINDOW, effective_horizon
+
+from conftest import family_shape_by_loops
 
 
 class TestFib:
@@ -93,6 +97,16 @@ class TestFamilyShape:
     def test_roundtrip(self):
         spec = FamilySpec(3, 2, 7)
         assert family_shape(spec.to_vector().coefficients) == spec
+
+    def test_matches_loops_on_every_small_tuple(self):
+        # Entries 0..2, lengths 0..8: 9,841 tuples, (1, 0, 0) among them,
+        # whose zero last entry would otherwise read as N = 0.
+        tuples = [c for m in range(9) for c in itertools.product(range(3), repeat=m)]
+        assert len(tuples) == 9841
+        for c in tuples:
+            spec = family_shape(c)
+            assert (spec and (spec.g, spec.k, spec.n)) == family_shape_by_loops(c), c
+        assert family_shape((1, 0, 0)) is None
 
 
 class TestCorollaryShift:

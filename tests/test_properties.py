@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 from itertools import combinations
 from unittest import mock
 
@@ -32,7 +33,8 @@ from plrslab.families import gap_table, passing_range
 from plrslab.seqcore import Sequence
 from plrslab.verdicts import _BOUND_RULE_TAGS, CompleteLasts, effective_horizon, window_rules
 
-from conftest import brown_scan, enumerate_vectors, weak_window_check
+from conftest import (brown_scan, enumerate_vectors, greedy_legal_digits, passing_range_by_passes,
+                      weak_window_check)
 
 
 def lasts_chain(prefix, horizon, memo):
@@ -324,6 +326,26 @@ class TestIsLegalOracle:
 
 class TestDecompositionInvariants:
     @given(
+        st.one_of(coefficient_vectors(max_length=7), coefficient_vectors(max_length=4, max_coeff=2000)),
+        st.integers(1, 600),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_matches_reference(self, cv, bits, data):
+        # Coefficients up to 4 are taken by subtraction, larger ones by one divmod.
+        assume(cv.coefficients != (1,))
+        n = data.draw(st.integers(0, (1 << bits) - 1))
+        assert legal_decompose(cv, n) == greedy_legal_digits(cv, n), (cv, n)
+
+    @pytest.mark.parametrize("coeffs", [(1000, 1), (4, 5), (5, 0, 0, 4), (9, 9, 9), (2, 1, 3, 0, 0, 0, 2)])
+    def test_greedy_matches_reference_on_large_n(self, coeffs):
+        cv = CoefficientVector(coeffs)
+        rng = random.Random(sum(coeffs))
+        for bits in (64, 1024, 4096):
+            for n in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits)):
+                assert legal_decompose(cv, n) == greedy_legal_digits(cv, n), (coeffs, n)
+
+    @given(
         st.sampled_from(DECOMPOSITION_SET),
         st.integers(0, 5000),
     )
@@ -506,6 +528,45 @@ class TestGapTable:
         for n in sorted(probes):
             gaps = [a - b * n for a, b in table]
             assert gaps == Sequence(CoefficientVector(prefix + (n,))).gaps(2 * L), (prefix, n)
+
+    @given(
+        st.one_of(
+            prefixes(),
+            st.just(()),  # L = 1
+            st.tuples(st.integers(1, 9), st.lists(st.integers(0, 9), max_size=4)).map(lambda t: (t[0], *t[1])),
+            # Wide runs, some of coefficients above 1.
+            st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)), min_size=1, max_size=4).map(
+                lambda rs: (2,) + tuple(c for c, width in rs for _ in range(width))),
+        ),
+        st.integers(1, 40),
+    )
+    @example((), 3)
+    @example((1,), 2)
+    @example((3,), 1)
+    @example((1, 1, 1, 0, 0, 0), 6)
+    @example((2, 2, 2, 0, 0, 0, 3, 3, 3), 5)
+    @settings(max_examples=150, deadline=None)
+    def test_every_window(self, prefix, n):
+        # Windows 1..2L: below L, L, L + 1, 2L - 1 and 2L among them.
+        L = len(prefix) + 1
+        seq = Sequence(CoefficientVector(prefix + (n,)))
+        for window in range(1, 2 * L + 1):
+            head, table = gap_table(prefix, window)
+            assert head == seq.prefix(min(window, L)), (prefix, window)
+            assert [a - b * n for a, b in table] == seq.gaps(window), (prefix, n, window)
+
+    @given(
+        st.lists(st.tuples(st.integers(-60, 60), st.integers(-4, 4)), max_size=10),
+        st.tuples(st.integers(-60, 60), st.integers(1, 4)),
+        st.integers(0, 10),
+    )
+    @example([(-1, 0)], (5, 1), 0)  # a flat negative gap: no N passes
+    @example([(5, 0), (-3, -1), (-2, 0)], (9, 1), 3)
+    @example([(-30, -4)], (60, 1), 1)  # N >= 8 from below
+    @settings(max_examples=300, deadline=None)
+    def test_passing_range_matches_three_passes(self, lines, rising, at):
+        lines.insert(min(at, len(lines)), rising)  # at least one line with beta > 0
+        assert passing_range(lines) == passing_range_by_passes(lines), lines
 
 
 class TestSiblingGapTable:
