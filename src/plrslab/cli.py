@@ -367,7 +367,13 @@ def cmd_census(args) -> int:
 def cmd_figure(args) -> int:
     from . import families
 
-    rows = families.figure1_table(_parse_span(args.k_range), _parse_span(args.g_range))
+    ks, gs = _parse_span(args.k_range), _parse_span(args.g_range)
+    # The largest cell's gap_table keeps four lists of up to 2L ints, the n-th
+    # of at most n + 1 bits (H_{n+1} <= H_1 + ... + H_n + 1): about 8 L^2 bits.
+    if (bits := 8 * (max(ks) + max(gs) + 1) ** 2) > BITMAP_BUDGET_BITS:
+        raise CapExceededError(f"figure cell k = {max(ks)}, g = {max(gs)} may need {bits:.3g} "
+                               f"bits, over the {BITMAP_BUDGET_BITS}-bit budget")
+    rows = families.figure1_table(ks, gs)
     # Only the form that --format prints is built.
     payload = [vars(r) for r in rows] if args.format == "json" else []  # flat rows, field order
     envelope = _envelope(

@@ -17,9 +17,10 @@ empirical_max_n recovers these bounds from Brown's gaps, which are affine in
 N up to term 2L: one table of their lines (gap_table, which also decides
 the census's leaves) gives the largest N passing the window, and
 classify's rules, read off the same table, supply the proof there; only an
-N that no rule decides is built as a vector and scanned on.  A deeper
-horizon only rechecks that N; a first failure it finds past the window is
-a ConjectureViolation, not a reason to search lower.
+N that no rule decides is built as a vector and scanned on (no merged
+generator is, up to 64 x 64).  A deeper horizon only rechecks that N; a
+first failure it finds past the window is a ConjectureViolation, not a
+reason to search lower.
 """
 
 from __future__ import annotations
@@ -310,16 +311,3 @@ def figure1_table(k_values: Iterable[int], g_values: Iterable[int]) -> list[Figu
 
 FIGURE_CSV_HEADER = ["k", "g", "empirical_max_n", "closed_form_max_n", "provenance"]
 
-
-def parse_figure_csv(text: str) -> list[FigureRow]:
-    """Parse the CSV that `figure --format csv` prints."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != ",".join(FIGURE_CSV_HEADER):
-        raise ValueError("unexpected figure CSV header")
-    rows = []
-    for ln in lines[1:]:
-        k, g, emp, closed, prov = ln.split(",")
-        rows.append(
-            FigureRow(int(k), int(g), int(emp), int(closed) if closed else None, prov)
-        )
-    return rows

@@ -196,6 +196,8 @@ class Sequence:
 
     def first_gap_below(self, stop: int, floor: int = 0, start: int = 1) -> Optional[int]:
         """The least n in start..stop with B_n < floor, or None; builds no list."""
+        if start > stop:
+            return None
         self._extend_to(stop)
         terms = self._terms
         sums = self._sums

@@ -266,13 +266,14 @@ def window_rules(
         if lasts is not None:
             complete = lasts.holds(key[-1])
         else:
-            # A single vector (classify, empirical_max_n) builds its merged
-            # generator: a CompleteLasts chain resolves each parent's whole
-            # passing range, 1,771 node_pieces calls where the 24 x 24 figure
-            # builds 252 merged vectors, and was about 5x slower.  Only
-            # c_1..c_{L-2} enter H_1..H_{L-1}, so they are the merged
-            # generator's own.
-            complete = proves_complete(CoefficientVector(key, head=head[: L - 1]), horizon)
+            # Only c_1..c_{L-2} enter H_1..H_{L-1}, so the merged generator
+            # shares them; its H'_L = H_L - 1 + c_L loses the +1 of n < L and
+            # gains c_L H_1, so B'_L = B_L + 1 - c_L, inside its window
+            # max(2L - 3, 2) >= L.  Above c_L = B_L + 1 its rule (a) fires and
+            # it is not Complete, so a single vector builds it only up to there.
+            complete = (len(gaps) < L or coeffs[-1] <= gaps[L - 1] + 1) and proves_complete(
+                CoefficientVector(key, head=head[: L - 1]), horizon
+            )
         if complete:
             return ProofTag.make(ProofRule.MERGE_LAST, merged_last=key[-1])
 

@@ -6,6 +6,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from plrslab import CoefficientVector, first_failure_census
+from plrslab.families import FIGURE_CSV_HEADER, FigureRow
 from plrslab.hunt import coefficient_ranges
 from plrslab.seqcore import Sequence
 
@@ -92,6 +93,18 @@ def family_shape_by_loops(c):
     while j < len(c) and c[j] == 0:
         j += 1
     return (g, j - g, c[-1]) if g and j > g and j == len(c) - 1 else None
+
+
+def parse_figure_csv(text):
+    """The FigureRows of the CSV that `figure --format csv` prints."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != ",".join(FIGURE_CSV_HEADER):
+        raise ValueError("unexpected figure CSV header")
+    rows = []
+    for ln in lines[1:]:
+        k, g, emp, closed, prov = ln.split(",")
+        rows.append(FigureRow(int(k), int(g), int(emp), int(closed) if closed else None, prov))
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,9 @@ from plrslab import (
     value_of,
 )
 from plrslab.cli import main
-from plrslab.families import figure1_table, parse_figure_csv
+from plrslab.families import figure1_table
 
-from conftest import brown_scan, check_fail_at_2l_minus_1
+from conftest import brown_scan, check_fail_at_2l_minus_1, parse_figure_csv
 
 
 def _report(number: int, detail: str) -> None:

@@ -31,7 +31,6 @@ from plrslab import (
     verdicts,
 )
 from plrslab.cli import main
-from plrslab.families import parse_figure_csv
 from plrslab.hunt import (
     CENSUS_CSV_HEADER,
     CensusRow,
@@ -41,6 +40,8 @@ from plrslab.hunt import (
     coefficient_ranges,
     parse_census_csv,
 )
+
+from conftest import parse_figure_csv
 
 
 def run(capsys, *argv):
@@ -838,6 +839,23 @@ class TestFigure:
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "figure", "--k-range", "3:1", "--g-range", "1")
         assert code == 2
+
+    def test_oversized_grid_exit_five(self, capsys, monkeypatch):
+        # Its largest cell, L = 5,793, may hold 8 L^2 > 2^28 bits of gap
+        # table; the grid is refused before its first, small, cell runs.
+        monkeypatch.setattr(families, "gap_table", _no_work)
+        code, out, err = run(capsys, "figure", "--k-range", "1:5000", "--g-range", "1:792")
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+
+    def test_size_guard_bounds_the_gap_table(self, capsys, monkeypatch):
+        # Sized by a cell's gap table, not by all its terms: cells up to
+        # L = 5,792 pass, [1 x 1000, 0 x 1000] among them.
+        monkeypatch.setattr(families, "figure1_table", lambda ks, gs: [])
+        for k_range, g_range, expected in [("1000", "1000", 0), ("5000", "791", 0), ("5000", "792", 5)]:
+            code, _, _ = run(capsys, "figure", "--k-range", k_range, "--g-range", g_range)
+            assert code == expected, (k_range, g_range)
 
 
 COMMANDS = ["gen", "analyze", "decompose", "bound", "maxn", "census", "figure"]

@@ -18,18 +18,18 @@ from plrslab import (
     max_n_g_ones,
     max_n_single_one,
 )
-from plrslab import families
+from plrslab import families, verdicts
 from plrslab.cli import main
 from plrslab.families import (
     FamilySpec,
     gap_table,
-    parse_figure_csv,
     shifted_one_vector,
     window_max_n,
 )
+from plrslab.seqcore import Sequence
 from plrslab.verdicts import FAILS_PAST_WINDOW, effective_horizon
 
-from conftest import family_shape_by_loops
+from conftest import family_shape_by_loops, parse_figure_csv
 
 
 class TestFib:
@@ -299,6 +299,34 @@ class TestFigureTable:
         text = capsys.readouterr().out
         assert text.splitlines()[0] == "k,g,empirical_max_n,closed_form_max_n,provenance"
         assert parse_figure_csv(text) == rows
+
+    def test_24_grid_builds_no_merged_vector(self, monkeypatch):
+        # No probe of this grid meets c_L <= B_L + 1 where rule (d) asks, so
+        # no merged generator is built.  The vectors built are the conjectural
+        # tops, from their table's H_1..H_L, and at the default horizon their
+        # scan past the window is empty, so none computes a further term.
+        built, past_head = [], []
+        post, extend = CoefficientVector.__post_init__, Sequence._extend_to
+
+        def post_spy(self, head):
+            post(self, head)
+            built.append(self.coefficients)
+
+        def extend_spy(self, n):
+            if n > len(self._terms):
+                past_head.append(n)
+            extend(self, n)
+
+        def no_merged(cv, horizon=None):
+            raise AssertionError(f"merged generator {cv} built")
+
+        monkeypatch.setattr(CoefficientVector, "__post_init__", post_spy)
+        monkeypatch.setattr(Sequence, "_extend_to", extend_spy)
+        monkeypatch.setattr(verdicts, "proves_complete", no_merged)
+        rows = figure1_table(range(1, 25), range(1, 25))
+        assert len(rows) == 576
+        assert len(built) <= 21
+        assert past_head == []
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

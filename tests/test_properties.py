@@ -97,6 +97,17 @@ class TestSequenceIdentities:
         else:
             assert all(b > a for a, b in zip(prefix, prefix[1:]))
 
+    @given(coefficient_vectors(max_length=8, max_coeff=6).filter(lambda cv: len(cv) >= 2))
+    @settings(max_examples=200, deadline=None)
+    def test_merged_generator_gaps(self, cv):
+        # [c_1..c_{L-2}, c_{L-1} + c_L] shares H_1..H_{L-1}, and its H'_L
+        # = H_L - 1 + c_L: B'_n = B_n for n < L, B'_L = B_L + 1 - c_L.
+        c, L = cv.coefficients, len(cv)
+        gaps = Sequence(cv).gaps(L)
+        merged = Sequence(CoefficientVector(c[:-2] + (c[-2] + c[-1],))).gaps(L)
+        assert merged[:-1] == gaps[:-1]
+        assert merged[-1] == gaps[-1] + 1 - c[-1]
+
     @pytest.mark.parametrize("length", range(1, 9))
     def test_ones_then_two_doubles(self, length):
         cv = CoefficientVector((1,) * (length - 1) + (2,))

@@ -237,6 +237,14 @@ class TestBrownGaps:
         ones = terms_prefix(CoefficientVector((1,)), 12)
         assert ones == [1] * 12
 
+    def test_empty_scan_adds_no_term(self, monkeypatch):
+        # scan_past_window at the default horizon asks for start = 2L > stop = 2L - 1.
+        seq = CoefficientVector((1, 0, 4), head=[1, 2, 3]).sequence
+        calls = []
+        monkeypatch.setattr(Sequence, "_extend_to", lambda self, n: calls.append(n))
+        assert seq.first_gap_below(5, start=6) is None
+        assert calls == []
+
 
 class TestTermTexts:
     @given(st.lists(st.integers(0, 300), min_size=1, max_size=8), st.integers(0, 60))

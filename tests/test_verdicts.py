@@ -192,17 +192,20 @@ class TestClassify:
         "coeffs, rule, reached",
         [
             ((1, 0, 1, 2), ProofRule.MERGE_LAST, {4: 7, 3: 5}),
-            ((1, 0, 1, 0, 0, 11), ProofRule.WEAK_WINDOW, {6: 11, 5: 9}),
-            ((1, 0, 2, 3), None, {4: 16, 3: 5}),
-            ((1, 0, 2, 1, 2), ProofRule.WEAK_WINDOW, {5: 9, 4: 7, 3: 5}),
+            ((1, 0, 1, 0, 0, 11), ProofRule.WEAK_WINDOW, {6: 11}),
+            ((1, 0, 2, 3), None, {4: 16}),
+            ((1, 0, 2, 1, 2), ProofRule.WEAK_WINDOW, {5: 9, 4: 7}),
+            ((1, 0, 1, 3), ProofRule.WEAK_WINDOW, {4: 7, 3: 5}),
         ],
     )
     def test_terms_past_the_window_only_for_unproved_vectors(self, monkeypatch, coeffs, rule, reached):
         # At horizon 4L a vector that a rule proves computes no term past its
-        # window 2L - 1, nor does its merged vector past 2L - 3 when a rule
-        # proves it ([1,0,3]) or it fails inside ([1,0,1,0,11], [1,0,5]); the
-        # conjectural [1,0,2,3] is scanned to the horizon, but not as the
-        # merged vector of [1,0,2,1,2], where only whether it is Complete counts.
+        # window 2L - 1, nor does its merged vector past 2L - 3.  The merged
+        # vector is built only for c_L <= B_L + 1, as its B'_L = B_L + 1 - c_L:
+        # [1,0,3] of [1,0,1,2] and, at B_4 = 2, [1,0,4] of [1,0,1,3], but not
+        # [1,0,1,0,11] or [1,0,5], which fail at their term L.  The conjectural
+        # [1,0,2,3] is scanned to the horizon, but not as the merged vector of
+        # [1,0,2,1,2], where only whether it is Complete counts.
         seen = {}
         extend = Sequence._extend_to
 
