@@ -15,7 +15,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import astuple
 from typing import Iterable, Iterator, Optional
 
 # Only what every command needs: each cmd_* imports the plrslab modules it
@@ -117,10 +116,18 @@ def _check_prefix_size(cv: CoefficientVector, n: int) -> None:
     s = sum(cv)
     bits = n * (n + 1) / 2 * math.log2(s) + n * (len(cv) * math.log2(s + 1) + 1)
     if bits > BITMAP_BUDGET_BITS:
-        raise CapExceededError(
-            f"{n} terms of {list(cv)} may need {bits:.3g} bits, "
-            f"over the {BITMAP_BUDGET_BITS}-bit budget"
-        )
+        raise CapExceededError(f"{n} terms of a generator of length L = {len(cv)} may need "
+                               f"{bits:.3g} bits, over the {BITMAP_BUDGET_BITS}-bit budget")
+
+
+def _check_table_size(length: int, top: int, what: str) -> None:
+    """Refuse a families.gap_table of [prefix, N] at L = length, top = max(prefix),
+    that could pass the bitmap budget.  It keeps four lists of up to 2L ints,
+    and H_{n+1} <= top (H_1 + ... + H_n) + 1, so the n-th has about
+    n log2(top + 1) bits: 8 L^2 log2(top + 1) in all, 8 L^2 for a figure cell."""
+    if (bits := 8 * length**2 * math.log2(top + 1)) > BITMAP_BUDGET_BITS:
+        raise CapExceededError(f"{what}: a gap table at L = {length} may need {bits:.3g} bits, "
+                               f"over the {BITMAP_BUDGET_BITS}-bit budget")
 
 
 # --------------------------------------------------------------------------
@@ -289,11 +296,14 @@ def cmd_maxn(args) -> int:
 
     prefix = [int(p) for p in args.prefix.split(",")]
     horizon = effective_horizon(len(prefix) + 1, args.horizon)
-    # H_{L+1} >= N gives B_{L+1} <= 1 + H_1 + ... + H_L - N, and H_1..H_L do
-    # not depend on N: no larger N passes the window, so none is classified.
-    head = CoefficientVector(prefix + [1])
-    n_top = 1 + head.sequence.partial_sum(len(head))
-    _check_prefix_size(CoefficientVector(prefix + [n_top]), horizon)
+    head = CoefficientVector(prefix + [1])  # validates the prefix
+    L = len(head)
+    _check_table_size(L, max(prefix), "maxn")
+    if horizon > 2 * L:  # the largest N classified is scanned to the horizon
+        # H_{L+1} >= N gives B_{L+1} <= 1 + H_1 + ... + H_L - N, and H_1..H_L
+        # do not depend on N: no larger N passes the window.
+        n_top = 1 + head.sequence.partial_sum(L)
+        _check_prefix_size(CoefficientVector(prefix + [n_top]), horizon)
     emp = families.empirical_max_n(prefix, args.horizon)
     results = {
         "prefix": prefix,
@@ -368,14 +378,10 @@ def cmd_figure(args) -> int:
     from . import families
 
     ks, gs = _parse_span(args.k_range), _parse_span(args.g_range)
-    # The largest cell's gap_table keeps four lists of up to 2L ints, the n-th
-    # of at most n + 1 bits (H_{n+1} <= H_1 + ... + H_n + 1): about 8 L^2 bits.
-    if (bits := 8 * (max(ks) + max(gs) + 1) ** 2) > BITMAP_BUDGET_BITS:
-        raise CapExceededError(f"figure cell k = {max(ks)}, g = {max(gs)} may need {bits:.3g} "
-                               f"bits, over the {BITMAP_BUDGET_BITS}-bit budget")
+    _check_table_size(max(ks) + max(gs) + 1, 1, f"figure cell k = {max(ks)}, g = {max(gs)}")
     rows = families.figure1_table(ks, gs)
     # Only the form that --format prints is built.
-    payload = [vars(r) for r in rows] if args.format == "json" else []  # flat rows, field order
+    payload = [r._asdict() for r in rows] if args.format == "json" else []  # flat rows, field order
     envelope = _envelope(
         "figure",
         {"k_range": args.k_range, "g_range": args.g_range},
@@ -387,8 +393,7 @@ def cmd_figure(args) -> int:
         f"({r.provenance})"
         for r in rows
     ] if args.format == "text" else []
-    csv_rows = (astuple(r) for r in rows)  # csv writes None as ""
-    _emit(args, envelope, lines, (families.FIGURE_CSV_HEADER, csv_rows))
+    _emit(args, envelope, lines, (families.FIGURE_CSV_HEADER, rows))  # csv writes None as ""
     return EXIT_OK
 
 

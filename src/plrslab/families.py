@@ -25,8 +25,7 @@ reason to search lower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence as SequenceT
+from typing import Iterable, NamedTuple, Optional, Sequence as SequenceT
 
 from .errors import ConjectureViolation, OutOfRangeError
 from .seqcore import CoefficientVector, nonzero_runs
@@ -34,8 +33,7 @@ from .verdicts import (FAILS_PAST_WINDOW, ProofTag, effective_horizon, scan_past
                        window_rules)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Shape parameters of a [1 x g, 0 x k, N] generator."""
 
     g: int
@@ -57,8 +55,7 @@ def family_shape(coefficients: SequenceT[int]) -> Optional[FamilySpec]:
     return FamilySpec(g, len(c) - 1 - g, c[-1])
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """A maximal last coefficient plus which formula produced it."""
 
     max_n: int
@@ -117,6 +114,14 @@ def family_bound(g: int, k: int) -> Optional[BoundResult]:
     return None
 
 
+def prefix_family(prefix: tuple[int, ...]) -> Optional[tuple[int, int, BoundResult]]:
+    """(g, k, family_bound(g, k)) when every [prefix, N] is [1 x g, 0 x k, N]
+    and the bound exists, else None: what rule (c) of window_rules reads."""
+    shape = family_shape(prefix + (1,))
+    bound = None if shape is None else family_bound(shape.g, shape.k)
+    return None if bound is None else (shape.g, shape.k, bound)
+
+
 def shifted_one_vector(length: int, i: int, n: int) -> CoefficientVector:
     """[1, 0, ..., 1 at position i, ..., 0, n] of the given length."""
     coeffs = [0] * length
@@ -145,8 +150,7 @@ def corollary_shift_bound(length: int, i: int) -> BoundResult:
 # Empirical search
 
 
-@dataclass(frozen=True)
-class EmpiricalMax:
+class EmpiricalMax(NamedTuple):
     """Largest N that avoids an Incomplete verdict, with proof bookkeeping.
 
     max_n counts Complete and ConjecturallyComplete alike; proven_max_n is
@@ -248,21 +252,20 @@ def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> Emp
     L = len(p) + 1
     window = effective_horizon(L)
     head, table = gap_table(p, min(effective_horizon(L, horizon), 2 * L))
+    family = prefix_family(p)
 
     def decide(n: int):
         # A ProofTag, or the verdict of the scan past the window.
         coeffs = p + (n,)
-        found = window_rules(coeffs, [a - b * n for a, b in table[:window]], head, horizon)
+        found = window_rules(coeffs, [a - b * n for a, b in table[:window]], head, family, horizon)
         if found is None or found is FAILS_PAST_WINDOW:
             cv = CoefficientVector(coeffs, head=head)
             return scan_past_window(cv, horizon, found is FAILS_PAST_WINDOW)
         return found
 
     max_n = window_max_n(p, table)
-    shape = family_shape(p + (1,))
-    bound = family_bound(shape.g, shape.k) if shape else None
-    if bound is not None:
-        max_n = min(max_n, bound.max_n)
+    if family is not None:
+        max_n = min(max_n, family[2].max_n)
     for n in range(max_n, 0, -1):
         found = decide(n)
         if isinstance(found, ProofTag):
@@ -272,8 +275,7 @@ def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> Emp
     return EmpiricalMax(max_n, 0, None)
 
 
-@dataclass(frozen=True)
-class FigureRow:
+class FigureRow(NamedTuple):
     k: int
     g: int
     empirical_max_n: int

@@ -35,7 +35,6 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -196,8 +195,7 @@ def _csv_line(fields: list) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     length: int
     max_first_failure: int
     extremal_vectors: tuple[tuple[int, ...], ...]
@@ -597,15 +595,13 @@ def first_failure_census(
 # Targeted checks
 
 
-@dataclass(frozen=True)
-class AddFrontOnesRow:
+class AddFrontOnesRow(NamedTuple):
     g: int
     max_n: int
     proven_max_n: int
 
 
-@dataclass(frozen=True)
-class AddFrontOnesReport:
+class AddFrontOnesReport(NamedTuple):
     k: int
     g_max: int
     rows: tuple[AddFrontOnesRow, ...]

@@ -28,9 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import KW_ONLY, InitVar, dataclass
-from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Iterator, Optional, Sequence as SequenceT
 
 from .errors import (
@@ -58,7 +56,6 @@ def _reject_coefficients(coeffs: tuple) -> None:
             raise NegativeCoefficientError(i + 1, c)
 
 
-@dataclass(frozen=True)
 class CoefficientVector:
     """Validated, immutable generator [c_1, ..., c_L].
 
@@ -67,13 +64,10 @@ class CoefficientVector:
     (see Sequence).
     """
 
-    coefficients: tuple[int, ...]
-    _: KW_ONLY
-    head: InitVar[Optional[SequenceT[int]]] = None
+    __slots__ = ("coefficients", "_sequence")
 
-    def __post_init__(self, head: Optional[SequenceT[int]]) -> None:
-        coeffs = tuple(self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
+    def __init__(self, coefficients: SequenceT[int], *, head: Optional[SequenceT[int]] = None) -> None:
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise EmptyVectorError()
         for c in coeffs:
@@ -83,8 +77,22 @@ class CoefficientVector:
             raise LeadingZeroError()
         if coeffs[-1] == 0:
             raise TrailingZeroError()
-        if head:
-            self.__dict__["sequence"] = Sequence(self, head=head)
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_sequence", Sequence(self, head=head) if head else None)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"CoefficientVector is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self.coefficients == other.coefficients if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
+
+    def __repr__(self) -> str:
+        return f"CoefficientVector(coefficients={self.coefficients!r})"
 
     @classmethod
     def parse(cls, text: str) -> "CoefficientVector":
@@ -108,16 +116,22 @@ class CoefficientVector:
     def __str__(self) -> str:
         return "[" + ",".join(str(c) for c in self.coefficients) + "]"
 
-    @cached_property
+    @property
     def sequence(self) -> "Sequence":
         """The memo of this generator's terms, shared by every caller of this vector."""
-        return Sequence(self)
+        if self._sequence is None:
+            object.__setattr__(self, "_sequence", Sequence(self))
+        return self._sequence
 
 
 def nonzero_runs(c: SequenceT[int]) -> tuple[tuple[int, int, int], ...]:
     """(start, stop, v) for each maximal run c[start:stop] of one value v != 0; none for c = ()."""
-    cuts = [0, *(i for i in range(1, len(c)) if c[i] != c[i - 1]), len(c)]
-    return tuple((a, b, c[a]) for a, b in zip(cuts, cuts[1:]) if a < b and c[a])
+    runs, stop = [], 0
+    for v, run in groupby(c):
+        start, stop = stop, stop + len(list(run))
+        if v:
+            runs.append((start, stop, v))
+    return tuple(runs)
 
 
 class Sequence:

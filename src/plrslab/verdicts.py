@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence as SequenceT
+from typing import Iterable, NamedTuple, Optional, Sequence as SequenceT
 
 from .errors import CapTooLargeError, ConjectureViolation
 from .seqcore import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, CoefficientVector  # noqa: F401 (re-export)
@@ -41,8 +40,7 @@ class ProofRule(str, enum.Enum):
     WEAK_WINDOW = "weak_window"
 
 
-@dataclass(frozen=True)
-class ProofTag:
+class ProofTag(NamedTuple):
     """A rule name plus the rule-specific integers it was applied with."""
 
     rule: ProofRule
@@ -64,8 +62,7 @@ class VerdictStatus(str, enum.Enum):
     CONJECTURALLY_COMPLETE = "conjecturally_complete"
 
 
-@dataclass(frozen=True)
-class CompletenessVerdict:
+class CompletenessVerdict(NamedTuple):
     status: VerdictStatus
     proof: Optional[ProofTag] = None
     first_failure_index: Optional[int] = None
@@ -78,11 +75,7 @@ class CompletenessVerdict:
 
     @classmethod
     def incomplete(cls, first_failure_index: int, witness: int) -> "CompletenessVerdict":
-        return cls(
-            VerdictStatus.INCOMPLETE,
-            first_failure_index=first_failure_index,
-            witness=witness,
-        )
+        return cls(VerdictStatus.INCOMPLETE, first_failure_index=first_failure_index, witness=witness)
 
     @classmethod
     def conjecturally_complete(cls, horizon: int) -> "CompletenessVerdict":
@@ -114,8 +107,7 @@ def effective_horizon(length: int, horizon: Optional[int] = None) -> int:
 # Subset-sum oracle
 
 
-@dataclass(frozen=True)
-class Reachability:
+class Reachability(NamedTuple):
     """Bitmap of subset sums over [1, cap]; bit m is set iff m is reachable."""
 
     cap: int
@@ -219,19 +211,16 @@ _BOUND_RULE_TAGS = {
 FAILS_PAST_WINDOW = "fails past the window"
 
 
-def window_rules(
-    coeffs: tuple[int, ...],
-    gaps: SequenceT[int],
-    head: SequenceT[int],
-    horizon: Optional[int] = None,
-    lasts: Optional[CompleteLasts] = None,
-):
+def window_rules(coeffs: tuple[int, ...], gaps: SequenceT[int], head: SequenceT[int],
+                 family: Optional[tuple[int, int, families.BoundResult]],
+                 horizon: Optional[int] = None, lasts: Optional[CompleteLasts] = None):
     """Rules (a)-(e) of the classification, read from the window gaps.
 
     `gaps` = [B_1, ..., B_W] for the window W = max(2L - 1, 2); `head`
-    starts with H_1..H_{L-1}.  In order: (a) the least n with B_n < 0 is the
-    first failure; (b) the all-positive characterization; (c) exact bounds
-    for the [1 x g, 0 x k, N] families, FAILS_PAST_WINDOW above one;
+    starts with H_1..H_{L-1}; `family` is families.prefix_family(c_1..c_{L-1}),
+    which a caller asking many c_L derives once.  In order: (a) the least n
+    with B_n < 0 is the first failure; (b) the all-positive characterization;
+    (c) exact bounds for the [1 x g, 0 x k, N] families, FAILS_PAST_WINDOW above one;
     (d) completeness of the merged generator [c_1, ..., c_{L-1} + c_L];
     (e) the strict window, B_n > 0 for L <= n <= W.
     Returns that n, a ProofTag, FAILS_PAST_WINDOW, or None when no rule
@@ -251,15 +240,11 @@ def window_rules(
             raise RuntimeError(f"{list(coeffs)} is not all-positive complete yet passed the scan")
         return ProofTag.make(ProofRule.GEOMETRIC_L1 if coeffs == (2,) else ProofRule.ALL_POSITIVE)
 
-    shape = families.family_shape(coeffs)
-    if shape is not None:
-        bound = families.family_bound(shape.g, shape.k)
-        if bound is not None:
-            if shape.n > bound.max_n:
-                return FAILS_PAST_WINDOW
-            return ProofTag.make(
-                _BOUND_RULE_TAGS[bound.rule], g=shape.g, k=shape.k, last=shape.n, bound=bound.max_n
-            )
+    if family is not None:
+        g, k, bound = family
+        if coeffs[-1] > bound.max_n:
+            return FAILS_PAST_WINDOW
+        return ProofTag.make(_BOUND_RULE_TAGS[bound.rule], g=g, k=k, last=coeffs[-1], bound=bound.max_n)
 
     if L >= 2:
         key = coeffs[:-2] + (coeffs[-2] + coeffs[-1],)
@@ -321,17 +306,16 @@ def node_pieces(prefix: tuple[int, ...], table: SequenceT[tuple[int, int]], head
     are asked."""
     L = len(prefix) + 1
     cuts = {lo, *_cuts(table, 0), *_cuts(table[L - 1:], 1)}
-    shape = families.family_shape(prefix + (1,))  # the shape does not depend on c
-    bound = shape and families.family_bound(shape.g, shape.k)
+    family = families.prefix_family(prefix)  # the same for every c
     if 0 not in prefix:  # (b) decides every c that passes
         cuts.update((2, 3))
-    elif bound:  # so does (c)
-        cuts.add(bound.max_n + 1)
+    elif family is not None:  # so does (c)
+        cuts.add(family[2].max_n + 1)
     elif lasts is not None:
         cuts.update(s - prefix[-1] for r in lasts.found() for s in r)
     pieces = []
     for a in sorted(c for c in cuts if lo <= c < hi):
-        found = window_rules(prefix + (a,), [x - y * a for x, y in table], head, horizon, lasts)
+        found = window_rules(prefix + (a,), [x - y * a for x, y in table], head, family, horizon, lasts)
         found = found.rule if isinstance(found, ProofTag) else found
         if not pieces or pieces[-1][2] != found:
             if pieces:
@@ -380,8 +364,8 @@ class CompleteLasts:
 
 def _window_rules_of(cv: CoefficientVector, horizon: Optional[int]):
     window = effective_horizon(len(cv))
-    seq = cv.sequence
-    return window_rules(cv.coefficients, seq.gaps(window), seq.prefix(window), horizon)
+    seq, c = cv.sequence, cv.coefficients
+    return window_rules(c, seq.gaps(window), seq.prefix(window), families.prefix_family(c[:-1]), horizon)
 
 
 def proves_complete(cv: CoefficientVector, horizon: Optional[int] = None) -> bool:

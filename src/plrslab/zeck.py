@@ -34,8 +34,7 @@ them, in time linear in their digits past its cut.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence as SequenceT
+from typing import Iterator, NamedTuple, Optional, Sequence as SequenceT
 
 from .errors import CapExceededError, CapTooLargeError, NoLegalDecompositionError
 from .seqcore import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, CoefficientVector
@@ -46,8 +45,7 @@ DigitString = tuple[int, ...]
 ENUM_CAP = 200
 
 
-@dataclass(frozen=True)
-class DistinctDecomposition:
+class DistinctDecomposition(NamedTuple):
     """Distinct term indices (1-based, increasing) summing to a target."""
 
     indices: tuple[int, ...]

@@ -412,6 +412,35 @@ class TestMaxn:
         assert out == ""
         assert "budget" in err
 
+    def test_guard_sized_by_the_gap_table(self, capsys):
+        # Up to 2L, empirical_max_n holds one gap table of 2L - 1 lines, so
+        # [1 x 1000, 0 x 1000] (L = 2001) is accepted, and it agrees with its
+        # figure cell.
+        code, out, _ = run(capsys, "figure", "--k-range", "1000", "--g-range", "1000", "--format", "csv")
+        assert code == 0
+        (cell,) = parse_figure_csv(out)
+        code, out, err = run(capsys, "maxn", ",".join(["1"] * 1000 + ["0"] * 1000), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["max_n"] == cell.empirical_max_n == 2**1001 - 1000
+
+    def test_guard_past_2l_sized_by_every_term(self, capsys, monkeypatch):
+        # Past 2L the largest N is scanned to the horizon: 4,003 terms of
+        # [1 x 1000, 0 x 1000, N] may pass the budget.  The refusal names L,
+        # not the vector.
+        monkeypatch.setattr(families, "empirical_max_n", _no_work)
+        prefix = ",".join(["1"] * 1000 + ["0"] * 1000)
+        code, out, err = run(capsys, "maxn", prefix, "--horizon", "4003")
+        assert (code, out) == (5, "")
+        assert "L = 2001" in err and "budget" in err and len(err) < 200
+
+    def test_oversized_gap_table_exit_five(self, capsys, monkeypatch):
+        # At the default horizon the table of L = 5,794 could pass the budget
+        # (8 L^2 bits), as a figure cell with k + g = 5,793 does.
+        monkeypatch.setattr(families, "empirical_max_n", _no_work)
+        code, out, err = run(capsys, "maxn", ",".join(["1"] * 5793))
+        assert (code, out) == (5, "")
+        assert "L = 5794" in err and len(err) < 200
+
     @pytest.mark.parametrize("horizon", [[], ["--horizon", "60"]])
     def test_horizon_past_2l_agrees(self, capsys, horizon):
         # 60 > 2L = 10 reclassifies the window's maximum at the deeper horizon.
@@ -1066,6 +1095,14 @@ class TestImportSurface:
         assert (proc.returncode, proc.stdout) == (
             0, "module 'plrslab' has no attribute 'no_such_name'\n"
         ), proc.stderr
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_command_imports_dataclasses(self, capsys, command):
+        # Records are NamedTuples and slotted classes, so no command pays for
+        # dataclasses, nor for the inspect, ast and dis it imports.
+        code, out, loaded = _loaded_by(IMPORT_ARGVS[command])
+        assert (code, out) == _outcome(capsys, IMPORT_ARGVS[command])[:2]
+        assert not {"dataclasses", "inspect", "ast", "dis"} & loaded
 
     def test_verbose_census_logs_in_a_fresh_process(self):
         proc = _fresh("-m", "plrslab", "-v", "census", "--L", "3")

@@ -138,9 +138,9 @@ def probed(monkeypatch):
     seen = []
     rules = families.window_rules
 
-    def counting(coeffs, gaps, head, horizon=None):
+    def counting(coeffs, gaps, head, family, horizon=None):
         seen.append(coeffs[-1])
-        return rules(coeffs, gaps, head, horizon)
+        return rules(coeffs, gaps, head, family, horizon)
 
     monkeypatch.setattr(families, "window_rules", counting)
     return seen
@@ -173,8 +173,8 @@ class TestEmpiricalMax:
         # that a horizon of 15 finds B_13 < 0.
         rules, scan = families.window_rules, families.scan_past_window
 
-        def no_rule_at_6(coeffs, gaps, head, horizon=None):
-            return None if coeffs[-1] == 6 else rules(coeffs, gaps, head, horizon)
+        def no_rule_at_6(coeffs, gaps, head, family, horizon=None):
+            return None if coeffs[-1] == 6 else rules(coeffs, gaps, head, family, horizon)
 
         def fails_at_13(cv, horizon, above_bound):
             if cv.coefficients[-1] == 6:
@@ -195,9 +195,9 @@ class TestEmpiricalMax:
         ruled, scanned = [], []
         rules, scan = families.window_rules, families.scan_past_window
 
-        def rules_spy(coeffs, gaps, head, h=None):
+        def rules_spy(coeffs, gaps, head, family, h=None):
             ruled.append(h)
-            return rules(coeffs, gaps, head, h)
+            return rules(coeffs, gaps, head, family, h)
 
         def scan_spy(cv, h, above_bound):
             scanned.append(h)
@@ -213,21 +213,21 @@ class TestEmpiricalMax:
         # Over the 8 x 8 figure grid, a probe [prefix, N] is built as a
         # CoefficientVector exactly when the window rules leave it open.
         built, probes, open_probes = [], [], []
-        init = CoefficientVector.__post_init__
+        init = CoefficientVector.__init__
         rules = families.window_rules
 
-        def counting_init(cv, head):
+        def counting_init(cv, coefficients, *, head=None):
+            init(cv, coefficients, head=head)
             built.append(tuple(cv.coefficients))
-            init(cv, head)
 
-        def rules_spy(coeffs, gaps, head, horizon=None):
-            found = rules(coeffs, gaps, head, horizon)
+        def rules_spy(coeffs, gaps, head, family, horizon=None):
+            found = rules(coeffs, gaps, head, family, horizon)
             probes.append(coeffs)
             if found is None or found is FAILS_PAST_WINDOW:
                 open_probes.append(coeffs)
             return found
 
-        monkeypatch.setattr(CoefficientVector, "__post_init__", counting_init)
+        monkeypatch.setattr(CoefficientVector, "__init__", counting_init)
         monkeypatch.setattr(families, "window_rules", rules_spy)
         opened = 0
         for k in range(1, 9):
@@ -306,10 +306,10 @@ class TestFigureTable:
         # tops, from their table's H_1..H_L, and at the default horizon their
         # scan past the window is empty, so none computes a further term.
         built, past_head = [], []
-        post, extend = CoefficientVector.__post_init__, Sequence._extend_to
+        init, extend = CoefficientVector.__init__, Sequence._extend_to
 
-        def post_spy(self, head):
-            post(self, head)
+        def init_spy(self, coefficients, *, head=None):
+            init(self, coefficients, head=head)
             built.append(self.coefficients)
 
         def extend_spy(self, n):
@@ -320,13 +320,32 @@ class TestFigureTable:
         def no_merged(cv, horizon=None):
             raise AssertionError(f"merged generator {cv} built")
 
-        monkeypatch.setattr(CoefficientVector, "__post_init__", post_spy)
+        monkeypatch.setattr(CoefficientVector, "__init__", init_spy)
         monkeypatch.setattr(Sequence, "_extend_to", extend_spy)
         monkeypatch.setattr(verdicts, "proves_complete", no_merged)
         rows = figure1_table(range(1, 25), range(1, 25))
         assert len(rows) == 576
         assert len(built) <= 21
         assert past_head == []
+
+    def test_one_family_lookup_per_cell(self, monkeypatch):
+        # Each cell derives its prefix's family shape and bound once, for
+        # every N it probes, not once more per probe.
+        calls = {"shape": 0, "bound": 0}
+        shape, bound = families.family_shape, families.family_bound
+
+        def shape_spy(c):
+            calls["shape"] += 1
+            return shape(c)
+
+        def bound_spy(g, k):
+            calls["bound"] += 1
+            return bound(g, k)
+
+        monkeypatch.setattr(families, "family_shape", shape_spy)
+        monkeypatch.setattr(families, "family_bound", bound_spy)
+        assert len(figure1_table(range(1, 25), range(1, 25))) == 576
+        assert calls == {"shape": 576, "bound": 576}
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

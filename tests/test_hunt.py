@@ -206,11 +206,11 @@ class TestPrunedCensus:
         # its own gap table (one CompleteLasts found per ancestor).  At L = 6
         # the 102 conjectural survivors are the only vectors built.
         built, found, scanned = [], [], []
-        init, find, scan = CoefficientVector.__post_init__, verdicts.CompleteLasts._find, hunt.scan_past_window
+        init, find, scan = CoefficientVector.__init__, verdicts.CompleteLasts._find, hunt.scan_past_window
 
-        def counting_init(cv, head):
+        def counting_init(cv, coefficients, *, head=None):
+            init(cv, coefficients, head=head)
             built.append(cv.coefficients)
-            init(cv, head)
 
         def counting_find(lasts):
             found.append(lasts.prefix)
@@ -221,7 +221,7 @@ class TestPrunedCensus:
             scanned.append((cv.coefficients, v.status.value))
             return v
 
-        monkeypatch.setattr(CoefficientVector, "__post_init__", counting_init)
+        monkeypatch.setattr(CoefficientVector, "__init__", counting_init)
         monkeypatch.setattr(verdicts.CompleteLasts, "_find", counting_find)
         monkeypatch.setattr(verdicts, "proves_complete", None)
         monkeypatch.setattr(hunt, "scan_past_window", scan_spy)
@@ -234,6 +234,28 @@ class TestPrunedCensus:
             assert {len(v) for v in built} == {L}
             assert len(found) == len(set(found)) > 0
             assert {len(q) for q in found} <= set(range(L - 1))
+
+    def test_window_rules_derive_no_family_shape(self, monkeypatch):
+        # node_pieces derives its prefix's family once and hands it to every
+        # window_rules call it makes, which derives none.
+        inside, shapes = [], {"inside": 0, "outside": 0}
+        rules, shape = verdicts.window_rules, families.family_shape
+
+        def rules_spy(*args):
+            inside.append(True)
+            try:
+                return rules(*args)
+            finally:
+                inside.pop()
+
+        def shape_spy(c):
+            shapes["inside" if inside else "outside"] += 1
+            return shape(c)
+
+        monkeypatch.setattr(verdicts, "window_rules", rules_spy)
+        monkeypatch.setattr(families, "family_shape", shape_spy)
+        assert first_failure_census(5).equality_window_vectors == 17
+        assert shapes["inside"] == 0 and shapes["outside"] > 0
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_merged_verdicts_held_per_prefix(self, monkeypatch, L):

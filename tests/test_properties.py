@@ -29,7 +29,7 @@ from plrslab import (
     value_of,
 )
 from plrslab import families, hunt, seqcore, verdicts
-from plrslab.families import gap_table, passing_range
+from plrslab.families import gap_table, passing_range, prefix_family
 from plrslab.seqcore import Sequence
 from plrslab.verdicts import _BOUND_RULE_TAGS, CompleteLasts, effective_horizon, window_rules
 
@@ -629,7 +629,7 @@ class TestSiblingGapTable:
                 assert (c in passing) == (min(gaps) >= 0), cv
                 fresh = classify(cv, horizon)
                 assert row == hunt._row(cv.coefficients, fresh), cv
-                found = window_rules(cv.coefficients, gaps, terms, horizon)
+                found = window_rules(cv.coefficients, gaps, terms, prefix_family(prefix), horizon)
                 if isinstance(found, ProofTag):
                     assert fresh.proof == found, cv
 
@@ -695,10 +695,10 @@ class TestHeads:
         rules, scan = families.window_rules, families.scan_past_window
         probes, scanned = [], []
 
-        def checked_rules(coeffs, gaps, head, h=None):
+        def checked_rules(coeffs, gaps, head, family, h=None):
             assert list(head) == Sequence(CoefficientVector(coeffs)).prefix(len(coeffs)), coeffs
             probes.append(coeffs)
-            return rules(coeffs, gaps, head, h)
+            return rules(coeffs, gaps, head, family, h)
 
         def counted_scan(cv, h, above_bound):
             scanned.append(cv.coefficients)

@@ -71,6 +71,21 @@ class TestValidation:
         assert hash(cv) == hash(CoefficientVector((1, 3)))
         with pytest.raises(Exception):
             cv.coefficients = (2,)
+        with pytest.raises(AttributeError):
+            del cv.coefficients
+        assert cv.sequence is cv.sequence and cv.coefficients == (1, 3)
+
+
+@given(st.lists(st.integers(0, 3), max_size=12))
+def test_nonzero_runs_match_an_index_scan(c):
+    # Reference: one pass over the indices, cutting where the value changes.
+    runs, start = [], 0
+    for i in range(1, len(c) + 1):
+        if i == len(c) or c[i] != c[start]:
+            if c[start]:
+                runs.append((start, i, c[start]))
+            start = i
+    assert seqcore.nonzero_runs(c) == seqcore.nonzero_runs(tuple(c)) == tuple(runs)
 
 
 class TestTerms:
