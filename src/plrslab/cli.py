@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from typing import Iterable, Iterator, Optional
@@ -71,10 +72,12 @@ def _print_json(envelope: dict, *slots: tuple[str, Iterable[str]]) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _joined(texts: list[str], size: int = 64) -> Iterator[str]:
+def _joined(texts: Iterable[str], size: int = 64) -> Iterator[str]:
     """", ".join(texts) in pieces of `size` texts, for a JSON array slot."""
-    for i in range(0, len(texts), size):
-        yield (", " if i else "") + ", ".join(texts[i:i + size])
+    texts, sep = iter(texts), ""
+    while chunk := list(itertools.islice(texts, size)):
+        yield sep + ", ".join(chunk)
+        sep = ", "
 
 
 def _print_csv(header: list[str], rows: Iterable[list]) -> None:
@@ -139,7 +142,7 @@ def cmd_gen(args) -> int:
     if args.count < 1:
         raise OutOfRangeError("--count must be >= 1")
     _check_prefix_size(cv, args.count)
-    texts = term_texts(cv, args.count)
+    texts = itertools.chain.from_iterable(term_texts(cv, args.count))  # streamed, read once
     envelope = _envelope("gen", {"vector": list(cv), "count": args.count}, {"terms": []})
     csv_table = (["n", "term"], ([i, t] for i, t in enumerate(texts, 1)))
     text = [" ".join(texts)] if args.format == "text" else []
@@ -213,14 +216,15 @@ def cmd_decompose(args) -> int:
             # legal_decompose has checked that the digits sum to N.
             if args.format == "json":
                 # Each term turns into decimal once, for "terms" and "rendered".
-                texts = term_texts(cv, len(digits))[::-1]
+                texts = list(itertools.chain.from_iterable(term_texts(cv, len(digits))))[::-1]
                 results["legal"] = {"N": args.n, "digits": list(digits), "terms": [],
                                     "legal": zeck.is_legal(cv, digits), "rendered": ""}
                 slots = [('"terms": [', _joined(texts)),
                          ('"rendered": "', zeck.render_pieces(args.n, digits, texts))]
             elif args.n:
                 big = args.n.bit_length() > TEXT_DECOMPOSE_MAX_BITS
-                terms = (term_texts if big else terms_prefix)(cv, len(digits))[::-1]
+                runs = term_texts(cv, len(digits)) if big else [terms_prefix(cv, len(digits))]
+                terms = list(itertools.chain.from_iterable(runs))[::-1]
                 lines.append("legal: " + "".join(zeck.render_pieces(args.n, digits, terms)))
             else:
                 lines.append("legal: empty")
@@ -320,8 +324,6 @@ def cmd_maxn(args) -> int:
 
 
 def cmd_census(args) -> int:
-    import logging
-
     from . import hunt
 
     if args.length >= 5 and not args.deep:
@@ -334,14 +336,15 @@ def cmd_census(args) -> int:
     # The largest capped vector, [2, 4, ..., 2^L], has the largest terms.
     top = CoefficientVector([r.stop - 1 for r in hunt.coefficient_ranges(args.length)])
     _check_prefix_size(top, args.deep_horizon or 4 * args.length)
-    # Only the census logs.  Logging is set per call, on the package logger
-    # only: a host's root handlers stay as they are, and -v of one call does
-    # not carry over.
-    log, handler = logging.getLogger("plrslab"), logging.StreamHandler(sys.stderr)
-    level = log.level
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
-    log.addHandler(handler)
+    # Only a census under -v logs, and only it loads logging: per call, on the package logger
+    # only, so a host's root handlers stay as they are and -v of one call does not carry over.
+    if args.verbose:
+        import logging
+        log, handler = logging.getLogger("plrslab"), logging.StreamHandler(sys.stderr)
+        level = log.level
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.setLevel(logging.DEBUG)
+        log.addHandler(handler)
     try:
         report = hunt.first_failure_census(
             args.length, args.deep_horizon, checkpoint_path=args.checkpoint, rows_path=args.rows
@@ -349,8 +352,9 @@ def cmd_census(args) -> int:
     except OSError as exc:  # an unusable --checkpoint or --rows path
         raise OutOfRangeError(str(exc)) from exc
     finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
+        if args.verbose:
+            log.removeHandler(handler)
+            log.setLevel(level)
     if args.format == "json":
         envelope = _envelope(
             "census",

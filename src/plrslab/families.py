@@ -249,10 +249,22 @@ def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> Emp
     the largest N with a proof.
     """
     p = _validated_prefix(prefix)
+    return _max_n(p, prefix_family(p), horizon)
+
+
+def front_ones_max_n(g: int, k: int, horizon: Optional[int] = None) -> EmpiricalMax:
+    """empirical_max_n of [1 x g, 0 x k], whose family is (g, k, family_bound(g, k))."""
+    if g < 1 or k < 1:
+        raise ValueError("k and g must be >= 1")
+    bound = family_bound(g, k)
+    return _max_n((1,) * g + (0,) * k, None if bound is None else (g, k, bound), horizon)
+
+
+def _max_n(p: tuple[int, ...], family: Optional[tuple], horizon: Optional[int]) -> EmpiricalMax:
+    # empirical_max_n of a valid prefix p whose prefix_family is `family`.
     L = len(p) + 1
     window = effective_horizon(L)
     head, table = gap_table(p, min(effective_horizon(L, horizon), 2 * L))
-    family = prefix_family(p)
 
     def decide(n: int):
         # A ProofTag, or the verdict of the scan past the window.
@@ -284,7 +296,7 @@ class FigureRow(NamedTuple):
 
 
 def _figure_cell(k: int, g: int) -> FigureRow:
-    emp = empirical_max_n((1,) * g + (0,) * k)
+    emp = front_ones_max_n(g, k)
     closed = max_n_g_ones(g, k)
     if emp.max_n == 0:
         provenance = "none"
@@ -302,12 +314,9 @@ def figure1_table(k_values: Iterable[int], g_values: Iterable[int]) -> list[Figu
     (g >= k); other cells stay empty even though the g = 1 and g = 2
     formulas exist, so the table mirrors exactly one family of curves.
     """
-    ks = list(k_values)
-    gs = list(g_values)
+    ks, gs = list(k_values), list(g_values)
     if not ks or not gs:
         raise ValueError("k and g ranges must be nonempty")
-    if any(k < 1 for k in ks) or any(g < 1 for g in gs):
-        raise ValueError("k and g must be >= 1")
     return [_figure_cell(k, g) for k in ks for g in gs]
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import logging
 import math
 import re
 import sys
@@ -42,9 +41,7 @@ from .errors import ConjectureViolation
 from .seqcore import CoefficientVector
 from .verdicts import (FAILS_PAST_WINDOW, CompleteLasts, CompletenessVerdict, ProofRule, classify,
                        effective_horizon, node_pieces, scan_past_window)
-from .families import empirical_max_n, gap_table, passing_range
-
-log = logging.getLogger(__name__)
+from .families import front_ones_max_n, gap_table, passing_range
 
 
 def coefficient_ranges(length: int) -> list[range]:
@@ -463,12 +460,6 @@ def _aggregate(
         scanned += covered
         if rec.first_failure is not None:
             if rec.first_failure > window:
-                log.error(
-                    "conjecture violation: %s first fails at %d (window %d)",
-                    list(rec.vector),
-                    rec.first_failure,
-                    window,
-                )
                 raise ConjectureViolation(rec.vector, rec.first_failure)
             if rec.first_failure > max_ff:
                 max_ff = rec.first_failure
@@ -581,7 +572,9 @@ def first_failure_census(
             for rec in found:
                 writer.writerow(_rows_file_fields(rec))
                 records.append(rec)
-    log.debug("census L=%d: %d records reloaded, %d found", length, n, len(records) - n)
+    if logging := sys.modules.get("logging"):  # loaded by -v or a host, else no handler exists
+        logging.getLogger(__name__).debug(
+            "census L=%d: %d records reloaded, %d found", length, n, len(records) - n)
 
     if length == 1:
         # The window 2L - 1 = 1 is vacuous and [1], [2] never fail; every [c]
@@ -624,15 +617,10 @@ def add_front_ones_scan(k: int, g_max: int, horizon: Optional[int] = None) -> Ad
     against the front-ones monotonicity conjecture and are reported, not
     raised.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if g_max < 2:
         raise ValueError("g_max must be >= 2")
-    maxima = {g: empirical_max_n((1,) * g + (0,) * k, horizon) for g in range(1, g_max + 1)}
-    rows = tuple(
-        AddFrontOnesRow(g, maxima[g].max_n, maxima[g].proven_max_n)
-        for g in range(1, g_max + 1)
-    )
+    maxima = {g: front_ones_max_n(g, k, horizon) for g in range(1, g_max + 1)}
+    rows = tuple(AddFrontOnesRow(g, m.max_n, m.proven_max_n) for g, m in maxima.items())
     violations = tuple(
         (g, n)
         for g in range(1, g_max)

@@ -245,21 +245,22 @@ STR_MAX_BITS = 1024
 TEXT_DECOMPOSE_MAX_BITS = 2048
 
 
-def term_texts(cv: CoefficientVector, m: int) -> list[str]:
-    """[str(H_1), ..., str(H_m)], in time linear in the digits past STR_MAX_BITS.
+def term_texts(cv: CoefficientVector, m: int) -> Iterator[Iterator[str]]:
+    """str(H_1), ..., str(H_m) as lazy runs, in time linear in the digits past STR_MAX_BITS.
 
     str() of an int takes time quadratic in its digits (CPython <= 3.11).  So
     past the cut the recurrence goes on in exact decimal arithmetic, seeded by
-    parsing the last L texts and keeping a window of L terms, and each further
+    the last L int terms and keeping a window of L terms, and each further
     text costs O(digits) per nonzero c_i.  Its last L terms must equal the int
     terms (Decimal == int: exact, and free of str()'s digit limit); as c_L >= 1
     the recurrence runs backwards too, so that vouches for every decimal term.
+    Runs: the terms under the cut, then 64-term blocks, the last after that check.
     """
     terms = cv.sequence.prefix(m) if m > 0 else []
     k = bisect_right(terms, STR_MAX_BITS, key=int.bit_length)  # terms never decrease
-    texts = [str(t) for t in terms[:k]]
+    yield map(str, terms[:k])
     if k == m:
-        return texts
+        return
     import decimal  # here, not at module level, where every command would pay for it
 
     c = cv.coefficients
@@ -269,18 +270,21 @@ def term_texts(cv: CoefficientVector, m: int) -> list[str]:
     one, zero = decimal.Decimal(1), decimal.Decimal(0)
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           traps=[decimal.Inexact, decimal.Rounded])
-    window = deque(map(decimal.Decimal, texts[-L:]), maxlen=L)  # ..., H_n
-    with decimal.localcontext(ctx):
-        for n in range(k, m):  # H_1..H_n known, computing H_{n+1}
-            val = one if n < L else zero
-            for i, v in steps:
-                if i >= n:
-                    break
-                x = window[-1 - i]
-                val += x if v is None else v * x
-            window.append(val)
-            texts.append(str(val))
-    for j, val in zip(range(m - len(window), m), window):
-        if val != terms[j]:
-            raise RuntimeError(f"decimal term H_{j + 1} of {cv} differs from the int term")
-    return texts
+    window = deque(map(decimal.Decimal, terms[max(k - L, 0):k]), maxlen=L)  # ..., H_n
+    for lo in range(k, m, 64):  # blocks of terms, so that no yield leaks ctx to the caller
+        block = []
+        with decimal.localcontext(ctx):
+            for n in range(lo, min(lo + 64, m)):  # H_1..H_n known, computing H_{n+1}
+                val = one if n < L else zero
+                for i, v in steps:
+                    if i >= n:
+                        break
+                    x = window[-1 - i]
+                    val += x if v is None else v * x
+                window.append(val)
+                block.append(val)
+        if lo + 64 >= m:  # the last block waits for the check
+            for j, val in zip(range(m - len(window), m), window):
+                if val != terms[j]:
+                    raise RuntimeError(f"decimal term H_{j + 1} of {cv} differs from the int term")
+        yield map(str, block)

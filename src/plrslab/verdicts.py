@@ -21,7 +21,6 @@ bounded ranges.
 from __future__ import annotations
 
 import enum
-import functools
 from typing import Iterable, NamedTuple, Optional, Sequence as SequenceT
 
 from .errors import CapTooLargeError, ConjectureViolation
@@ -44,12 +43,7 @@ class ProofTag(NamedTuple):
     """A rule name plus the rule-specific integers it was applied with."""
 
     rule: ProofRule
-    parameters: tuple[tuple[str, int], ...] = ()
-
-    @classmethod
-    @functools.lru_cache(maxsize=4096)  # a census proves most of its leaves with a few tags
-    def make(cls, rule: ProofRule, **params: int) -> "ProofTag":
-        return cls(rule, tuple(sorted(params.items())))
+    parameters: tuple[tuple[str, int], ...] = ()  # sorted by name
 
     @property
     def params(self) -> dict[str, int]:
@@ -238,13 +232,14 @@ def window_rules(coeffs: tuple[int, ...], gaps: SequenceT[int], head: SequenceT[
             # The first c_i != 1 gives B_{i+1} < 0 (or B_{L+1} < 0 after
             # L - 1 ones and c_L >= 3), inside the window.
             raise RuntimeError(f"{list(coeffs)} is not all-positive complete yet passed the scan")
-        return ProofTag.make(ProofRule.GEOMETRIC_L1 if coeffs == (2,) else ProofRule.ALL_POSITIVE)
+        return ProofTag(ProofRule.GEOMETRIC_L1 if coeffs == (2,) else ProofRule.ALL_POSITIVE)
 
     if family is not None:
         g, k, bound = family
         if coeffs[-1] > bound.max_n:
             return FAILS_PAST_WINDOW
-        return ProofTag.make(_BOUND_RULE_TAGS[bound.rule], g=g, k=k, last=coeffs[-1], bound=bound.max_n)
+        return ProofTag(_BOUND_RULE_TAGS[bound.rule],
+                        (("bound", bound.max_n), ("g", g), ("k", k), ("last", coeffs[-1])))
 
     if L >= 2:
         key = coeffs[:-2] + (coeffs[-2] + coeffs[-1],)
@@ -260,11 +255,11 @@ def window_rules(coeffs: tuple[int, ...], gaps: SequenceT[int], head: SequenceT[
                 CoefficientVector(key, head=head[: L - 1]), horizon
             )
         if complete:
-            return ProofTag.make(ProofRule.MERGE_LAST, merged_last=key[-1])
+            return ProofTag(ProofRule.MERGE_LAST, (("merged_last", key[-1]),))
 
     # Rule (b) has decided every L = 1 vector, so L >= 2 and W = 2L - 1 here.
     if min(gaps[L - 1:], default=0) > 0:
-        return ProofTag.make(ProofRule.WEAK_WINDOW, window_end=len(gaps))
+        return ProofTag(ProofRule.WEAK_WINDOW, (("window_end", len(gaps)),))
     return None
 
 

@@ -1079,7 +1079,7 @@ class TestImportSurface:
         assert (code, out) == _outcome(capsys, IMPORT_ARGVS[command])[:2]
         assert ("plrslab.hunt" in loaded) == (command == "census")
         assert ("plrslab.zeck" in loaded) == (command == "decompose")
-        assert "logging" not in loaded or command == "census"
+        assert "logging" not in loaded  # census loads it only for -v
 
     def test_every_public_name_resolves(self):
         code = (

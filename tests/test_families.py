@@ -329,10 +329,11 @@ class TestFigureTable:
         assert past_head == []
 
     def test_one_family_lookup_per_cell(self, monkeypatch):
-        # Each cell derives its prefix's family shape and bound once, for
-        # every N it probes, not once more per probe.
-        calls = {"shape": 0, "bound": 0}
-        shape, bound = families.family_shape, families.family_bound
+        # Each cell takes its family from its own (g, k): one closed-form
+        # bound for every N it probes, and no shape parse or validation of a
+        # prefix that figure1_table built.
+        calls = {"shape": 0, "bound": 0, "validated": 0}
+        shape, bound, validated = families.family_shape, families.family_bound, families._validated_prefix
 
         def shape_spy(c):
             calls["shape"] += 1
@@ -342,10 +343,27 @@ class TestFigureTable:
             calls["bound"] += 1
             return bound(g, k)
 
+        def validated_spy(prefix):
+            calls["validated"] += 1
+            return validated(prefix)
+
         monkeypatch.setattr(families, "family_shape", shape_spy)
         monkeypatch.setattr(families, "family_bound", bound_spy)
+        monkeypatch.setattr(families, "_validated_prefix", validated_spy)
         assert len(figure1_table(range(1, 25), range(1, 25))) == 576
-        assert calls == {"shape": 576, "bound": 576}
+        assert calls == {"shape": 0, "bound": 576, "validated": 0}
+
+    def test_cells_match_the_public_entry(self, monkeypatch):
+        # The family a cell hands on is the one prefix_family derives from its
+        # prefix, so each row is the one built through empirical_max_n.
+        for g, k in itertools.product(range(1, 31), repeat=2):
+            bound = family_bound(g, k)
+            expected = None if bound is None else (g, k, bound)
+            assert families.prefix_family((1,) * g + (0,) * k) == expected, (g, k)
+        rows = figure1_table(range(1, 31), range(1, 31))
+        monkeypatch.setattr(families, "front_ones_max_n",
+                            lambda g, k, horizon=None: empirical_max_n((1,) * g + (0,) * k, horizon))
+        assert rows == figure1_table(range(1, 31), range(1, 31))
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

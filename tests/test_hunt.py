@@ -730,10 +730,10 @@ class TestAddFrontOnes:
     def test_violations_read_off_a_falling_maximum(self, monkeypatch):
         maxima = {1: 5, 2: 3, 3: 4}
 
-        def fake_max_n(prefix, horizon):
-            return EmpiricalMax(maxima[prefix.count(1)], maxima[prefix.count(1)], None)
+        def fake_max_n(g, k, horizon):
+            return EmpiricalMax(maxima[g], maxima[g], None)
 
-        monkeypatch.setattr(hunt, "empirical_max_n", fake_max_n)
+        monkeypatch.setattr(hunt, "front_ones_max_n", fake_max_n)
         report = add_front_ones_scan(2, 3)
         assert not report.holds
         assert report.violations == ((1, 4), (1, 5))

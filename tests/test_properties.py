@@ -169,6 +169,11 @@ class TestSharedMergedVerdicts:
                 assert complete == classify(CoefficientVector(q + (s,)), horizon).is_complete, (q, s)
 
 
+def proof_tag(rule, **params):
+    """The tag of `rule` with its parameters in name order."""
+    return ProofTag(rule, tuple(sorted(params.items())))
+
+
 def scan_first_classify(coeffs, horizon):
     """classify's verdict with the gap scan to the full depth first, on a private memo."""
     cv = CoefficientVector(coeffs)
@@ -180,22 +185,22 @@ def scan_first_classify(coeffs, horizon):
         return CompletenessVerdict.incomplete(n, 1 + seq.partial_sum(n - 1))
     if min(coeffs) >= 1:
         rule = ProofRule.GEOMETRIC_L1 if coeffs == (2,) else ProofRule.ALL_POSITIVE
-        return CompletenessVerdict.complete(ProofTag.make(rule))
+        return CompletenessVerdict.complete(proof_tag(rule))
     shape = family_shape(coeffs)
     bound = None if shape is None else family_bound(shape.g, shape.k)
     if bound is not None:
         if shape.n > bound.max_n:
             raise ConjectureViolation(coeffs, None)
-        return CompletenessVerdict.complete(ProofTag.make(
+        return CompletenessVerdict.complete(proof_tag(
             _BOUND_RULE_TAGS[bound.rule], g=shape.g, k=shape.k, last=shape.n, bound=bound.max_n
         ))
     if L >= 2:
         key = coeffs[:-2] + (coeffs[-2] + coeffs[-1],)
         if scan_first_classify(key, horizon).is_complete:
-            tag = ProofTag.make(ProofRule.MERGE_LAST, merged_last=key[-1])
+            tag = proof_tag(ProofRule.MERGE_LAST, merged_last=key[-1])
             return CompletenessVerdict.complete(tag)
     if weak_window_check(CoefficientVector(coeffs)):
-        tag = ProofTag.make(ProofRule.WEAK_WINDOW, window_end=max(2 * L - 1, 2))
+        tag = proof_tag(ProofRule.WEAK_WINDOW, window_end=max(2 * L - 1, 2))
         return CompletenessVerdict.complete(tag)
     return CompletenessVerdict.conjecturally_complete(depth)
 
