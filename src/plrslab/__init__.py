@@ -22,7 +22,7 @@ _EXPORTS = {
         "LeadingZeroError", "NegativeCoefficientError", "NoLegalDecompositionError",
         "OutOfRangeError", "PLRSError", "TrailingZeroError", "VectorValidationError",
     ),
-    "seqcore": ("CoefficientVector", "Sequence", "terms_prefix"),
+    "seqcore": ("CoefficientVector", "Sequence"),
     "verdicts": (
         "CompletenessVerdict", "ProofRule", "ProofTag", "Reachability", "classify",
         "is_complete_up_to", "subset_sum_reachable",
@@ -36,7 +36,7 @@ _EXPORTS = {
         "family_bound", "family_shape", "fib", "figure1_table", "max_n_double_one",
         "max_n_g_ones", "max_n_single_one",
     ),
-    "hunt": ("AddFrontOnesReport", "CensusReport", "add_front_ones_scan", "first_failure_census"),
+    "hunt": ("CensusReport", "first_failure_census"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -30,7 +30,7 @@ from .errors import (
     PLRSError,
 )
 from .seqcore import (BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, TEXT_DECOMPOSE_MAX_BITS,
-                      CoefficientVector, term_texts, terms_prefix)
+                      CoefficientVector, parse_coefficients, term_texts)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -223,7 +223,7 @@ def cmd_decompose(args) -> int:
                          ('"rendered": "', zeck.render_pieces(args.n, digits, texts))]
             elif args.n:
                 big = args.n.bit_length() > TEXT_DECOMPOSE_MAX_BITS
-                runs = term_texts(cv, len(digits)) if big else [terms_prefix(cv, len(digits))]
+                runs = term_texts(cv, len(digits)) if big else [cv.sequence.prefix(len(digits))]
                 terms = list(itertools.chain.from_iterable(runs))[::-1]
                 lines.append("legal: " + "".join(zeck.render_pieces(args.n, digits, terms)))
             else:
@@ -298,16 +298,16 @@ def cmd_maxn(args) -> int:
     from . import families
     from .verdicts import effective_horizon
 
-    prefix = [int(p) for p in args.prefix.split(",")]
+    prefix = parse_coefficients(args.prefix)
     horizon = effective_horizon(len(prefix) + 1, args.horizon)
-    head = CoefficientVector(prefix + [1])  # validates the prefix
+    head = CoefficientVector(prefix + (1,))  # validates the prefix
     L = len(head)
     _check_table_size(L, max(prefix), "maxn")
     if horizon > 2 * L:  # the largest N classified is scanned to the horizon
         # H_{L+1} >= N gives B_{L+1} <= 1 + H_1 + ... + H_L - N, and H_1..H_L
         # do not depend on N: no larger N passes the window.
         n_top = 1 + head.sequence.partial_sum(L)
-        _check_prefix_size(CoefficientVector(prefix + [n_top]), horizon)
+        _check_prefix_size(CoefficientVector(prefix + (n_top,)), horizon)
     emp = families.empirical_max_n(prefix, args.horizon)
     results = {
         "prefix": prefix,

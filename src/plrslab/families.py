@@ -40,9 +40,6 @@ class FamilySpec(NamedTuple):
     k: int
     n: int
 
-    def to_vector(self) -> CoefficientVector:
-        return CoefficientVector((1,) * self.g + (0,) * self.k + (self.n,))
-
 
 def family_shape(coefficients: SequenceT[int]) -> Optional[FamilySpec]:
     """Parse [1 x g, 0 x k, N] with g >= 1, k >= 1; None for any other shape."""
@@ -163,17 +160,6 @@ class EmpiricalMax(NamedTuple):
     proof: Optional[ProofTag]
 
 
-def _validated_prefix(prefix: Iterable[int]) -> tuple[int, ...]:
-    p = tuple(map(int, prefix))
-    if not p:
-        raise ValueError("prefix must be nonempty")
-    if p[0] < 1:
-        raise ValueError("prefix must start with a positive coefficient")
-    if min(p) < 0:
-        raise ValueError("prefix coefficients must be nonnegative")
-    return p
-
-
 def passing_range(lines: SequenceT[tuple[int, int]]) -> range:
     """The N >= 1 keeping every gap alpha - beta N >= 0, given its lines
     (alpha, beta), at least one with beta > 0: an interval, maybe empty."""
@@ -248,16 +234,11 @@ def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> Emp
     which raises ConjectureViolation.  A conjectural verdict steps down to
     the largest N with a proof.
     """
-    p = _validated_prefix(prefix)
+    p = tuple(prefix)
+    if not p:
+        raise ValueError("prefix must be nonempty")
+    CoefficientVector(p + (1,))  # validates the prefix
     return _max_n(p, prefix_family(p), horizon)
-
-
-def front_ones_max_n(g: int, k: int, horizon: Optional[int] = None) -> EmpiricalMax:
-    """empirical_max_n of [1 x g, 0 x k], whose family is (g, k, family_bound(g, k))."""
-    if g < 1 or k < 1:
-        raise ValueError("k and g must be >= 1")
-    bound = family_bound(g, k)
-    return _max_n((1,) * g + (0,) * k, None if bound is None else (g, k, bound), horizon)
 
 
 def _max_n(p: tuple[int, ...], family: Optional[tuple], horizon: Optional[int]) -> EmpiricalMax:
@@ -296,8 +277,12 @@ class FigureRow(NamedTuple):
 
 
 def _figure_cell(k: int, g: int) -> FigureRow:
-    emp = front_ones_max_n(g, k)
-    closed = max_n_g_ones(g, k)
+    # empirical_max_n of [1 x g, 0 x k], whose family is (g, k, family_bound(g, k)).
+    if g < 1 or k < 1:
+        raise ValueError("k and g must be >= 1")
+    bound = family_bound(g, k)
+    emp = _max_n((1,) * g + (0,) * k, None if bound is None else (g, k, bound), None)
+    closed = bound if g >= 3 else max_n_g_ones(g, k)  # family_bound is the g-ones form from g = 3
     if emp.max_n == 0:
         provenance = "none"
     elif emp.proven_max_n == emp.max_n and emp.proof is not None:

@@ -41,7 +41,7 @@ from .errors import ConjectureViolation
 from .seqcore import CoefficientVector
 from .verdicts import (FAILS_PAST_WINDOW, CompleteLasts, CompletenessVerdict, ProofRule, classify,
                        effective_horizon, node_pieces, scan_past_window)
-from .families import front_ones_max_n, gap_table, passing_range
+from .families import gap_table, passing_range
 
 
 def coefficient_ranges(length: int) -> list[range]:
@@ -582,48 +582,3 @@ def first_failure_census(
         # scanned to make the reported maximum meaningful.
         records.append(_row((3,), classify(CoefficientVector((3,)), deep_horizon)))
     return _aggregate(length, records, deep_horizon)
-
-
-# --------------------------------------------------------------------------
-# Targeted checks
-
-
-class AddFrontOnesRow(NamedTuple):
-    g: int
-    max_n: int
-    proven_max_n: int
-
-
-class AddFrontOnesReport(NamedTuple):
-    k: int
-    g_max: int
-    rows: tuple[AddFrontOnesRow, ...]
-    violations: tuple[tuple[int, int], ...]  # (g, N) where g+1 lost completeness
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-
-def add_front_ones_scan(k: int, g_max: int, horizon: Optional[int] = None) -> AddFrontOnesReport:
-    """Check that prepending a 1 preserves (conjectural) completeness.
-
-    For each g < g_max and each N up to the empirical maximum for the
-    prefix (1 x g, 0 x k), any non-Incomplete verdict for [1 x g, 0 x k, N]
-    must survive at [1 x (g+1), 0 x k, N].  The non-Incomplete N of a
-    prefix are exactly 1..max_n (empirical_max_n raises ConjectureViolation
-    when a first failure past the window would break that), so the
-    violations are the N in (max_n(g+1), max_n(g)].  They are evidence
-    against the front-ones monotonicity conjecture and are reported, not
-    raised.
-    """
-    if g_max < 2:
-        raise ValueError("g_max must be >= 2")
-    maxima = {g: front_ones_max_n(g, k, horizon) for g in range(1, g_max + 1)}
-    rows = tuple(AddFrontOnesRow(g, m.max_n, m.proven_max_n) for g, m in maxima.items())
-    violations = tuple(
-        (g, n)
-        for g in range(1, g_max)
-        for n in range(maxima[g + 1].max_n + 1, maxima[g].max_n + 1)
-    )
-    return AddFrontOnesReport(k, g_max, rows, violations)

@@ -97,12 +97,7 @@ class CoefficientVector:
     @classmethod
     def parse(cls, text: str) -> "CoefficientVector":
         """Parse a comma-separated coefficient list such as "1,0,4"."""
-        parts = [p.strip() for p in text.split(",")]
-        try:
-            raw = [int(p) for p in parts]
-        except ValueError:
-            raise VectorValidationError(f"cannot parse coefficient vector {text!r}") from None
-        return cls(tuple(raw))
+        return cls(parse_coefficients(text))
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -122,6 +117,14 @@ class CoefficientVector:
         if self._sequence is None:
             object.__setattr__(self, "_sequence", Sequence(self))
         return self._sequence
+
+
+def parse_coefficients(text: str) -> tuple[int, ...]:
+    """The ints of a comma-separated list such as "1,0,4" or the prefix "1,0", unvalidated."""
+    try:
+        return tuple(int(p) for p in text.split(","))  # int() strips the spaces around each
+    except ValueError:
+        raise VectorValidationError(f"cannot parse coefficient vector {text!r}") from None
 
 
 def nonzero_runs(c: SequenceT[int]) -> tuple[tuple[int, int, int], ...]:
@@ -229,11 +232,6 @@ class Sequence:
         sums = self._sums
         terms = self._terms
         return [1 + sums[i] - terms[i] for i in range(n)]
-
-
-def terms_prefix(cv: CoefficientVector, n: int) -> list[int]:
-    """[H_1, ..., H_n] for the given generator."""
-    return cv.sequence.prefix(n)
 
 
 #: Terms of at most this many bits are rendered by str(); term_texts carries

@@ -119,9 +119,6 @@ class Reachability(NamedTuple):
             return None
         return (miss & -miss).bit_length() - 1
 
-    def missing(self) -> list[int]:
-        return [m for m in range(1, self.cap + 1) if not (self.bitmap >> m) & 1]
-
 
 def subset_sum_reachable(terms: SequenceT[int], cap: int) -> Reachability:
     """Which targets in [1, cap] are sums of distinct listed terms.

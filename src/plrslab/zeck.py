@@ -51,10 +51,6 @@ class DistinctDecomposition(NamedTuple):
     indices: tuple[int, ...]
     terms: tuple[int, ...]
 
-    @property
-    def value(self) -> int:
-        return sum(self.terms)
-
 
 def value_of(cv: CoefficientVector, digits: SequenceT[int]) -> int:
     """sum_i a_i * H_{m+1-i}; the empty string has value 0."""

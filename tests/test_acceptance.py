@@ -21,7 +21,6 @@ from plrslab import (
     max_n_double_one,
     max_n_single_one,
     render_decomposition,
-    terms_prefix,
     value_of,
 )
 from plrslab.cli import main
@@ -129,13 +128,21 @@ def test_criterion_05_g_ones_regimes_as_csv():
 
 
 def test_criterion_06_extremal_family_first_failure():
-    """[1 x k, 0, 4] first fails exactly at term 2k + 3, never earlier."""
+    """[1 x (L-2), 0, 4] first fails exactly at term 2L - 1, for L = 3..200.
+
+    Its gaps up to 2L have one shape: B_L = 1, B_{2L-1} = -1, B_{2L} = 2 and
+    B_n = 0 for every other n (n < L and L < n < 2L - 1).
+    """
+    for L in range(3, 201):
+        cv = CoefficientVector((1,) * (L - 2) + (0, 4))
+        expected = [0] * (2 * L)  # expected[n - 1] = B_n
+        expected[L - 1], expected[2 * L - 2], expected[2 * L - 1] = 1, -1, 2
+        scan = brown_scan(cv, 2 * L)
+        assert list(scan.gaps) == expected, L
+        assert scan.first_failure == cv.sequence.first_gap_below(2 * L) == 2 * L - 1, L
     for k in range(1, 11):
-        assert check_fail_at_2l_minus_1(k) == 2 * k + 3, k
-        scan = brown_scan(CoefficientVector((1,) * k + (0, 4)), 2 * k + 3)
-        assert all(g >= 0 for g in scan.gaps[: 2 * k + 2]), k
-        assert scan.gaps[2 * k + 2] < 0, k
-    _report(6, "first failure of [1 x k, 0, 4] lands at 2k+3 for k = 1..10")
+        assert check_fail_at_2l_minus_1(k) == 2 * k + 3, k  # none past 2L - 1, scanned to 4L
+    _report(6, "[1 x (L-2), 0, 4] has gaps 0 but B_L = 1, B_{2L-1} = -1, B_{2L} = 2 for L = 3..200")
 
 
 def test_criterion_07_first_failure_census(census_reports):
@@ -212,10 +219,10 @@ def test_criterion_10_maximal_sequence_envelope(classified_rows):
     """Complete sequences sit under 2^(n-1); ones-then-two attains it exactly."""
     checked = 0
     for row in classified_rows["complete"]:
-        prefix = terms_prefix(CoefficientVector(row.vector), 30)
+        prefix = CoefficientVector(row.vector).sequence.prefix(30)
         assert all(h <= 2**i for i, h in enumerate(prefix)), row.vector
         checked += 1
     for length in range(1, 7):
         cv = CoefficientVector((1,) * (length - 1) + (2,))
-        assert terms_prefix(cv, 40) == [2**i for i in range(40)], length
+        assert cv.sequence.prefix(40) == [2**i for i in range(40)], length
     _report(10, f"{checked} complete vectors below the doubling envelope; equality for ones+2")

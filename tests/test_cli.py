@@ -26,7 +26,6 @@ from plrslab import (
     hunt,
     is_legal,
     legal_decompose,
-    terms_prefix,
     value_of,
     verdicts,
 )
@@ -307,7 +306,7 @@ def _render_by_parts(cv, digits) -> str:
     m = len(digits)
     if m == 0 or all(d == 0 for d in digits):
         return "0 = 0"
-    prefix = terms_prefix(cv, m)
+    prefix = cv.sequence.prefix(m)
     parts = [(d, prefix[m - 1 - i]) for i, d in enumerate(digits) if d > 0]
     if any(d > 1 for d, _ in parts):
         rhs = " + ".join(f"{d}·{t}" for d, t in parts)
@@ -329,7 +328,7 @@ def _decompose_stdout_by_dict(vector: str, n: int, mode: str, fmt: str) -> str:
             lines.append("legal: none")
         else:
             m = len(digits)
-            prefix = terms_prefix(cv, m) if m else []
+            prefix = cv.sequence.prefix(m) if m else []
             rendered = _render_by_parts(cv, digits)
             results["legal"] = {
                 "N": value_of(cv, digits),
@@ -402,6 +401,12 @@ class TestMaxn:
     def test_invalid_prefix(self, capsys):
         code, _, _ = run(capsys, "maxn", "0,1")
         assert code == 2
+
+    @pytest.mark.parametrize("prefix", [",1", "1,x", ""])
+    def test_unparsable_prefix_named(self, capsys, prefix):
+        # The prefix is parsed as every vector argument is, and the error names it.
+        code, out, err = run(capsys, "maxn", prefix)
+        assert (code, out, err) == (2, "", f"error: cannot parse coefficient vector {prefix!r}\n")
 
     def test_oversized_horizon_exit_five(self, capsys, monkeypatch):
         # [1,1,N] fails at term 4 once N > 1 + H_1 + H_2 + H_3 = 8; 20,000

@@ -96,7 +96,7 @@ class TestFamilyShape:
 
     def test_roundtrip(self):
         spec = FamilySpec(3, 2, 7)
-        assert family_shape(spec.to_vector().coefficients) == spec
+        assert family_shape((1,) * spec.g + (0,) * spec.k + (spec.n,)) == spec
 
     def test_matches_loops_on_every_small_tuple(self):
         # Entries 0..2, lengths 0..8: 9,841 tuples, (1, 0, 0) among them,
@@ -212,6 +212,7 @@ class TestEmpiricalMax:
     def test_vector_built_only_where_no_rule_decides(self, monkeypatch):
         # Over the 8 x 8 figure grid, a probe [prefix, N] is built as a
         # CoefficientVector exactly when the window rules leave it open.
+        # Only [prefix, 1] is built first, to validate the prefix.
         built, probes, open_probes = [], [], []
         init = CoefficientVector.__init__
         rules = families.window_rules
@@ -236,7 +237,8 @@ class TestEmpiricalMax:
                 built.clear()
                 open_probes.clear()
                 empirical_max_n(prefix)
-                assert [c for c in built if c[:-1] == prefix] == open_probes, prefix
+                assert built[0] == prefix + (1,), prefix  # the prefix's validation
+                assert [c for c in built[1:] if c[:-1] == prefix] == open_probes, prefix
                 opened += len(open_probes)
         assert len(probes) >= 64 and 0 < opened < len(probes)
 
@@ -330,40 +332,43 @@ class TestFigureTable:
 
     def test_one_family_lookup_per_cell(self, monkeypatch):
         # Each cell takes its family from its own (g, k): one closed-form
-        # bound for every N it probes, and no shape parse or validation of a
-        # prefix that figure1_table built.
-        calls = {"shape": 0, "bound": 0, "validated": 0}
-        shape, bound, validated = families.family_shape, families.family_bound, families._validated_prefix
+        # bound for every N it probes, and no shape parse of the prefix that
+        # figure1_table built.  The g-ones form is derived at most once per
+        # cell: by family_bound where 3 <= g and k <= g (297 cells), and for
+        # the closed-form column where g = 1, 2 (48 cells).
+        calls = dict.fromkeys(["family_shape", "family_bound", "max_n_g_ones"], 0)
 
-        def shape_spy(c):
-            calls["shape"] += 1
-            return shape(c)
+        def spy(name):
+            real = getattr(families, name)
 
-        def bound_spy(g, k):
-            calls["bound"] += 1
-            return bound(g, k)
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
 
-        def validated_spy(prefix):
-            calls["validated"] += 1
-            return validated(prefix)
+            return counted
 
-        monkeypatch.setattr(families, "family_shape", shape_spy)
-        monkeypatch.setattr(families, "family_bound", bound_spy)
-        monkeypatch.setattr(families, "_validated_prefix", validated_spy)
+        for name in calls:
+            monkeypatch.setattr(families, name, spy(name))
         assert len(figure1_table(range(1, 25), range(1, 25))) == 576
-        assert calls == {"shape": 0, "bound": 576, "validated": 0}
+        assert calls == {"family_shape": 0, "family_bound": 576, "max_n_g_ones": 297 + 48}
 
-    def test_cells_match_the_public_entry(self, monkeypatch):
+    def test_cells_match_the_public_entry(self):
         # The family a cell hands on is the one prefix_family derives from its
         # prefix, so each row is the one built through empirical_max_n.
         for g, k in itertools.product(range(1, 31), repeat=2):
             bound = family_bound(g, k)
             expected = None if bound is None else (g, k, bound)
             assert families.prefix_family((1,) * g + (0,) * k) == expected, (g, k)
-        rows = figure1_table(range(1, 31), range(1, 31))
-        monkeypatch.setattr(families, "front_ones_max_n",
-                            lambda g, k, horizon=None: empirical_max_n((1,) * g + (0,) * k, horizon))
-        assert rows == figure1_table(range(1, 31), range(1, 31))
+        for row in figure1_table(range(1, 31), range(1, 31)):
+            emp = empirical_max_n((1,) * row.g + (0,) * row.k)
+            closed = max_n_g_ones(row.g, row.k)
+            if emp.max_n == 0:
+                provenance = "none"
+            elif emp.proven_max_n == emp.max_n and emp.proof is not None:
+                provenance = emp.proof.rule.value
+            else:
+                provenance = "conjectural"
+            assert row == (row.k, row.g, emp.max_n, None if closed is None else closed.max_n, provenance)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

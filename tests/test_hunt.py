@@ -10,14 +10,13 @@ from plrslab import (
     CoefficientVector,
     ConjectureViolation,
     Sequence,
-    add_front_ones_scan,
     classify,
     first_failure_census,
     hunt,
     verdicts,
 )
 from plrslab import families
-from plrslab.families import BoundResult, EmpiricalMax, FamilySpec, empirical_max_n
+from plrslab.families import BoundResult, empirical_max_n, figure1_table
 from plrslab.hunt import (
     RECORDS_CSV_HEADER,
     CensusRow,
@@ -703,59 +702,71 @@ class TestTwoLMinusOneFamily:
 
 def add_front_ones_violations_by_classify(k, g_max, horizon):
     """Every (g, N) with N <= max_n(g) not Incomplete at g but Incomplete at g + 1."""
+
+    def incomplete(g, n):
+        return classify(CoefficientVector((1,) * g + (0,) * k + (n,)), horizon).is_incomplete
+
     violations = []
     for g in range(1, g_max):
         max_n = empirical_max_n((1,) * g + (0,) * k, horizon).max_n
         for n in range(1, max_n + 1):
-            if classify(FamilySpec(g, k, n).to_vector(), horizon).is_incomplete:
-                continue
-            if classify(FamilySpec(g + 1, k, n).to_vector(), horizon).is_incomplete:
+            if not incomplete(g, n) and incomplete(g + 1, n):
                 violations.append((g, n))
     return violations
 
 
+def front_ones_maxima(k, g_max, horizon=None):
+    """The largest N of [1 x g, 0 x k, N] for g = 1..g_max: the figure's row of
+    k at the default horizon, empirical_max_n at any other."""
+    if horizon is None:
+        return [r.empirical_max_n for r in figure1_table([k], range(1, g_max + 1))]
+    return [empirical_max_n((1,) * g + (0,) * k, horizon).max_n for g in range(1, g_max + 1)]
+
+
+def falls(maxima):
+    """(g, N) for each N in (maxima[g], maxima[g - 1]]: the N whose vector with
+    prefix g is not Incomplete, and Incomplete once a 1 is prepended."""
+    return [(g, n) for g, (hi, lo) in enumerate(zip(maxima, maxima[1:]), 1) for n in range(lo + 1, hi + 1)]
+
+
 class TestAddFrontOnes:
+    """Prepending a 1 keeps [1 x g, 0 x k, N] complete: the figure's maxima
+    never fall from g to g + 1."""
+
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("horizon", ["default", "2L+5"])
     def test_violations_match_classify_oracle(self, k, horizon):
         g_max = 5
         # the longest vector scanned is [1 x g_max, 0 x k, N]
         h = None if horizon == "default" else 2 * (g_max + k + 1) + 5
-        for top in range(2, g_max + 1):
-            report = add_front_ones_scan(k, top, h)
-            # no prefix here loses completeness, so both sides are empty; the
-            # next test covers a falling maximum
-            assert list(report.violations) == add_front_ones_violations_by_classify(k, top, h)
+        maxima = front_ones_maxima(k, g_max, h)
+        # no prefix here loses completeness, so both sides are empty; the
+        # next test covers a falling maximum
+        assert falls(maxima) == add_front_ones_violations_by_classify(k, g_max, h) == []
 
-    def test_violations_read_off_a_falling_maximum(self, monkeypatch):
-        maxima = {1: 5, 2: 3, 3: 4}
-
-        def fake_max_n(g, k, horizon):
-            return EmpiricalMax(maxima[g], maxima[g], None)
-
-        monkeypatch.setattr(hunt, "front_ones_max_n", fake_max_n)
-        report = add_front_ones_scan(2, 3)
-        assert not report.holds
-        assert report.violations == ((1, 4), (1, 5))
+    def test_violations_read_off_a_falling_maximum(self):
+        # Off these families a prepended 1 can lose completeness:
+        # [1,0,3,0,3,1] is not Incomplete, [1,1,0,3,0,3,1] is.
+        prefix = (1, 0, 3, 0, 3)
+        maxima = [empirical_max_n(prefix).max_n, empirical_max_n((1,) + prefix).max_n]
+        lost = [(1, n) for n in range(1, maxima[0] + 1)
+                if classify(CoefficientVector((1,) + prefix + (n,))).is_incomplete]
+        assert falls(maxima) == lost == [(1, 1)]
 
     def test_k1_no_violations(self):
-        report = add_front_ones_scan(1, 5)
-        assert report.holds
-        assert [r.max_n for r in report.rows] == [3, 3, 3, 3, 3]
+        assert front_ones_maxima(1, 5) == [3, 3, 3, 3, 3]
 
     def test_k2_plateau(self):
-        report = add_front_ones_scan(2, 5)
-        assert report.holds
         # single-one bound at g = 1, double-one at g = 2, plateau from g = 3
-        assert [r.max_n for r in report.rows] == [5, 6, 7, 7, 7]
+        assert front_ones_maxima(2, 5) == [5, 6, 7, 7, 7]
 
     def test_k4_bound_rises(self):
-        report = add_front_ones_scan(4, 3)
-        assert report.holds
-        assert report.rows[1].max_n == 20  # g = 2 hits the double-one bound
+        maxima = front_ones_maxima(4, 3)
+        assert maxima == sorted(maxima)
+        assert maxima[1] == 20  # g = 2 hits the double-one bound
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            add_front_ones_scan(0, 3)
-        with pytest.raises(ValueError):
-            add_front_ones_scan(1, 1)
+        with pytest.raises(ValueError, match="k and g must be >= 1"):
+            front_ones_maxima(0, 3)
+        with pytest.raises(ValueError, match="k and g must be >= 1"):
+            figure1_table([1], [0, 1])

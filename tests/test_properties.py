@@ -25,7 +25,6 @@ from plrslab import (
     is_legal,
     legal_decompose,
     subset_sum_reachable,
-    terms_prefix,
     value_of,
 )
 from plrslab import families, hunt, seqcore, verdicts
@@ -74,7 +73,7 @@ class TestSequenceIdentities:
     def test_initial_condition_identity(self, cv):
         # H_{n+1} - 1 = sum_{i<=n} c_i H_{n+1-i} for n < L
         L = len(cv)
-        prefix = terms_prefix(cv, L)
+        prefix = cv.sequence.prefix(L)
         for n in range(1, L):
             lhs = prefix[n] - 1
             rhs = sum(cv[i] * prefix[n - 1 - i] for i in range(n))
@@ -84,14 +83,14 @@ class TestSequenceIdentities:
     @settings(max_examples=150, deadline=None)
     def test_gap_recurrence(self, cv, depth):
         gaps = cv.sequence.gaps(depth)
-        prefix = terms_prefix(cv, depth)
+        prefix = cv.sequence.prefix(depth)
         for n in range(1, depth):
             assert gaps[n] - gaps[n - 1] == 2 * prefix[n - 1] - prefix[n]
 
     @given(coefficient_vectors())
     @settings(max_examples=150, deadline=None)
     def test_strictly_increasing_unless_degenerate(self, cv):
-        prefix = terms_prefix(cv, 20)
+        prefix = cv.sequence.prefix(20)
         if cv.coefficients == (1,):
             assert prefix == [1] * 20
         else:
@@ -111,7 +110,7 @@ class TestSequenceIdentities:
     @pytest.mark.parametrize("length", range(1, 9))
     def test_ones_then_two_doubles(self, length):
         cv = CoefficientVector((1,) * (length - 1) + (2,))
-        assert terms_prefix(cv, 30) == [2**i for i in range(30)]
+        assert cv.sequence.prefix(30) == [2**i for i in range(30)]
 
 
 class TestListFreeScan:
@@ -252,7 +251,7 @@ class TestFiniteBrownEquivalence:
     def test_over_enumeration(self, length):
         for cv in enumerate_vectors(length):
             gaps = cv.sequence.gaps(12)
-            prefix = terms_prefix(cv, 12)
+            prefix = cv.sequence.prefix(12)
             for n in range(1, 13):
                 total = sum(prefix[:n])
                 gaps_ok = all(g >= 0 for g in gaps[:n])
@@ -271,8 +270,8 @@ class TestFiniteBrownEquivalence:
             scan = brown_scan(cv, 12)
             if scan.first_failure is None:
                 continue
-            witness = 1 + sum(terms_prefix(cv, scan.first_failure - 1))
-            reach = subset_sum_reachable(terms_prefix(cv, 12), witness)
+            witness = 1 + sum(cv.sequence.prefix(scan.first_failure - 1))
+            reach = subset_sum_reachable(cv.sequence.prefix(12), witness)
             assert not reach.is_reachable(witness)
             assert all(reach.is_reachable(m) for m in range(1, witness))
 
@@ -402,9 +401,9 @@ class TestVectorMemoConsistency:
 
     def test_fresh_sequence_agrees_with_vector_memo(self):
         cv = CoefficientVector((1, 0, 2, 5))
-        assert terms_prefix(cv, 15) == cv.sequence.prefix(15)
+        memo = cv.sequence.prefix(15)
         fresh = Sequence(cv)
-        assert fresh.prefix(15) == cv.sequence.prefix(15)
+        assert fresh.prefix(15) == memo
         assert fresh.gaps(15) == cv.sequence.gaps(15)
 
 

@@ -14,7 +14,6 @@ from plrslab import (
     Sequence,
     TrailingZeroError,
     VectorValidationError,
-    terms_prefix,
 )
 from plrslab import seqcore
 from plrslab.seqcore import term_texts
@@ -103,9 +102,9 @@ class TestTerms:
         assert CoefficientVector(coeffs).sequence.term(n) == expected
 
     def test_prefixes(self):
-        assert terms_prefix(CoefficientVector((1, 1)), 5) == [1, 2, 3, 5, 8]
-        assert terms_prefix(CoefficientVector((2,)), 5) == [1, 2, 4, 8, 16]
-        assert terms_prefix(CoefficientVector((1, 1, 2)), 6) == [1, 2, 4, 8, 16, 32]
+        assert CoefficientVector((1, 1)).sequence.prefix(5) == [1, 2, 3, 5, 8]
+        assert CoefficientVector((2,)).sequence.prefix(5) == [1, 2, 4, 8, 16]
+        assert CoefficientVector((1, 1, 2)).sequence.prefix(6) == [1, 2, 4, 8, 16, 32]
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -202,7 +201,7 @@ class TestTerms:
 
     def test_prefix_consistent_with_term(self):
         cv = CoefficientVector((1, 2, 3))
-        prefix = terms_prefix(cv, 10)
+        prefix = cv.sequence.prefix(10)
         assert prefix == [cv.sequence.term(i) for i in range(1, 11)]
 
     def test_memo_extends_lazily(self):
@@ -224,17 +223,17 @@ class TestBrownGaps:
     def test_doubling_sequence_gap_zero(self):
         # direct summation oracle: 1 + (2^5 - 1) - 2^5
         cv = CoefficientVector((2,))
-        assert cv.sequence.gaps(6)[5] == 1 + sum(terms_prefix(cv, 5)) - cv.sequence.term(6) == 0
+        assert cv.sequence.gaps(6)[5] == 1 + sum(cv.sequence.prefix(5)) - cv.sequence.term(6) == 0
 
     def test_one_zero_four_gap(self):
         cv = CoefficientVector((1, 0, 4))
-        assert cv.sequence.gaps(5)[4] == 1 + sum(terms_prefix(cv, 4)) - cv.sequence.term(5) == -1
+        assert cv.sequence.gaps(5)[4] == 1 + sum(cv.sequence.prefix(4)) - cv.sequence.term(5) == -1
 
     @pytest.mark.parametrize("coeffs", [(1, 3), (1, 0, 4), (2,), (1, 1, 1, 1)])
     def test_series_matches_direct_sums(self, coeffs):
         cv = CoefficientVector(coeffs)
         series = cv.sequence.gaps(10)
-        prefix = terms_prefix(cv, 10)
+        prefix = cv.sequence.prefix(10)
         for n in range(1, 11):
             assert series[n - 1] == 1 + sum(prefix[: n - 1]) - prefix[n - 1]
 
@@ -242,15 +241,15 @@ class TestBrownGaps:
         # B_{n+1} - B_n = 2 H_n - H_{n+1}
         cv = CoefficientVector((1, 0, 2, 5))
         series = cv.sequence.gaps(15)
-        prefix = terms_prefix(cv, 15)
+        prefix = cv.sequence.prefix(15)
         for n in range(1, 15):
             assert series[n] - series[n - 1] == 2 * prefix[n - 1] - prefix[n]
 
     def test_monotone_unless_degenerate(self):
         for coeffs in [(2,), (1, 1), (1, 0, 4), (3, 2)]:
-            prefix = terms_prefix(CoefficientVector(coeffs), 12)
+            prefix = CoefficientVector(coeffs).sequence.prefix(12)
             assert all(b > a for a, b in zip(prefix, prefix[1:]))
-        ones = terms_prefix(CoefficientVector((1,)), 12)
+        ones = CoefficientVector((1,)).sequence.prefix(12)
         assert ones == [1] * 12
 
     def test_empty_scan_adds_no_term(self, monkeypatch):
@@ -298,9 +297,9 @@ class TestTermTexts:
 
     def test_terms_below_the_cut_come_from_str(self, monkeypatch):
         cv = CoefficientVector((2, 1))
-        m = sum(1 for t in terms_prefix(cv, 2000) if t.bit_length() <= seqcore.STR_MAX_BITS)
+        m = sum(1 for t in cv.sequence.prefix(2000) if t.bit_length() <= seqcore.STR_MAX_BITS)
         monkeypatch.setitem(sys.modules, "decimal", None)  # importing it now fails
-        assert texts_of(cv, m) == [str(t) for t in terms_prefix(cv, m)]
+        assert texts_of(cv, m) == [str(t) for t in cv.sequence.prefix(m)]
         with pytest.raises(ImportError):
             texts_of(cv, m + 1)
 
