@@ -18,23 +18,22 @@ __version__ = "0.1.0"
 #: The public names of each submodule.
 _EXPORTS = {
     "errors": (
-        "CapExceededError", "CapTooLargeError", "ConjectureViolation", "EmptyVectorError",
-        "LeadingZeroError", "NegativeCoefficientError", "NoLegalDecompositionError",
-        "OutOfRangeError", "PLRSError", "TrailingZeroError", "VectorValidationError",
+        "CapExceededError", "ConjectureViolation", "EmptyVectorError", "LeadingZeroError",
+        "NegativeCoefficientError", "NoLegalDecompositionError", "OutOfRangeError", "PLRSError",
+        "TrailingZeroError", "VectorValidationError",
     ),
     "seqcore": ("CoefficientVector", "Sequence"),
     "verdicts": (
-        "CompletenessVerdict", "ProofRule", "ProofTag", "Reachability", "classify",
-        "is_complete_up_to", "subset_sum_reachable",
+        "CompletenessVerdict", "EmpiricalMax", "ProofRule", "ProofTag", "Reachability", "classify",
+        "empirical_max_n", "figure1_table", "is_complete_up_to", "subset_sum_reachable",
     ),
     "zeck": (
         "DistinctDecomposition", "distinct_decompose", "enumerate_legal", "is_legal",
         "legal_decompose", "render_decomposition", "value_of",
     ),
     "families": (
-        "BoundResult", "EmpiricalMax", "FamilySpec", "corollary_shift_bound", "empirical_max_n",
-        "family_bound", "family_shape", "fib", "figure1_table", "max_n_double_one",
-        "max_n_g_ones", "max_n_single_one",
+        "BoundResult", "FamilySpec", "corollary_shift_bound", "family_bound", "family_shape", "fib",
+        "max_n_double_one", "max_n_g_ones", "max_n_single_one",
     ),
     "hunt": ("CensusReport", "first_failure_census"),
 }

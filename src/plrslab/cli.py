@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Optional
 from . import __version__
 from .errors import (
     CapExceededError,
-    CapTooLargeError,
     ConjectureViolation,
     NoLegalDecompositionError,
     OutOfRangeError,
@@ -124,7 +123,7 @@ def _check_prefix_size(cv: CoefficientVector, n: int) -> None:
 
 
 def _check_table_size(length: int, top: int, what: str) -> None:
-    """Refuse a families.gap_table of [prefix, N] at L = length, top = max(prefix),
+    """Refuse a verdicts.gap_table of [prefix, N] at L = length, top = max(prefix),
     that could pass the bitmap budget.  It keeps four lists of up to 2L ints,
     and H_{n+1} <= top (H_1 + ... + H_n) + 1, so the n-th has about
     n log2(top + 1) bits: 8 L^2 log2(top + 1) in all, 8 L^2 for a figure cell."""
@@ -295,8 +294,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_maxn(args) -> int:
-    from . import families
-    from .verdicts import effective_horizon
+    from .verdicts import effective_horizon, empirical_max_n
 
     prefix = parse_coefficients(args.prefix)
     horizon = effective_horizon(len(prefix) + 1, args.horizon)
@@ -308,7 +306,7 @@ def cmd_maxn(args) -> int:
         # do not depend on N: no larger N passes the window.
         n_top = 1 + head.sequence.partial_sum(L)
         _check_prefix_size(CoefficientVector(prefix + (n_top,)), horizon)
-    emp = families.empirical_max_n(prefix, args.horizon)
+    emp = empirical_max_n(prefix, args.horizon)
     results = {
         "prefix": prefix,
         "max_n": emp.max_n,
@@ -379,11 +377,11 @@ def cmd_census(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    from . import families
+    from .verdicts import FIGURE_CSV_HEADER, figure1_table
 
     ks, gs = _parse_span(args.k_range), _parse_span(args.g_range)
     _check_table_size(max(ks) + max(gs) + 1, 1, f"figure cell k = {max(ks)}, g = {max(gs)}")
-    rows = families.figure1_table(ks, gs)
+    rows = figure1_table(ks, gs)
     # Only the form that --format prints is built.
     payload = [r._asdict() for r in rows] if args.format == "json" else []  # flat rows, field order
     envelope = _envelope(
@@ -397,7 +395,7 @@ def cmd_figure(args) -> int:
         f"({r.provenance})"
         for r in rows
     ] if args.format == "text" else []
-    _emit(args, envelope, lines, (families.FIGURE_CSV_HEADER, rows))  # csv writes None as ""
+    _emit(args, envelope, lines, (FIGURE_CSV_HEADER, rows))  # csv writes None as ""
     return EXIT_OK
 
 
@@ -484,7 +482,7 @@ def _run(argv: Optional[list[str]]) -> int:
     try:
         # Looked up per call, so a rebound cmd_<name> is the one that runs.
         return globals()[f"cmd_{args.command}"](args)
-    except (CapTooLargeError, CapExceededError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ConjectureViolation as exc:

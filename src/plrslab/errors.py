@@ -35,12 +35,8 @@ class TrailingZeroError(VectorValidationError):
         super().__init__("last coefficient must be positive")
 
 
-class CapTooLargeError(PLRSError):
-    """A reachability bitmap would exceed the memory budget."""
-
-
 class CapExceededError(PLRSError):
-    """A brute-force target lies above the configured cap."""
+    """A target above its cap, or work whose size could pass the bit budget."""
 
 
 class OutOfRangeError(PLRSError, ValueError):

@@ -40,8 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector
 from .verdicts import (FAILS_PAST_WINDOW, CompleteLasts, CompletenessVerdict, ProofRule, classify,
-                       effective_horizon, node_pieces, scan_past_window)
-from .families import gap_table, passing_range
+                       effective_horizon, gap_table, node_pieces, passing_range, scan_past_window)
 
 
 def coefficient_ranges(length: int) -> list[range]:
@@ -327,7 +326,7 @@ def _node_records(prefix: tuple[int, ...], head: list[int], first: int, stop: in
                   merged: Optional[CompleteLasts], horizon: int) -> list[CensusRow]:
     """The records of the leaves [prefix, c], c in range(first, stop): their
     window gaps B_1..B_W, W = max(2L - 1, 2), are affine in c, so one table
-    (families.gap_table) gives them all, and classify's rules are asked only
+    (verdicts.gap_table) gives them all, and classify's rules are asked only
     where an answer can change (verdicts.node_pieces), rule (d) asking
     `merged`, the CompleteLasts of prefix[:-1].  Only a leaf that no rule
     proves is built, from the walk's terms `head` = [H_1, ..., H_L], and

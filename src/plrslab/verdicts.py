@@ -16,6 +16,12 @@ max(2L - 1, 2), and a vector that no rule decides is scanned on to the
 requested horizon.  An independent subset-sum oracle (a bit-vector dynamic
 program) is provided for cross-checking verdicts against ground truth on
 bounded ranges.
+
+Up to term 2L, N = c_L multiplies only H_1..H_L, so each gap of [prefix, N]
+is a line alpha_n - beta_n N.  One table of them (gap_table) decides the
+census's leaves a range of c_L at a time (node_pieces, CompleteLasts), and
+gives the empirical search (empirical_max_n) the largest N that is not
+Incomplete, against which the closed forms of families are checked.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from __future__ import annotations
 import enum
 from typing import Iterable, NamedTuple, Optional, Sequence as SequenceT
 
-from .errors import CapTooLargeError, ConjectureViolation
-from .seqcore import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, CoefficientVector  # noqa: F401 (re-export)
+from .errors import CapExceededError, ConjectureViolation
+from .families import BoundResult, family_bound, max_n_g_ones, prefix_family
+from .seqcore import (BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, CoefficientVector,  # noqa: F401 (re-export)
+                      nonzero_runs)
 
 
 class ProofRule(str, enum.Enum):
@@ -130,7 +138,7 @@ def subset_sum_reachable(terms: SequenceT[int], cap: int) -> Reachability:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if cap + 1 > BITMAP_BUDGET_BITS:
-        raise CapTooLargeError(
+        raise CapExceededError(
             f"cap {cap} needs {cap + 1} bits, over the {BITMAP_BUDGET_BITS}-bit budget"
         )
     prev = 0
@@ -203,12 +211,12 @@ FAILS_PAST_WINDOW = "fails past the window"
 
 
 def window_rules(coeffs: tuple[int, ...], gaps: SequenceT[int], head: SequenceT[int],
-                 family: Optional[tuple[int, int, families.BoundResult]],
+                 family: Optional[tuple[int, int, BoundResult]],
                  horizon: Optional[int] = None, lasts: Optional[CompleteLasts] = None):
     """Rules (a)-(e) of the classification, read from the window gaps.
 
     `gaps` = [B_1, ..., B_W] for the window W = max(2L - 1, 2); `head`
-    starts with H_1..H_{L-1}; `family` is families.prefix_family(c_1..c_{L-1}),
+    starts with H_1..H_{L-1}; `family` is prefix_family(c_1..c_{L-1}),
     which a caller asking many c_L derives once.  In order: (a) the least n
     with B_n < 0 is the first failure; (b) the all-positive characterization;
     (c) exact bounds for the [1 x g, 0 x k, N] families, FAILS_PAST_WINDOW above one;
@@ -248,14 +256,14 @@ def window_rules(coeffs: tuple[int, ...], gaps: SequenceT[int], head: SequenceT[
             # gains c_L H_1, so B'_L = B_L + 1 - c_L, inside its window
             # max(2L - 3, 2) >= L.  Above c_L = B_L + 1 its rule (a) fires and
             # it is not Complete, so a single vector builds it only up to there.
-            complete = (len(gaps) < L or coeffs[-1] <= gaps[L - 1] + 1) and proves_complete(
+            complete = coeffs[-1] <= gaps[L - 1] + 1 and proves_complete(
                 CoefficientVector(key, head=head[: L - 1]), horizon
             )
         if complete:
             return ProofTag(ProofRule.MERGE_LAST, (("merged_last", key[-1]),))
 
     # Rule (b) has decided every L = 1 vector, so L >= 2 and W = 2L - 1 here.
-    if min(gaps[L - 1:], default=0) > 0:
+    if min(gaps[L - 1:]) > 0:
         return ProofTag(ProofRule.WEAK_WINDOW, (("window_end", len(gaps)),))
     return None
 
@@ -278,8 +286,70 @@ def scan_past_window(
 
 # --------------------------------------------------------------------------
 # The rules over a range of last coefficients: the window gaps of [prefix, c]
-# are lines alpha_n - beta_n c (families.gap_table), so window_rules' answer
-# changes only at a few c.
+# are lines alpha_n - beta_n c (gap_table), so window_rules' answer changes
+# only at a few c.
+
+
+def gap_table(prefix: tuple[int, ...], window: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """[H_1, ..., H_L] and the gap lines [(alpha_n, beta_n) for n = 1..window] of
+    every [prefix, N]: B_n = alpha_n - beta_n N, for window <= 2L.
+
+    Up to H_{2L}, N = c_L multiplies only H_1..H_L, so H_n = u_n + N v_n, and
+    v_n = 0 up to n = L.  As in Sequence, each run of a nonzero c adds c times
+    a difference of prefix sums, of u and of v apart, so a term costs O(runs);
+    past L, every run (within c_1..c_{L-1}) has ended, so no index is clamped.
+    """
+    L = len(prefix) + 1
+    runs = nonzero_runs(prefix)
+    head, us = [], [0]  # us[k] = u_1 + ... + u_k
+    for m in range(min(window, L)):  # H_{m+1} = u_{m+1}
+        a = 1
+        for start, stop, c in runs:
+            if start >= m:
+                break
+            d = us[m - start] - us[m - stop if m > stop else 0]
+            a += d if c == 1 else c * d
+        head.append(a)
+        us.append(us[m] + a)
+    table = [(1 + s - a, 0) for s, a in zip(us, head)]  # B_{m+1} = 1 + S_m - H_{m+1}
+    vs = [0] * len(us)  # vs[k] = v_1 + ... + v_k
+    for m in range(L, window):  # H_{m+1} = a + N b
+        a, b = 0, head[m - L]
+        for start, stop, c in runs:
+            if c == 1:
+                a += us[m - start] - us[m - stop]
+                b += vs[m - start] - vs[m - stop]
+            else:
+                a += c * (us[m - start] - us[m - stop])
+                b += c * (vs[m - start] - vs[m - stop])
+        table.append((1 + us[m] - a, b - vs[m]))
+        us.append(us[m] + a)
+        vs.append(vs[m] + b)
+    return head, table
+
+
+def passing_range(lines: SequenceT[tuple[int, int]]) -> range:
+    """The N >= 1 keeping every gap alpha - beta N >= 0, given its lines
+    (alpha, beta), at least one with beta > 0: an interval, maybe empty."""
+    lo, hi = 1, None
+    for alpha, beta in lines:  # alpha < x beta iff alpha / beta < x for beta > 0, > x for beta < 0
+        if beta > 0 and (hi is None or alpha < hi * beta):
+            hi = alpha // beta
+        elif beta < 0 and alpha < lo * beta:
+            lo = -(alpha // -beta)
+        elif beta == 0 and alpha < 0:
+            return range(0)
+    return range(lo, hi + 1)
+
+
+def window_max_n(prefix: tuple[int, ...], table: SequenceT[tuple[int, int]]) -> int:
+    """Largest N >= 1 passing every line of the table; 0 if none.  If the
+    passing interval starts above 1, downward closure puts the first failure
+    of its lower end past the window: ConjectureViolation, no guess."""
+    passing = passing_range(table)
+    if passing and passing.start > 1:
+        raise ConjectureViolation(prefix + (passing.start,), None)
+    return passing[-1] if passing else 0
 
 
 def _cuts(lines: SequenceT[tuple[int, int]], t: int) -> set[int]:
@@ -298,7 +368,7 @@ def node_pieces(prefix: tuple[int, ...], table: SequenceT[tuple[int, int]], head
     are asked."""
     L = len(prefix) + 1
     cuts = {lo, *_cuts(table, 0), *_cuts(table[L - 1:], 1)}
-    family = families.prefix_family(prefix)  # the same for every c
+    family = prefix_family(prefix)  # the same for every c
     if 0 not in prefix:  # (b) decides every c that passes
         cuts.update((2, 3))
     elif family is not None:  # so does (c)
@@ -342,8 +412,8 @@ class CompleteLasts:
 
     def _find(self) -> list:
         q = self.prefix
-        head, table = families.gap_table(q, effective_horizon(len(q) + 1))
-        passing = families.passing_range(table)
+        head, table = gap_table(q, effective_horizon(len(q) + 1))
+        passing = passing_range(table)
         ranges = []
         for a, b, found in node_pieces(q, table, head, passing.start, passing.stop, self.parent, self.horizon):
             if found is FAILS_PAST_WINDOW:
@@ -357,7 +427,7 @@ class CompleteLasts:
 def _window_rules_of(cv: CoefficientVector, horizon: Optional[int]):
     window = effective_horizon(len(cv))
     seq, c = cv.sequence, cv.coefficients
-    return window_rules(c, seq.gaps(window), seq.prefix(window), families.prefix_family(c[:-1]), horizon)
+    return window_rules(c, seq.gaps(window), seq.prefix(window), prefix_family(c[:-1]), horizon)
 
 
 def proves_complete(cv: CoefficientVector, horizon: Optional[int] = None) -> bool:
@@ -400,6 +470,104 @@ def verdict_to_json(
     }
 
 
-# Imported last to break the module cycle: families drives its empirical
-# searches through classify, so it imports this module's names first.
-from . import families  # noqa: E402
+# --------------------------------------------------------------------------
+# Empirical search
+
+
+class EmpiricalMax(NamedTuple):
+    """Largest N that avoids an Incomplete verdict, with proof bookkeeping.
+
+    max_n counts Complete and ConjecturallyComplete alike; proven_max_n is
+    the largest N with a proper Complete verdict.  Both are 0 when even
+    N = 1 is incomplete.
+    """
+
+    max_n: int
+    proven_max_n: int
+    proof: Optional[ProofTag]
+
+
+def empirical_max_n(prefix: Iterable[int], horizon: Optional[int] = None) -> EmpiricalMax:
+    """The largest N with a non-Incomplete verdict for [prefix, N].
+
+    One gap_table to min(h, 2L) gives the largest N passing its lines
+    (window_max_n), capped by the family bound; every smaller N passes them
+    too.  Each probed N is decided as classify would: window_rules reads its
+    window gaps off the table, and only an N that no rule decides is built,
+    from the table's H_1..H_L, and scanned past the window.  A horizon h past
+    2L can make the largest N Incomplete only by a first failure past 2L,
+    which raises ConjectureViolation.  A conjectural verdict steps down to
+    the largest N with a proof.
+    """
+    p = tuple(prefix)
+    if not p:
+        raise ValueError("prefix must be nonempty")
+    CoefficientVector(p + (1,))  # validates the prefix
+    return _max_n(p, prefix_family(p), horizon)
+
+
+def _max_n(p: tuple[int, ...], family: Optional[tuple], horizon: Optional[int]) -> EmpiricalMax:
+    # empirical_max_n of a valid prefix p whose prefix_family is `family`.
+    L = len(p) + 1
+    window = effective_horizon(L)
+    head, table = gap_table(p, min(effective_horizon(L, horizon), 2 * L))
+
+    def decide(n: int):
+        # A ProofTag, or the verdict of the scan past the window.
+        coeffs = p + (n,)
+        found = window_rules(coeffs, [a - b * n for a, b in table[:window]], head, family, horizon)
+        if found is None or found is FAILS_PAST_WINDOW:
+            cv = CoefficientVector(coeffs, head=head)
+            return scan_past_window(cv, horizon, found is FAILS_PAST_WINDOW)
+        return found
+
+    max_n = window_max_n(p, table)
+    if family is not None:
+        max_n = min(max_n, family[2].max_n)
+    for n in range(max_n, 0, -1):
+        found = decide(n)
+        if isinstance(found, ProofTag):
+            return EmpiricalMax(max_n, n, found)
+        if n == max_n and found.is_incomplete:
+            raise ConjectureViolation(p + (max_n,), found.first_failure_index)
+    return EmpiricalMax(max_n, 0, None)
+
+
+class FigureRow(NamedTuple):
+    k: int
+    g: int
+    empirical_max_n: int
+    closed_form_max_n: Optional[int]
+    provenance: str
+
+
+def _figure_cell(k: int, g: int) -> FigureRow:
+    # empirical_max_n of [1 x g, 0 x k], whose family is (g, k, family_bound(g, k)).
+    if g < 1 or k < 1:
+        raise ValueError("k and g must be >= 1")
+    bound = family_bound(g, k)
+    emp = _max_n((1,) * g + (0,) * k, None if bound is None else (g, k, bound), None)
+    closed = bound if g >= 3 else max_n_g_ones(g, k)  # family_bound is the g-ones form from g = 3
+    if emp.max_n == 0:
+        provenance = "none"
+    elif emp.proven_max_n == emp.max_n and emp.proof is not None:
+        provenance = emp.proof.rule.value
+    else:
+        provenance = "conjectural"
+    return FigureRow(k, g, emp.max_n, closed.max_n if closed else None, provenance)
+
+
+def figure1_table(k_values: Iterable[int], g_values: Iterable[int]) -> list[FigureRow]:
+    """One row per (k, g): empirical max N next to the g-ones closed form.
+
+    The closed-form column is filled only where the g-ones bound applies
+    (g >= k); other cells stay empty even though the g = 1 and g = 2
+    formulas exist, so the table mirrors exactly one family of curves.
+    """
+    ks, gs = list(k_values), list(g_values)
+    if not ks or not gs:
+        raise ValueError("k and g ranges must be nonempty")
+    return [_figure_cell(k, g) for k in ks for g in gs]
+
+
+FIGURE_CSV_HEADER = ["k", "g", "empirical_max_n", "closed_form_max_n", "provenance"]

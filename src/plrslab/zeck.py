@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator, NamedTuple, Optional, Sequence as SequenceT
 
-from .errors import CapExceededError, CapTooLargeError, NoLegalDecompositionError
+from .errors import CapExceededError, NoLegalDecompositionError
 from .seqcore import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, CoefficientVector
 
 DigitString = tuple[int, ...]
@@ -234,7 +234,7 @@ def distinct_decompose(
         return DistinctDecomposition(tuple(range(1, n + 1)), (1,) * n)
     terms = _terms_upto(cv, n)
     if (len(terms) + 1) * (n + 1) > BITMAP_BUDGET_BITS:
-        raise CapTooLargeError(
+        raise CapExceededError(
             f"back-trace over {len(terms)} terms for a {n.bit_length()}-bit target "
             "exceeds the bitmap budget"
         )

@@ -6,7 +6,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from plrslab import CoefficientVector, first_failure_census
-from plrslab.families import FIGURE_CSV_HEADER, FigureRow
+from plrslab.verdicts import FIGURE_CSV_HEADER, FigureRow
 from plrslab.hunt import coefficient_ranges
 from plrslab.seqcore import Sequence
 
@@ -73,7 +73,7 @@ def greedy_legal_digits(cv, n):
 
 
 def passing_range_by_passes(lines):
-    """families.passing_range in three passes over the lines: the reference."""
+    """verdicts.passing_range in three passes over the lines: the reference."""
     if any(beta == 0 and alpha < 0 for alpha, beta in lines):
         return range(0)
     hi = min(alpha // beta for alpha, beta in lines if beta > 0)

@@ -24,7 +24,7 @@ from plrslab import (
     value_of,
 )
 from plrslab.cli import main
-from plrslab.families import figure1_table
+from plrslab.verdicts import figure1_table
 
 from conftest import brown_scan, check_fail_at_2l_minus_1, parse_figure_csv
 

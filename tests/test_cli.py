@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -21,7 +22,6 @@ from plrslab import (
     Sequence,
     cli,
     distinct_decompose,
-    families,
     first_failure_census,
     hunt,
     is_legal,
@@ -87,6 +87,9 @@ class TestGen:
     def test_degenerate(self, capsys):
         code, out, _ = run(capsys, "gen", "1", "--count", "3")
         assert code == 0 and out == "1 1 1\n"
+
+    def test_zero_count_exit_2(self, capsys):
+        assert run(capsys, "gen", "2", "--count", "0") == (2, "", "error: --count must be >= 1\n")
 
     def test_doubling(self, capsys):
         code, out, _ = run(capsys, "gen", "1,1,2", "--count", "5")
@@ -182,6 +185,9 @@ class TestAnalyze:
 
 
 class TestDecompose:
+    def test_negative_n_exit_2(self, capsys):
+        assert run(capsys, "decompose", "2,1", "-1") == (2, "", "error: N must be >= 0\n")
+
     def test_both_modes(self, capsys):
         code, out, _ = run(capsys, "decompose", "1,3", "9", "--mode", "both")
         assert code == 0
@@ -388,6 +394,15 @@ class TestBound:
         code, _, _ = run(capsys, "bound", "--single-one", "--double-one", "--k", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--single-one"], "--single-one requires --k"),
+        (["--double-one"], "--double-one requires --k"),
+        (["--g-ones", "--k", "3"], "--g-ones requires --g and --k"),
+        (["--shift", "--L", "8"], "--shift requires --L and --i"),
+    ])
+    def test_missing_parameter_exit_2(self, capsys, argv, message):
+        assert run(capsys, "bound", *argv) == (2, "", f"error: {message}\n")
+
 
 class TestMaxn:
     def test_example(self, capsys):
@@ -397,6 +412,16 @@ class TestMaxn:
     def test_prefix_with_trailing_zero_is_fine(self, capsys):
         code, out, _ = run(capsys, "maxn", "1,0")
         assert out == "3\n"
+
+    def test_conjectural_maximum_above_the_proven_one(self, capsys):
+        # [1,0,1,0,0,12] passes its window and no rule proves it; 11 has a
+        # strictly positive window.
+        assert run(capsys, "maxn", "1,0,1,0,0") == (0, "12\nproven only up to 11\n", "")
+        code, out, err = run(capsys, "maxn", "1,0,1,0,0", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"] == {
+            "prefix": [1, 0, 1, 0, 0], "max_n": 12, "proven_max_n": 11, "proof": "weak_window"
+        }
 
     def test_invalid_prefix(self, capsys):
         code, _, _ = run(capsys, "maxn", "0,1")
@@ -411,7 +436,7 @@ class TestMaxn:
     def test_oversized_horizon_exit_five(self, capsys, monkeypatch):
         # [1,1,N] fails at term 4 once N > 1 + H_1 + H_2 + H_3 = 8; 20,000
         # terms of [1,1,8] may pass the bitmap budget.
-        monkeypatch.setattr(families, "empirical_max_n", _no_work)
+        monkeypatch.setattr(verdicts, "empirical_max_n", _no_work)
         code, out, err = run(capsys, "maxn", "1,1", "--horizon", "20000")
         assert code == 5
         assert out == ""
@@ -432,7 +457,7 @@ class TestMaxn:
         # Past 2L the largest N is scanned to the horizon: 4,003 terms of
         # [1 x 1000, 0 x 1000, N] may pass the budget.  The refusal names L,
         # not the vector.
-        monkeypatch.setattr(families, "empirical_max_n", _no_work)
+        monkeypatch.setattr(verdicts, "empirical_max_n", _no_work)
         prefix = ",".join(["1"] * 1000 + ["0"] * 1000)
         code, out, err = run(capsys, "maxn", prefix, "--horizon", "4003")
         assert (code, out) == (5, "")
@@ -441,7 +466,7 @@ class TestMaxn:
     def test_oversized_gap_table_exit_five(self, capsys, monkeypatch):
         # At the default horizon the table of L = 5,794 could pass the budget
         # (8 L^2 bits), as a figure cell with k + g = 5,793 does.
-        monkeypatch.setattr(families, "empirical_max_n", _no_work)
+        monkeypatch.setattr(verdicts, "empirical_max_n", _no_work)
         code, out, err = run(capsys, "maxn", ",".join(["1"] * 5793))
         assert (code, out) == (5, "")
         assert "L = 5794" in err and len(err) < 200
@@ -877,7 +902,7 @@ class TestFigure:
     def test_oversized_grid_exit_five(self, capsys, monkeypatch):
         # Its largest cell, L = 5,793, may hold 8 L^2 > 2^28 bits of gap
         # table; the grid is refused before its first, small, cell runs.
-        monkeypatch.setattr(families, "gap_table", _no_work)
+        monkeypatch.setattr(verdicts, "gap_table", _no_work)
         code, out, err = run(capsys, "figure", "--k-range", "1:5000", "--g-range", "1:792")
         assert code == 5
         assert out == ""
@@ -886,7 +911,7 @@ class TestFigure:
     def test_size_guard_bounds_the_gap_table(self, capsys, monkeypatch):
         # Sized by a cell's gap table, not by all its terms: cells up to
         # L = 5,792 pass, [1 x 1000, 0 x 1000] among them.
-        monkeypatch.setattr(families, "figure1_table", lambda ks, gs: [])
+        monkeypatch.setattr(verdicts, "figure1_table", lambda ks, gs: [])
         for k_range, g_range, expected in [("1000", "1000", 0), ("5000", "791", 0), ("5000", "792", 5)]:
             code, _, _ = run(capsys, "figure", "--k-range", k_range, "--g-range", g_range)
             assert code == expected, (k_range, g_range)
@@ -1077,6 +1102,44 @@ class TestImportSurface:
             "plrslab.cli", "plrslab.errors", "plrslab.seqcore"
         }
         assert not {"logging", "json", "csv"} & loaded  # text output needs neither format
+
+    def test_bound_loads_no_classifier(self):
+        # The closed forms sit below the classifier that cites them.
+        code, out, loaded = _loaded_by(IMPORT_ARGVS["bound"])
+        assert (code, out) == (0, "14\n")
+        assert {m for m in loaded if m.startswith("plrslab.")} == {
+            "plrslab.cli", "plrslab.errors", "plrslab.seqcore", "plrslab.families"
+        }
+
+    def test_package_imports_are_acyclic(self):
+        # Every relative import, at any depth (a command's deferred imports
+        # too), is an edge between two modules of the package; "from . import
+        # name" of a non-module name imports __init__.
+        package = Path(plrslab.__file__).resolve().parent
+        modules = {path.stem for path in package.glob("*.py")}
+        edges = {name: set() for name in modules}
+        for name in modules:
+            for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+                if not isinstance(node, ast.ImportFrom) or not node.level:
+                    continue
+                if node.module:
+                    edges[name].add(node.module.split(".")[0])
+                else:
+                    edges[name].update(a.name if a.name in modules else "__init__" for a in node.names)
+        done, path = set(), []
+
+        def visit(name):
+            assert name not in path, " -> ".join(path[path.index(name):] + [name])
+            if name not in done:
+                path.append(name)
+                for target in sorted(edges[name]):
+                    visit(target)
+                path.pop()
+                done.add(name)
+
+        for name in sorted(modules):
+            visit(name)
+        assert edges["families"] == {"errors", "seqcore"}
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_only_census_loads_hunt(self, capsys, command):

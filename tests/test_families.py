@@ -20,14 +20,9 @@ from plrslab import (
 )
 from plrslab import families, verdicts
 from plrslab.cli import main
-from plrslab.families import (
-    FamilySpec,
-    gap_table,
-    shifted_one_vector,
-    window_max_n,
-)
+from plrslab.families import FamilySpec, shifted_one_vector
 from plrslab.seqcore import Sequence
-from plrslab.verdicts import FAILS_PAST_WINDOW, effective_horizon
+from plrslab.verdicts import FAILS_PAST_WINDOW, effective_horizon, gap_table, window_max_n
 
 from conftest import family_shape_by_loops, parse_figure_csv
 
@@ -136,13 +131,13 @@ def probed(monkeypatch):
     """The last coefficients whose window gaps empirical_max_n hands to
     classify's rules, in order."""
     seen = []
-    rules = families.window_rules
+    rules = verdicts.window_rules
 
     def counting(coeffs, gaps, head, family, horizon=None):
         seen.append(coeffs[-1])
         return rules(coeffs, gaps, head, family, horizon)
 
-    monkeypatch.setattr(families, "window_rules", counting)
+    monkeypatch.setattr(verdicts, "window_rules", counting)
     return seen
 
 
@@ -164,14 +159,14 @@ class TestEmpiricalMax:
 
     def test_conjectural_max_steps_down_to_a_proof(self, probed):
         emp = empirical_max_n([1, 1, 1, 0, 0, 0, 0, 0])
+        assert probed == [emp.max_n, emp.max_n - 1]
         assert classify(CoefficientVector((1, 1, 1, 0, 0, 0, 0, 0, emp.max_n))).is_conjectural
         assert emp.proven_max_n == emp.max_n - 1
-        assert probed == [emp.max_n, emp.max_n - 1]
 
     def test_failure_past_the_window_is_a_violation(self, monkeypatch):
         # [1,1,0,0,6] passes B_1..B_10; pretend that no rule proves it and
         # that a horizon of 15 finds B_13 < 0.
-        rules, scan = families.window_rules, families.scan_past_window
+        rules, scan = verdicts.window_rules, verdicts.scan_past_window
 
         def no_rule_at_6(coeffs, gaps, head, family, horizon=None):
             return None if coeffs[-1] == 6 else rules(coeffs, gaps, head, family, horizon)
@@ -181,8 +176,8 @@ class TestEmpiricalMax:
                 return CompletenessVerdict.incomplete(13, 1 + cv.sequence.partial_sum(12))
             return scan(cv, horizon, above_bound)
 
-        monkeypatch.setattr(families, "window_rules", no_rule_at_6)
-        monkeypatch.setattr(families, "scan_past_window", fails_at_13)
+        monkeypatch.setattr(verdicts, "window_rules", no_rule_at_6)
+        monkeypatch.setattr(verdicts, "scan_past_window", fails_at_13)
         with pytest.raises(ConjectureViolation) as exc:
             empirical_max_n([1, 1, 0, 0], horizon=15)
         assert exc.value.vector == (1, 1, 0, 0, 6)
@@ -193,7 +188,7 @@ class TestEmpiricalMax:
         # Both halves of classify, the window rules and the scan past the
         # window, see the caller's horizon.
         ruled, scanned = [], []
-        rules, scan = families.window_rules, families.scan_past_window
+        rules, scan = verdicts.window_rules, verdicts.scan_past_window
 
         def rules_spy(coeffs, gaps, head, family, h=None):
             ruled.append(h)
@@ -203,8 +198,8 @@ class TestEmpiricalMax:
             scanned.append(h)
             return scan(cv, h, above_bound)
 
-        monkeypatch.setattr(families, "window_rules", rules_spy)
-        monkeypatch.setattr(families, "scan_past_window", scan_spy)
+        monkeypatch.setattr(verdicts, "window_rules", rules_spy)
+        monkeypatch.setattr(verdicts, "scan_past_window", scan_spy)
         empirical_max_n([1, 1, 1, 0, 0, 0, 0, 0], horizon)
         assert ruled and set(ruled) == {horizon}
         assert scanned and set(scanned) == {horizon}
@@ -215,7 +210,7 @@ class TestEmpiricalMax:
         # Only [prefix, 1] is built first, to validate the prefix.
         built, probes, open_probes = [], [], []
         init = CoefficientVector.__init__
-        rules = families.window_rules
+        rules = verdicts.window_rules
 
         def counting_init(cv, coefficients, *, head=None):
             init(cv, coefficients, head=head)
@@ -229,7 +224,7 @@ class TestEmpiricalMax:
             return found
 
         monkeypatch.setattr(CoefficientVector, "__init__", counting_init)
-        monkeypatch.setattr(families, "window_rules", rules_spy)
+        monkeypatch.setattr(verdicts, "window_rules", rules_spy)
         opened = 0
         for k in range(1, 9):
             for g in range(1, 9):
@@ -335,12 +330,13 @@ class TestFigureTable:
         # bound for every N it probes, and no shape parse of the prefix that
         # figure1_table built.  The g-ones form is derived at most once per
         # cell: by family_bound where 3 <= g and k <= g (297 cells), and for
-        # the closed-form column where g = 1, 2 (48 cells).
+        # the closed-form column where g = 1, 2 (48 cells).  Each name is
+        # spied on wherever it is looked up: the cells call family_bound and
+        # max_n_g_ones as verdicts' names, family_bound calls max_n_g_ones as
+        # families' name, and prefix_family calls family_shape there.
         calls = dict.fromkeys(["family_shape", "family_bound", "max_n_g_ones"], 0)
 
-        def spy(name):
-            real = getattr(families, name)
-
+        def spy(name, real):
             def counted(*args):
                 calls[name] += 1
                 return real(*args)
@@ -348,7 +344,9 @@ class TestFigureTable:
             return counted
 
         for name in calls:
-            monkeypatch.setattr(families, name, spy(name))
+            for module in (families, verdicts):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         assert len(figure1_table(range(1, 25), range(1, 25))) == 576
         assert calls == {"family_shape": 0, "family_bound": 576, "max_n_g_ones": 297 + 48}
 

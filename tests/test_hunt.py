@@ -16,7 +16,8 @@ from plrslab import (
     verdicts,
 )
 from plrslab import families
-from plrslab.families import BoundResult, empirical_max_n, figure1_table
+from plrslab.families import BoundResult
+from plrslab.verdicts import empirical_max_n, figure1_table
 from plrslab.hunt import (
     RECORDS_CSV_HEADER,
     CensusRow,

@@ -27,10 +27,11 @@ from plrslab import (
     subset_sum_reachable,
     value_of,
 )
-from plrslab import families, hunt, seqcore, verdicts
-from plrslab.families import gap_table, passing_range, prefix_family
+from plrslab import hunt, seqcore, verdicts
+from plrslab.families import prefix_family
 from plrslab.seqcore import Sequence
-from plrslab.verdicts import _BOUND_RULE_TAGS, CompleteLasts, effective_horizon, window_rules
+from plrslab.verdicts import (_BOUND_RULE_TAGS, CompleteLasts, effective_horizon, gap_table, passing_range,
+                              window_rules)
 
 from conftest import (brown_scan, enumerate_vectors, greedy_legal_digits, passing_range_by_passes,
                       weak_window_check)
@@ -691,16 +692,17 @@ class TestHeads:
     @given(prefixes(), st.sampled_from([None, 0, 3]))
     @settings(max_examples=150, deadline=None)
     def test_empirical_max_n_heads_are_fresh_terms(self, prefix, past_2l):
-        # Each probe's window rules read the table's H_1..H_L, and the
+        # Each probe's window rules read the table's H_1..H_L (a merged
+        # generator's, asked by rule (d), its own window of terms), and the
         # vectors started from them (a probe that no rule decides, to be
         # scanned, or a merged generator) get the vector's own terms.
         horizon = None if past_2l is None else 2 * (len(prefix) + 1) + past_2l
         fresh = empirical_max_n(prefix, horizon)
-        rules, scan = families.window_rules, families.scan_past_window
+        rules, scan = verdicts.window_rules, verdicts.scan_past_window
         probes, scanned = [], []
 
         def checked_rules(coeffs, gaps, head, family, h=None):
-            assert list(head) == Sequence(CoefficientVector(coeffs)).prefix(len(coeffs)), coeffs
+            assert list(head) == Sequence(CoefficientVector(coeffs)).prefix(len(head)), coeffs
             probes.append(coeffs)
             return rules(coeffs, gaps, head, family, h)
 
@@ -708,8 +710,8 @@ class TestHeads:
             scanned.append(cv.coefficients)
             return scan(cv, h, above_bound)
 
-        with _checked_heads(), mock.patch.object(families, "window_rules", checked_rules), \
-                mock.patch.object(families, "scan_past_window", counted_scan):
+        with _checked_heads(), mock.patch.object(verdicts, "window_rules", checked_rules), \
+                mock.patch.object(verdicts, "scan_past_window", counted_scan):
             assert empirical_max_n(prefix, horizon) == fresh
             assert len(probes) >= (fresh.max_n > 0)
             assert _CheckedSequence.heads >= len(scanned)

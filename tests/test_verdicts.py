@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from plrslab import (
     BoundResult,
-    CapTooLargeError,
+    CapExceededError,
     CoefficientVector,
     ConjectureViolation,
     ProofRule,
@@ -91,7 +91,7 @@ class TestSubsetSum:
             subset_sum_reachable([3, 1], 5)
 
     def test_budget_guard(self):
-        with pytest.raises(CapTooLargeError):
+        with pytest.raises(CapExceededError, match="over the .*-bit budget"):
             subset_sum_reachable([1], 10**10)
 
 
@@ -172,11 +172,12 @@ class TestClassify:
         assert v.is_complete and v.proof.rule is ProofRule.WEAK_WINDOW
 
     def test_failure_past_the_window_found_by_the_last_scan(self, monkeypatch):
-        # With the window cut to 2, [1,0,2,2,2,4] passes it and no rule proves
-        # it: only the scan from the window to the horizon finds its failure.
+        # With the window cut to L = 6 (rule (d) reads B_L, so no window ends
+        # before it), [1,0,2,2,2,4] passes it and no rule proves it: only the
+        # scan from the window to the horizon finds its failure.
         real = verdicts.effective_horizon
         monkeypatch.setattr(
-            verdicts, "effective_horizon", lambda L, h=None: 2 if h is None else real(L, h)
+            verdicts, "effective_horizon", lambda L, h=None: L if h is None else real(L, h)
         )
         cv = CoefficientVector((1, 0, 2, 2, 2, 4))
         v = classify(cv, 24)
