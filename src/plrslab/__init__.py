@@ -28,8 +28,8 @@ _EXPORTS = {
         "empirical_max_n", "figure1_table", "is_complete_up_to", "subset_sum_reachable",
     ),
     "zeck": (
-        "DistinctDecomposition", "distinct_decompose", "enumerate_legal", "is_legal",
-        "legal_decompose", "render_decomposition", "value_of",
+        "DistinctDecomposition", "distinct_decompose", "is_legal", "legal_decompose",
+        "render_decomposition", "value_of",
     ),
     "families": (
         "BoundResult", "FamilySpec", "corollary_shift_bound", "family_bound", "family_shape", "fib",

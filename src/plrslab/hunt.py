@@ -40,7 +40,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .errors import ConjectureViolation
 from .seqcore import CoefficientVector
 from .verdicts import (FAILS_PAST_WINDOW, CompleteLasts, CompletenessVerdict, ProofRule, classify,
-                       effective_horizon, gap_table, node_pieces, passing_range, scan_past_window)
+                       effective_horizon, gap_table, node_pieces, passing_range, scan_past_window,
+                       table_terms)
 
 
 def coefficient_ranges(length: int) -> list[range]:
@@ -329,8 +330,8 @@ def _node_records(prefix: tuple[int, ...], head: list[int], first: int, stop: in
     (verdicts.gap_table) gives them all, and classify's rules are asked only
     where an answer can change (verdicts.node_pieces), rule (d) asking
     `merged`, the CompleteLasts of prefix[:-1].  Only a leaf that no rule
-    proves is built, from the walk's terms `head` = [H_1, ..., H_L], and
-    scanned past the window."""
+    proves is built, from the walk's terms `head` = [H_1, ..., H_L] and the
+    table's further lines (verdicts.table_terms), and scanned past the window."""
     table = gap_table(prefix, effective_horizon(len(prefix) + 1))[1]
     records: list[CensusRow] = []
     for a, b, found in node_pieces(prefix, table, head, first, stop, merged, horizon):
@@ -341,7 +342,7 @@ def _node_records(prefix: tuple[int, ...], head: list[int], first: int, stop: in
             _add(records, CensusRow(prefix + (a,), None, "complete", found.value, end))
         else:
             for c in range(a, b):
-                cv = CoefficientVector(prefix + (c,), head=head)
+                cv = CoefficientVector(prefix + (c,), head=table_terms(head, table, c))
                 _add(records, _row(cv.coefficients, scan_past_window(cv, horizon, found is FAILS_PAST_WINDOW)))
     return records
 
@@ -380,7 +381,7 @@ def _census_records(
             first = None if c in passing else next(m for m, (a, b) in enumerate(table, 1) if a < b * c)
             if rec.verdict == "incomplete" and n is not None and 1 <= n <= deep_horizon:
                 if first == n or first is None and n > window and CoefficientVector(
-                    prefix + (c,), head=head
+                    prefix + (c,), head=table_terms(head, table, c)
                 ).sequence.first_gap_below(n, start=window + 1) == n:
                     continue
             elif rec.verdict in ("complete", "conjecturally_complete") and n is None and first is None:

@@ -144,6 +144,10 @@ class Sequence:
     c_stop = v != 0, H_{m+1} = [m < L] + sum over runs with start < m of
     v (S_{m-start} - S_{max(m-stop, 0)}): two runs for [1 x g, 0 x k, N].
     A one-wide run reads H_{m-start} itself; v = 1 adds without a multiply.
+    The first run (c_1 >= 1) is read for every term past H_1, so a term
+    starts from its product, not from 0: [2, 1] costs one multiply and one
+    add.  Prefix sums keep step with the terms only when a wider run reads
+    them; else they are made when partial_sum, first_gap_below or gaps reads.
 
     CoefficientVector.sequence holds one per vector and frees it with the
     vector; a Sequence built directly is a private memo, for independent
@@ -158,36 +162,52 @@ class Sequence:
     hand around.
     """
 
-    __slots__ = ("_length", "_runs", "_terms", "_sums")
+    __slots__ = ("_length", "_runs", "_first", "_rest", "_wide", "_terms", "_sums")
 
     def __init__(
         self, generator: CoefficientVector, *, head: Optional[SequenceT[int]] = None
     ) -> None:
-        self._length = len(generator.coefficients)
-        self._runs = nonzero_runs(generator.coefficients)
+        c = generator.coefficients
+        self._length = len(c)
+        self._runs = runs = nonzero_runs(c)
+        self._first, self._rest = runs[0], runs[1:]  # the run at c_1, the others
+        self._wide = len(runs) < len(c) - c.count(0)  # some run is wider than one
         self._terms: list[int] = list(head) if head else [1]
-        self._sums: list[int] = [0, *accumulate(head)] if head else [0, 1]  # H_1 + ... + H_k
+        self._sums: list[int] = [0]  # S_0, ..., S_k for some k <= len(_terms)
+
+    def _sums_to(self, n: int) -> list[int]:
+        """The kept sums S_0, S_1, ..., extended to S_n; H_1..H_n must be known."""
+        sums = self._sums
+        if len(sums) <= n:
+            sums[-1:] = accumulate(self._terms[len(sums) - 1:n], initial=sums[-1])
+        return sums
 
     def _extend_to(self, n: int) -> None:
-        L = self._length
-        runs = self._runs
         terms = self._terms
-        sums = self._sums
+        if n <= len(terms):
+            return
+        L = self._length
+        _, w, c1 = self._first
+        rest = self._rest
+        sums = self._sums_to(len(terms)) if self._wide else None
         for m in range(len(terms), n):  # H_1..H_m known, computing H_{m+1}
             if m < L:
-                val = 1
-                for start, stop, v in runs:
+                x = terms[m - 1] if w == 1 else sums[m] - sums[max(m - w, 0)]
+                val = (x if c1 == 1 else c1 * x) + 1
+                for start, stop, v in rest:
                     if start >= m:
                         break
                     x = terms[m - stop] if stop - start == 1 else sums[m - start] - sums[max(m - stop, 0)]
                     val += x if v == 1 else v * x
             else:
-                val = 0
-                for start, stop, v in runs:
+                x = terms[m - 1] if w == 1 else sums[m] - sums[m - w]
+                val = x if c1 == 1 else c1 * x
+                for start, stop, v in rest:
                     x = terms[m - stop] if stop - start == 1 else sums[m - start] - sums[m - stop]
                     val += x if v == 1 else v * x
             terms.append(val)
-            sums.append(sums[-1] + val)
+            if sums is not None:
+                sums.append(sums[-1] + val)
 
     def term(self, n: int) -> int:
         """H_n (1-based)."""
@@ -207,9 +227,8 @@ class Sequence:
         """H_1 + ... + H_n, with the empty sum for n = 0."""
         if n < 0:
             raise ValueError("partial sum index must be >= 0")
-        if n:
-            self._extend_to(n)
-        return self._sums[n]
+        self._extend_to(n)
+        return self._sums_to(n)[n]
 
     def first_gap_below(self, stop: int, floor: int = 0, start: int = 1) -> Optional[int]:
         """The least n in start..stop with B_n < floor, or None; builds no list."""
@@ -217,7 +236,7 @@ class Sequence:
             return None
         self._extend_to(stop)
         terms = self._terms
-        sums = self._sums
+        sums = self._sums_to(stop - 1)
         slack = 1 - floor  # B_n < floor iff H_n > S_{n-1} + 1 - floor
         for i in range(start - 1, stop):
             if terms[i] > sums[i] + slack:
@@ -229,7 +248,7 @@ class Sequence:
         if n < 1:
             raise ValueError("gap count must be >= 1")
         self._extend_to(n)
-        sums = self._sums
+        sums = self._sums_to(n - 1)
         terms = self._terms
         return [1 + sums[i] - terms[i] for i in range(n)]
 
@@ -249,7 +268,8 @@ def term_texts(cv: CoefficientVector, m: int) -> Iterator[Iterator[str]]:
     str() of an int takes time quadratic in its digits (CPython <= 3.11).  So
     past the cut the recurrence goes on in exact decimal arithmetic, seeded by
     the last L int terms and keeping a window of L terms, and each further
-    text costs O(digits) per nonzero c_i.  Its last L terms must equal the int
+    text costs O(digits) per nonzero c_i: as in Sequence, a term starts from
+    c_1's product, not from 0.  Its last L terms must equal the int
     terms (Decimal == int: exact, and free of str()'s digit limit); as c_L >= 1
     the recurrence runs backwards too, so that vouches for every decimal term.
     Runs: the terms under the cut, then 64-term blocks, the last after that check.
@@ -264,8 +284,7 @@ def term_texts(cv: CoefficientVector, m: int) -> Iterator[Iterator[str]]:
     c = cv.coefficients
     L = len(c)
     # window[-1 - i] is H_{n-i}; None stands for a coefficient of 1, added unmultiplied.
-    steps = [(i, None if v == 1 else decimal.Decimal(v)) for i, v in enumerate(c) if v]
-    one, zero = decimal.Decimal(1), decimal.Decimal(0)
+    (_, c1), *steps = [(i, None if v == 1 else decimal.Decimal(v)) for i, v in enumerate(c) if v]
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                           traps=[decimal.Inexact, decimal.Rounded])
     window = deque(map(decimal.Decimal, terms[max(k - L, 0):k]), maxlen=L)  # ..., H_n
@@ -273,7 +292,9 @@ def term_texts(cv: CoefficientVector, m: int) -> Iterator[Iterator[str]]:
         block = []
         with decimal.localcontext(ctx):
             for n in range(lo, min(lo + 64, m)):  # H_1..H_n known, computing H_{n+1}
-                val = one if n < L else zero
+                val = window[-1] if c1 is None else c1 * window[-1]  # n >= k >= 1: H_1 is under the cut
+                if n < L:
+                    val += 1
                 for i, v in steps:
                     if i >= n:
                         break

@@ -328,6 +328,18 @@ def gap_table(prefix: tuple[int, ...], window: int) -> tuple[list[int], list[tup
     return head, table
 
 
+def table_terms(head: SequenceT[int], lines: SequenceT[tuple[int, int]], c: int) -> list[int]:
+    """[H_1, ..., H_W] of [prefix, c], given gap_table's [H_1, ..., H_L] and W
+    gap lines: B_n = 1 + S_{n-1} - H_n, so S_n = 2 S_{n-1} + 1 - B_n past L."""
+    terms, s = list(head), sum(head)
+    for n in range(len(head), len(lines)):
+        alpha, beta = lines[n]
+        h = s + 1 - alpha + beta * c
+        terms.append(h)
+        s += h
+    return terms
+
+
 def passing_range(lines: SequenceT[tuple[int, int]]) -> range:
     """The N >= 1 keeping every gap alpha - beta N >= 0, given its lines
     (alpha, beta), at least one with beta > 0: an interval, maybe empty."""
@@ -393,7 +405,8 @@ class CompleteLasts:
     Found when first asked, by node_pieces over one gap table of the prefix
     and, for rule (d) in turn, the parent's (prefix[:-1]'s), so no merged
     vector is built.  As proves_complete does, an s above a family bound is
-    scanned past the window: ConjectureViolation unless it fails there.
+    scanned past the window, from its terms off the table (table_terms):
+    ConjectureViolation unless it fails there.
     """
 
     __slots__ = ("prefix", "parent", "horizon", "ranges")
@@ -418,7 +431,7 @@ class CompleteLasts:
         for a, b, found in node_pieces(q, table, head, passing.start, passing.stop, self.parent, self.horizon):
             if found is FAILS_PAST_WINDOW:
                 for s in range(a, b):
-                    scan_past_window(CoefficientVector(q + (s,), head=head), self.horizon, True)
+                    scan_past_window(CoefficientVector(q + (s,), head=table_terms(head, table, s)), self.horizon, True)
             elif isinstance(found, ProofRule):
                 ranges.append((a, b))
         return ranges

@@ -19,12 +19,9 @@ either "between blocks" or "matched the first s coefficients of the
 current block".  The largest value a legal completion of P digits can take
 is H_{P+1} - 1 between blocks, and that minus the matched digits' value
 inside a block, so the greedy loop needs no lookahead table: it takes the
-next coefficient whenever it fits and closes the block otherwise.  The
-exhaustive enumerator below is kept deliberately independent of that
-machinery (it filters raw digit strings through the legality predicate) so
-it can serve as the oracle for the constructive path.
+next coefficient whenever it fits and closes the block otherwise.
 
-All three searches bisect the terms <= N, refused once they could pass the
+Both searches bisect the terms <= N, refused once they could pass the
 memory budget.  Distinct sums follow Brown: up to the first negative gap the
 sums of distinct H_1..H_j fill [0, S_j], so bit vectors start only there.
 render_pieces also takes terms in decimal, as seqcore.term_texts renders
@@ -40,10 +37,6 @@ from .errors import CapExceededError, NoLegalDecompositionError
 from .seqcore import BITMAP_BUDGET_BITS, DEFAULT_ORACLE_CAP, CoefficientVector
 
 DigitString = tuple[int, ...]
-
-#: Ceiling for the brute-force enumeration oracle.
-ENUM_CAP = 200
-
 
 class DistinctDecomposition(NamedTuple):
     """Distinct term indices (1-based, increasing) summing to a target."""
@@ -160,54 +153,6 @@ def legal_decompose(cv: CoefficientVector, n: int) -> DigitString:
     if remaining != 0:
         raise RuntimeError(f"greedy construction missed {n} under {cv}")
     return tuple(digits)
-
-
-def enumerate_legal(cv: CoefficientVector, n: int) -> list[DigitString]:
-    """All legal digit strings with value n, by brute force.
-
-    Enumerates raw digit strings (digits up to max c_i, length up to the
-    last term <= n) pruned only on value, then filters through is_legal.
-    Kept independent of the greedy construction so it can act as its
-    uniqueness oracle.
-    """
-    if n < 0:
-        raise ValueError("target must be >= 0")
-    if n > ENUM_CAP:
-        raise CapExceededError(f"target {n} above the enumeration cap {ENUM_CAP}")
-    if n == 0:
-        return [()]
-    c = cv.coefficients
-    if c == (1,):
-        return []
-    maxd = max(c)
-    values = _terms_upto(cv, n)
-
-    found: list[DigitString] = []
-
-    def search(msf_terms: list[int], suffix_max: list[int], acc: list[int], rem: int) -> None:
-        if not msf_terms:
-            if rem == 0:
-                digits = tuple(acc)
-                if is_legal(cv, digits):
-                    found.append(digits)
-            return
-        if rem > suffix_max[len(acc)]:
-            return  # even all-max digits cannot reach the target
-        h = msf_terms[0]
-        lo = 1 if not acc else 0  # leading digit must be positive
-        for d in range(lo, maxd + 1):
-            v = d * h
-            if v > rem:
-                break
-            acc.append(d)
-            search(msf_terms[1:], suffix_max, acc, rem - v)
-            acc.pop()
-
-    for length in range(1, len(values) + 1):
-        msf = values[:length][::-1]
-        suffix_max = [maxd * sum(msf[i:]) for i in range(length + 1)]
-        search(msf, suffix_max, [], n)
-    return found
 
 
 def check_distinct_cap(n: int, cap: int) -> None:

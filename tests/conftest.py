@@ -5,10 +5,11 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from plrslab import CoefficientVector, first_failure_census
+from plrslab import CapExceededError, CoefficientVector, first_failure_census, is_legal
 from plrslab.verdicts import FIGURE_CSV_HEADER, FigureRow
 from plrslab.hunt import coefficient_ranges
 from plrslab.seqcore import Sequence
+from plrslab.zeck import DigitString, _terms_upto
 
 
 class Scan(NamedTuple):
@@ -70,6 +71,58 @@ def greedy_legal_digits(cv, n):
         remaining -= d * h
     assert remaining == 0 and all(0 <= d <= max(c) for d in digits), (cv, n)
     return tuple(digits)
+
+
+#: Ceiling for the brute-force enumeration oracle.
+ENUM_CAP = 200
+
+
+def enumerate_legal(cv: CoefficientVector, n: int) -> list[DigitString]:
+    """All legal digit strings with value n, by brute force.
+
+    Enumerates raw digit strings (digits up to max c_i, length up to the
+    last term <= n) pruned only on value, then filters through is_legal.
+    Kept independent of the greedy construction so it can act as its
+    uniqueness oracle.
+    """
+    if n < 0:
+        raise ValueError("target must be >= 0")
+    if n > ENUM_CAP:
+        raise CapExceededError(f"target {n} above the enumeration cap {ENUM_CAP}")
+    if n == 0:
+        return [()]
+    c = cv.coefficients
+    if c == (1,):
+        return []
+    maxd = max(c)
+    values = _terms_upto(cv, n)
+
+    found: list[DigitString] = []
+
+    def search(msf_terms: list[int], suffix_max: list[int], acc: list[int], rem: int) -> None:
+        if not msf_terms:
+            if rem == 0:
+                digits = tuple(acc)
+                if is_legal(cv, digits):
+                    found.append(digits)
+            return
+        if rem > suffix_max[len(acc)]:
+            return  # even all-max digits cannot reach the target
+        h = msf_terms[0]
+        lo = 1 if not acc else 0  # leading digit must be positive
+        for d in range(lo, maxd + 1):
+            v = d * h
+            if v > rem:
+                break
+            acc.append(d)
+            search(msf_terms[1:], suffix_max, acc, rem - v)
+            acc.pop()
+
+    for length in range(1, len(values) + 1):
+        msf = values[:length][::-1]
+        suffix_max = [maxd * sum(msf[i:]) for i in range(length + 1)]
+        search(msf, suffix_max, [], n)
+    return found
 
 
 def passing_range_by_passes(lines):

@@ -14,7 +14,6 @@ from plrslab import (
     classify,
     distinct_decompose,
     empirical_max_n,
-    enumerate_legal,
     fib,
     is_complete_up_to,
     legal_decompose,
@@ -26,7 +25,7 @@ from plrslab import (
 from plrslab.cli import main
 from plrslab.verdicts import figure1_table
 
-from conftest import brown_scan, check_fail_at_2l_minus_1, parse_figure_csv
+from conftest import brown_scan, check_fail_at_2l_minus_1, enumerate_legal, parse_figure_csv
 
 
 def _report(number: int, detail: str) -> None:

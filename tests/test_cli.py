@@ -128,6 +128,21 @@ class TestGen:
         with _no_digit_limit():
             assert int(last) == 2**19999
 
+    def test_json_memory_holds_no_prefix_sums(self):
+        # The memo holds the 20,000 terms (~25 MB); a prefix sum kept beside
+        # each term, which nothing here reads, peaked at ~54 MB traced.
+        sink = _HashingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["gen", "2", "--count", "20000", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.sha.hexdigest() == "e63446860ef02a9a81cd9c0e67e6f2b81751286ee7dbd68be1b67fad79490be6"
+        assert peak < 35 * 2**20
+
 
 class TestAnalyze:
     def test_complete_exit_zero(self, capsys):

@@ -18,7 +18,6 @@ from plrslab import (
     classify,
     distinct_decompose,
     empirical_max_n,
-    enumerate_legal,
     family_bound,
     family_shape,
     is_complete_up_to,
@@ -31,10 +30,10 @@ from plrslab import hunt, seqcore, verdicts
 from plrslab.families import prefix_family
 from plrslab.seqcore import Sequence
 from plrslab.verdicts import (_BOUND_RULE_TAGS, CompleteLasts, effective_horizon, gap_table, passing_range,
-                              window_rules)
+                              table_terms, window_rules)
 
-from conftest import (brown_scan, enumerate_vectors, greedy_legal_digits, passing_range_by_passes,
-                      weak_window_check)
+from conftest import (brown_scan, enumerate_legal, enumerate_vectors, greedy_legal_digits,
+                      passing_range_by_passes, weak_window_check)
 
 
 def lasts_chain(prefix, horizon, memo):
@@ -543,7 +542,9 @@ class TestGapTable:
             probes.update(data.draw(st.lists(st.integers(1, top), max_size=3)))
         for n in sorted(probes):
             gaps = [a - b * n for a, b in table]
-            assert gaps == Sequence(CoefficientVector(prefix + (n,))).gaps(2 * L), (prefix, n)
+            seq = Sequence(CoefficientVector(prefix + (n,)))
+            assert gaps == seq.gaps(2 * L), (prefix, n)
+            assert table_terms(head, table, n) == seq.prefix(2 * L), (prefix, n)  # the terms, back from them
 
     @given(
         st.one_of(

@@ -88,6 +88,10 @@ def test_nonzero_runs_match_an_index_scan(c):
     assert seqcore.nonzero_runs(c) == seqcore.nonzero_runs(tuple(c)) == tuple(runs)
 
 
+#: The reads of a Sequence, drawn in any order.
+READS = ("term", "prefix", "partial_sum", "gaps", "first_gap_below")
+
+
 class TestTerms:
     @pytest.mark.parametrize(
         "coeffs,n,expected",
@@ -164,16 +168,41 @@ class TestTerms:
     @given(
         st.lists(st.integers(0, 4), min_size=1, max_size=9),
         st.integers(1, 20),
+        st.lists(st.tuples(st.sampled_from(READS), st.integers(0, 60), st.integers(-1, 1), st.integers(1, 40)),
+                 max_size=12),
     )
+    # Wide first runs, whose prefix sums the terms read, with a head.
+    @example([2, 2, 0, 1], 3, [("first_gap_below", 9, 0, 4), ("term", 30, 0, 1), ("partial_sum", 5, 0, 1),
+                               ("gaps", 40, 0, 1), ("partial_sum", 29, 0, 1)])
+    @example([3, 3, 3], 5, [("partial_sum", 2, 0, 1), ("gaps", 12, 0, 1), ("term", 27, 0, 1),
+                            ("first_gap_below", 26, 1, 3), ("prefix", 9, 0, 1)])
     @settings(max_examples=200, deadline=None)
-    def test_head_continues_the_recurrence(self, coeffs, k):
+    def test_head_continues_the_recurrence(self, coeffs, k, reads):
         # A memo started from the first k terms, before, at or past L, goes
-        # on exactly as a fresh one; the vector's own memo too.
+        # on exactly as a fresh one; the vector's own memo too.  Reads in a
+        # drawn order, each extending the memo or not, see the same terms,
+        # sums and gaps: the sums are made when read, or kept in step with
+        # the terms when a wide run reads them.
         coeffs[0] = coeffs[0] or 1
         coeffs[-1] = coeffs[-1] or 1
         n = 2 * len(coeffs) + 21
         expected = naive_terms(coeffs, n)
-        seq = Sequence(CoefficientVector(coeffs), head=expected[:k])
+        sums = list(itertools.accumulate(expected, initial=0))
+        gaps = [1 + s - h for s, h in zip(sums, expected)]
+        naive = {
+            "term": lambda i: expected[i - 1],
+            "prefix": lambda i: expected[:i],
+            "partial_sum": lambda i: sums[i],
+            "gaps": lambda i: gaps[:i],
+            "first_gap_below": lambda i, floor, start: next(
+                (m for m in range(start, i + 1) if gaps[m - 1] < floor), None),
+        }
+        for head in (None, expected[:k]):
+            seq = Sequence(CoefficientVector(coeffs), head=head)
+            for name, i, floor, start in reads:
+                lo = 0 if name == "partial_sum" else 1
+                args = (lo + i % (n + 1 - lo),) + ((floor, start) if name == "first_gap_below" else ())
+                assert getattr(seq, name)(*args) == naive[name](*args), (head, name, args)
         assert seq.prefix(n) == expected
         assert seq.gaps(n) == Sequence(CoefficientVector(coeffs)).gaps(n)
         assert [seq.partial_sum(i) for i in range(n)] == [sum(expected[:i]) for i in range(n)]

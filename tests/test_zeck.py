@@ -12,13 +12,14 @@ from plrslab import (
     Sequence,
     zeck,
     distinct_decompose,
-    enumerate_legal,
     is_legal,
     legal_decompose,
     render_decomposition,
     value_of,
 )
 from plrslab.cli import main
+
+from conftest import enumerate_legal
 
 FIB = CoefficientVector((1, 1))
 ONE_THREE = CoefficientVector((1, 3))
