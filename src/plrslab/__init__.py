@@ -29,7 +29,6 @@ _EXPORTS = {
     ),
     "zeck": (
         "DistinctDecomposition", "distinct_decompose", "is_legal", "legal_decompose",
-        "render_decomposition", "value_of",
     ),
     "families": (
         "BoundResult", "FamilySpec", "corollary_shift_bound", "family_bound", "family_shape", "fib",

@@ -162,14 +162,14 @@ class Sequence:
     hand around.
     """
 
-    __slots__ = ("_length", "_runs", "_first", "_rest", "_wide", "_terms", "_sums")
+    __slots__ = ("_length", "_first", "_rest", "_wide", "_terms", "_sums")
 
     def __init__(
         self, generator: CoefficientVector, *, head: Optional[SequenceT[int]] = None
     ) -> None:
         c = generator.coefficients
         self._length = len(c)
-        self._runs = runs = nonzero_runs(c)
+        runs = nonzero_runs(c)
         self._first, self._rest = runs[0], runs[1:]  # the run at c_1, the others
         self._wide = len(runs) < len(c) - c.count(0)  # some run is wider than one
         self._terms: list[int] = list(head) if head else [1]
@@ -230,16 +230,15 @@ class Sequence:
         self._extend_to(n)
         return self._sums_to(n)[n]
 
-    def first_gap_below(self, stop: int, floor: int = 0, start: int = 1) -> Optional[int]:
-        """The least n in start..stop with B_n < floor, or None; builds no list."""
+    def first_gap_below(self, stop: int, start: int = 1) -> Optional[int]:
+        """The least n in start..stop with B_n < 0, or None; builds no list."""
         if start > stop:
             return None
         self._extend_to(stop)
         terms = self._terms
         sums = self._sums_to(stop - 1)
-        slack = 1 - floor  # B_n < floor iff H_n > S_{n-1} + 1 - floor
         for i in range(start - 1, stop):
-            if terms[i] > sums[i] + slack:
+            if terms[i] > sums[i] + 1:  # B_n < 0 iff H_n > S_{n-1} + 1
                 return i + 1
         return None
 

@@ -21,7 +21,11 @@ Up to term 2L, N = c_L multiplies only H_1..H_L, so each gap of [prefix, N]
 is a line alpha_n - beta_n N.  One table of them (gap_table) decides the
 census's leaves a range of c_L at a time (node_pieces, CompleteLasts), and
 gives the empirical search (empirical_max_n) the largest N that is not
-Incomplete, against which the closed forms of families are checked.
+Incomplete, against which the closed forms of families are checked.  For
+the paper's family [1 x g, 0 x k, N] every line is a lookup into prefix
+sums: with S_j = H_1 + ... + H_j (0 for j <= 0), B_n = S_{n-1-g} up to
+n = L, and past it alpha_n = 1 + U_{n-1-g} and beta_n = H_{n-L} - V_{n-1-g},
+for the prefix sums U and V of H_n = u_n + N v_n.
 """
 
 from __future__ import annotations
@@ -298,9 +302,16 @@ def gap_table(prefix: tuple[int, ...], window: int) -> tuple[list[int], list[tup
     v_n = 0 up to n = L.  As in Sequence, each run of a nonzero c adds c times
     a difference of prefix sums, of u and of v apart, so a term costs O(runs);
     past L, every run (within c_1..c_{L-1}) has ended, so no index is clamped.
+
+    The paper's family [1 x g, 0 x k] has a loop of its own, as each line is
+    a lookup into the prefix sums U_j of u and V_j of v (0 for j <= 0):
+    B_n = U_{n-1-g} up to n = L, and past it alpha_n = 1 + U_{n-1-g} and
+    beta_n = H_{n-L} - V_{n-1-g}.
     """
     L = len(prefix) + 1
     runs = nonzero_runs(prefix)
+    if len(runs) == 1 and runs[0][0] == 0 and runs[0][2] == 1:  # [1 x g, 0 x k]
+        return _ones_table(runs[0][1], L, window)
     head, us = [], [0]  # us[k] = u_1 + ... + u_k
     for m in range(min(window, L)):  # H_{m+1} = u_{m+1}
         a = 1
@@ -325,6 +336,25 @@ def gap_table(prefix: tuple[int, ...], window: int) -> tuple[list[int], list[tup
         table.append((1 + us[m] - a, b - vs[m]))
         us.append(us[m] + a)
         vs.append(vs[m] + b)
+    return head, table
+
+
+def _ones_table(g: int, L: int, window: int) -> tuple[list[int], list[tuple[int, int]]]:
+    # gap_table of [1 x g, 0 x (L - 1 - g)]: u_{m+1} = [m < L] + U_m - U_{m-g}
+    # and v_{m+1} = H_{m+1-L} + V_m - V_{m-g}.
+    us = [0] * (g + 1)  # us[m] = U_{m-g}
+    head, table = [], []
+    for m in range(min(window, L)):
+        a = 1 + us[-1] - us[m]
+        head.append(a)
+        table.append((us[m], 0))
+        us.append(us[-1] + a)
+    vs = [0] * len(us)  # vs[m] = V_{m-g}, and V_j = 0 up to j = L
+    for m in range(L, window):  # U_{m+1} = 2 U_m - U_{m-g}, V_{m+1} = 2 V_m + beta
+        b = head[m - L] - vs[m]
+        table.append((1 + us[m], b))
+        us.append(2 * us[-1] - us[m])
+        vs.append(2 * vs[-1] + b)
     return head, table
 
 

@@ -45,15 +45,6 @@ class DistinctDecomposition(NamedTuple):
     terms: tuple[int, ...]
 
 
-def value_of(cv: CoefficientVector, digits: SequenceT[int]) -> int:
-    """sum_i a_i * H_{m+1-i}; the empty string has value 0."""
-    m = len(digits)
-    if m == 0:
-        return 0
-    prefix = cv.sequence.prefix(m)
-    return sum(d * prefix[m - 1 - i] for i, d in enumerate(digits))
-
-
 def is_legal(cv: CoefficientVector, digits: SequenceT[int]) -> bool:
     """Decide legality of a digit string by direct block recursion, in one pass."""
     c = cv.coefficients
@@ -206,19 +197,14 @@ def distinct_decompose(
     return DistinctDecomposition(tuple(picked), tuple(terms[i - 1] for i in picked))
 
 
-def render_decomposition(cv: CoefficientVector, digits: SequenceT[int]) -> str:
-    """Human-readable form, e.g. "9 = 1·5 + 2·2" or "10 = 8 + 2".
+def render_pieces(total: int, digits: SequenceT[int], terms) -> Iterator[str]:
+    """The human-readable form of digits whose value is `total`, such as
+    "9 = 1·5 + 2·2" or "10 = 8 + 2", in pieces, none needing JSON escapes.
 
     Multipliers are spelled out whenever any digit exceeds 1; a pure 0/1
-    string prints as a plain sum of terms.
+    string prints as a plain sum of terms.  terms[i] (H_{m-i}, under
+    digits[i]) may be an int or its decimal text.
     """
-    terms = reversed(cv.sequence.prefix(len(digits))) if digits else ()
-    return "".join(render_pieces(value_of(cv, digits), digits, terms))
-
-
-def render_pieces(total: int, digits: SequenceT[int], terms) -> Iterator[str]:
-    """render_decomposition's text in pieces, none needing JSON escapes; terms[i]
-    (H_{m-i}, under digits[i]) may be an int or its decimal text."""
     yield f"{total} = "
     multipliers = any(d > 1 for d in digits)
     sep = ""

@@ -40,7 +40,17 @@ def weak_window_check(cv):
     if L == 1:
         return cv[0] <= 2
     seq = Sequence(cv)
-    return seq.first_gap_below(L - 1) is None and seq.first_gap_below(2 * L - 1, 1, L) is None
+    return seq.first_gap_below(L - 1) is None and all(b > 0 for b in seq.gaps(2 * L - 1)[L - 1:])
+
+
+def value_of(cv, digits):
+    """sum_i a_i * H_{m+1-i}, the value of a digit string a_1 ... a_m under
+    cv's terms; the empty string has value 0."""
+    m = len(digits)
+    if m == 0:
+        return 0
+    prefix = Sequence(cv).prefix(m)
+    return sum(d * prefix[m - 1 - i] for i, d in enumerate(digits))
 
 
 def check_fail_at_2l_minus_1(k):

@@ -19,13 +19,12 @@ from plrslab import (
     legal_decompose,
     max_n_double_one,
     max_n_single_one,
-    render_decomposition,
-    value_of,
 )
 from plrslab.cli import main
 from plrslab.verdicts import figure1_table
+from plrslab.zeck import render_pieces
 
-from conftest import brown_scan, check_fail_at_2l_minus_1, enumerate_legal, parse_figure_csv
+from conftest import brown_scan, check_fail_at_2l_minus_1, enumerate_legal, parse_figure_csv, value_of
 
 
 def _report(number: int, detail: str) -> None:
@@ -54,7 +53,7 @@ def test_criterion_01_worked_examples():
     digits = legal_decompose(one_three, 9)
     assert digits == (1, 2, 0)
     assert value_of(one_three, digits) == 9
-    assert render_decomposition(one_three, digits) == "9 = 1·5 + 2·2"
+    assert "".join(render_pieces(9, digits, one_three.sequence.prefix(3)[::-1])) == "9 = 1·5 + 2·2"
     assert distinct_decompose(one_three, 9) is None
 
     assert classify(CoefficientVector((1, 0, 0, 0, 0, 0, 15))).is_incomplete

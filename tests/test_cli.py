@@ -26,7 +26,6 @@ from plrslab import (
     hunt,
     is_legal,
     legal_decompose,
-    value_of,
     verdicts,
 )
 from plrslab.cli import main
@@ -40,7 +39,7 @@ from plrslab.hunt import (
     parse_census_csv,
 )
 
-from conftest import parse_figure_csv
+from conftest import parse_figure_csv, value_of
 
 
 def run(capsys, *argv):
@@ -1155,6 +1154,47 @@ class TestImportSurface:
         for name in sorted(modules):
             visit(name)
         assert edges["families"] == {"errors", "seqcore"}
+
+    def test_every_top_level_name_has_a_caller(self):
+        # Each top-level function, class and assigned name of the package is
+        # read (as a Name, an Attribute or an import) by some other top-level
+        # statement of the package: a name only _EXPORTS' strings or the
+        # tests reach is dead code.  Commands are reached through the parser.
+        exempt = {"__getattr__", "__dir__", "__version__", "__all__"}
+        package = Path(plrslab.__file__).resolve().parent
+        statements = [(path.name, stmt) for path in sorted(package.glob("*.py"))
+                      for stmt in ast.parse(path.read_text()).body]
+
+        def defined(stmt):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                return {stmt.name}
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                return set()
+            return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+        def read(stmt):
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+            return names
+
+        reads = [read(stmt) for _, stmt in statements]
+        dead = [
+            f"{module}:{stmt.lineno} {name}"
+            for i, (module, stmt) in enumerate(statements)
+            for name in sorted(defined(stmt) - exempt)
+            if not name.startswith("cmd_") and not any(name in r for j, r in enumerate(reads) if j != i)
+        ]
+        assert dead == []
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_only_census_loads_hunt(self, capsys, command):

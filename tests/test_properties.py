@@ -24,7 +24,6 @@ from plrslab import (
     is_legal,
     legal_decompose,
     subset_sum_reachable,
-    value_of,
 )
 from plrslab import hunt, seqcore, verdicts
 from plrslab.families import prefix_family
@@ -33,7 +32,7 @@ from plrslab.verdicts import (_BOUND_RULE_TAGS, CompleteLasts, effective_horizon
                               table_terms, window_rules)
 
 from conftest import (brown_scan, enumerate_legal, enumerate_vectors, greedy_legal_digits,
-                      passing_range_by_passes, weak_window_check)
+                      passing_range_by_passes, value_of, weak_window_check)
 
 
 def lasts_chain(prefix, horizon, memo):
@@ -116,15 +115,14 @@ class TestSequenceIdentities:
 class TestListFreeScan:
     """The scans that build no gap list agree with Sequence.gaps."""
 
-    @given(coefficient_vectors(max_length=7), st.integers(1, 30), st.integers(1, 30),
-           st.sampled_from([0, 1]))
-    @example(CoefficientVector((1, 0, 4)), 1, 5, 0)  # first fails at 5, the last index
-    @example(CoefficientVector((1, 0, 4)), 5, 5, 0)
+    @given(coefficient_vectors(max_length=7), st.integers(1, 30), st.integers(1, 30))
+    @example(CoefficientVector((1, 0, 4)), 1, 5)  # first fails at 5, the last index
+    @example(CoefficientVector((1, 0, 4)), 5, 5)
     @settings(max_examples=300, deadline=None)
-    def test_first_gap_below_matches_gaps(self, cv, start, stop, floor):
+    def test_first_gap_below_matches_gaps(self, cv, start, stop):
         gaps = Sequence(cv).gaps(stop)
-        expected = next((n for n in range(start, stop + 1) if gaps[n - 1] < floor), None)
-        assert cv.sequence.first_gap_below(stop, floor, start) == expected
+        expected = next((n for n in range(start, stop + 1) if gaps[n - 1] < 0), None)
+        assert cv.sequence.first_gap_below(stop, start=start) == expected
 
     @given(coefficient_vectors(max_length=7, max_coeff=4))
     @example(CoefficientVector((1, 1)))  # B_2 = 0 inside the window
@@ -571,6 +569,19 @@ class TestGapTable:
             head, table = gap_table(prefix, window)
             assert head == seq.prefix(min(window, L)), (prefix, window)
             assert [a - b * n for a, b in table] == seq.gaps(window), (prefix, n, window)
+
+    def test_family_table_matches_two_generators(self):
+        # [1 x g, 0 x k] has its own loop.  Its lines, at every window, are
+        # read off the gaps of [prefix, 1] and [prefix, 2]: B_n(N) = alpha -
+        # beta N, so beta = B_n(1) - B_n(2) and alpha = B_n(1) + beta.
+        for L in range(2, 41):
+            for g in range(1, L):
+                prefix = (1,) * g + (0,) * (L - 1 - g)
+                one, two = (CoefficientVector(prefix + (n,)).sequence for n in (1, 2))
+                terms = one.prefix(L)
+                lines = [(b1 + b1 - b2, b1 - b2) for b1, b2 in zip(one.gaps(2 * L), two.gaps(2 * L))]
+                for window in range(1, 2 * L + 1):
+                    assert gap_table(prefix, window) == (terms[:window], lines[:window]), (g, L, window)
 
     @given(
         st.lists(st.tuples(st.integers(-60, 60), st.integers(-4, 4)), max_size=10),

@@ -168,14 +168,13 @@ class TestTerms:
     @given(
         st.lists(st.integers(0, 4), min_size=1, max_size=9),
         st.integers(1, 20),
-        st.lists(st.tuples(st.sampled_from(READS), st.integers(0, 60), st.integers(-1, 1), st.integers(1, 40)),
-                 max_size=12),
+        st.lists(st.tuples(st.sampled_from(READS), st.integers(0, 60), st.integers(1, 40)), max_size=12),
     )
     # Wide first runs, whose prefix sums the terms read, with a head.
-    @example([2, 2, 0, 1], 3, [("first_gap_below", 9, 0, 4), ("term", 30, 0, 1), ("partial_sum", 5, 0, 1),
-                               ("gaps", 40, 0, 1), ("partial_sum", 29, 0, 1)])
-    @example([3, 3, 3], 5, [("partial_sum", 2, 0, 1), ("gaps", 12, 0, 1), ("term", 27, 0, 1),
-                            ("first_gap_below", 26, 1, 3), ("prefix", 9, 0, 1)])
+    @example([2, 2, 0, 1], 3, [("first_gap_below", 9, 4), ("term", 30, 1), ("partial_sum", 5, 1),
+                               ("gaps", 40, 1), ("partial_sum", 29, 1)])
+    @example([3, 3, 3], 5, [("partial_sum", 2, 1), ("gaps", 12, 1), ("term", 27, 1),
+                            ("first_gap_below", 26, 3), ("prefix", 9, 1)])
     @settings(max_examples=200, deadline=None)
     def test_head_continues_the_recurrence(self, coeffs, k, reads):
         # A memo started from the first k terms, before, at or past L, goes
@@ -194,14 +193,13 @@ class TestTerms:
             "prefix": lambda i: expected[:i],
             "partial_sum": lambda i: sums[i],
             "gaps": lambda i: gaps[:i],
-            "first_gap_below": lambda i, floor, start: next(
-                (m for m in range(start, i + 1) if gaps[m - 1] < floor), None),
+            "first_gap_below": lambda i, start: next((m for m in range(start, i + 1) if gaps[m - 1] < 0), None),
         }
         for head in (None, expected[:k]):
             seq = Sequence(CoefficientVector(coeffs), head=head)
-            for name, i, floor, start in reads:
+            for name, i, start in reads:
                 lo = 0 if name == "partial_sum" else 1
-                args = (lo + i % (n + 1 - lo),) + ((floor, start) if name == "first_gap_below" else ())
+                args = (lo + i % (n + 1 - lo),) + ((start,) if name == "first_gap_below" else ())
                 assert getattr(seq, name)(*args) == naive[name](*args), (head, name, args)
         assert seq.prefix(n) == expected
         assert seq.gaps(n) == Sequence(CoefficientVector(coeffs)).gaps(n)
@@ -225,8 +223,7 @@ class TestTerms:
         assert seq.prefix(len(expected)) == expected
 
     def test_figure_vector_is_two_runs(self):
-        seq = Sequence(CoefficientVector((1,) * 24 + (0,) * 24 + (5000,)))
-        assert seq._runs == ((0, 24, 1), (48, 49, 5000))
+        assert seqcore.nonzero_runs((1,) * 24 + (0,) * 24 + (5000,)) == ((0, 24, 1), (48, 49, 5000))
 
     def test_prefix_consistent_with_term(self):
         cv = CoefficientVector((1, 2, 3))

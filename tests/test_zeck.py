@@ -14,12 +14,10 @@ from plrslab import (
     distinct_decompose,
     is_legal,
     legal_decompose,
-    render_decomposition,
-    value_of,
 )
 from plrslab.cli import main
 
-from conftest import enumerate_legal
+from conftest import enumerate_legal, value_of
 
 FIB = CoefficientVector((1, 1))
 ONE_THREE = CoefficientVector((1, 3))
@@ -245,17 +243,23 @@ class TestTermsUpto:
         assert len(cv.sequence._terms) == len(by_steps.sequence._terms)
 
 
+def rendered(cv, n, digits):
+    """render_pieces' text for the digits of n under cv, read off cv's terms."""
+    terms = cv.sequence.prefix(len(digits))[::-1] if digits else []
+    return "".join(zeck.render_pieces(n, digits, terms))
+
+
 class TestRendering:
     def test_multiplier_style(self):
         digits = legal_decompose(ONE_THREE, 9)
-        assert render_decomposition(ONE_THREE, digits) == "9 = 1·5 + 2·2"
+        assert rendered(ONE_THREE, 9, digits) == "9 = 1·5 + 2·2"
 
     def test_plain_sum_style(self):
         digits = legal_decompose(FIB, 10)
-        assert render_decomposition(FIB, digits) == "10 = 8 + 2"
+        assert rendered(FIB, 10, digits) == "10 = 8 + 2"
 
     def test_zero(self):
-        assert render_decomposition(FIB, ()) == "0 = 0"
+        assert rendered(FIB, 0, ()) == "0 = 0"
 
     def test_json_shape(self, capsys):
         assert main(["decompose", "1,3", "9", "--mode", "legal", "--format", "json"]) == 0
