@@ -34,7 +34,7 @@ _EXPORTS = {
         "BoundResult", "FamilySpec", "corollary_shift_bound", "family_bound", "family_shape", "fib",
         "max_n_double_one", "max_n_g_ones", "max_n_single_one",
     ),
-    "hunt": ("CensusReport", "first_failure_census"),
+    "hunt": ("CensusReport", "census_horizon", "census_records", "census_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -12,6 +12,7 @@ past the max(2L - 1, 2) window (a conjecture violation) found by any command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -331,9 +332,10 @@ def cmd_census(args) -> int:
             f"census --format {args.format} at L = {args.length} would print {rows:,} rows, "
             f"over the {CENSUS_ROW_BUDGET:,}-row budget; text mode prints the summary"
         )
+    horizon = hunt.census_horizon(args.length, args.deep_horizon)
     # The largest capped vector, [2, 4, ..., 2^L], has the largest terms.
     top = CoefficientVector([r.stop - 1 for r in hunt.coefficient_ranges(args.length)])
-    _check_prefix_size(top, args.deep_horizon or 4 * args.length)
+    _check_prefix_size(top, horizon)
     # Only a census under -v logs, and only it loads logging: per call, on the package logger
     # only, so a host's root handlers stay as they are and -v of one call does not carry over.
     if args.verbose:
@@ -344,9 +346,13 @@ def cmd_census(args) -> int:
         log.setLevel(logging.DEBUG)
         log.addHandler(handler)
     try:
-        report = hunt.first_failure_census(
-            args.length, args.deep_horizon, checkpoint_path=args.checkpoint, rows_path=args.rows
-        )
+        # Closed on every exit, so a fold that stops early still leaves a flushed rows file.
+        with contextlib.closing(hunt.census_records(
+            args.length, horizon, checkpoint_path=args.checkpoint, rows_path=args.rows
+        )) as stream:
+            # Only the per-vector formats keep the records, under the row budget.
+            records = stream if args.format == "text" else list(stream)
+            report = hunt.census_report(args.length, records, horizon)
     except OSError as exc:  # an unusable --checkpoint or --rows path
         raise OutOfRangeError(str(exc)) from exc
     finally:
@@ -359,10 +365,10 @@ def cmd_census(args) -> int:
             {"L": args.length, "deep_horizon": report.deep_horizon},
             {**report.to_json(), "rows": []},
         )
-        _print_json(envelope, ('"rows": [', report.json_rows()))
+        _print_json(envelope, ('"rows": [', hunt.json_rows(args.length, records)))
     elif args.format == "csv":
         _print_csv(hunt.CENSUS_CSV_HEADER, [])
-        sys.stdout.writelines(report.csv_rows())
+        sys.stdout.writelines(hunt.csv_rows(args.length, records))
     else:
         lines = [
             f"L: {report.length}",

@@ -16,18 +16,22 @@ The leaves below one prefix of length L - 1 are decided together, a range
 of c_L at a time (_node_records); only a leaf that no rule proves is built
 as a vector, to be scanned past 2L - 1.
 
-The census is a list of records (CensusRow) that tile the enumeration in
-lexicographic order: one per failing run of c_j, and one per run of leaves
-of one prefix that share first failure, verdict and proof.  Output that
-lists every vector is written per record (_record_texts), so memory is
-bounded by the rows of one prefix of length L - 2 (8,320 at L = 7), not by
-the output.  A checkpointed census appends each record to a rows file as
-the search finds it, one line per record, and a rerun replays the records
-through the search and decides only what lies past them (_census_records).
+The census is a stream of records (CensusRow, census_records) that tile
+the enumeration in lexicographic order: one per failing run of c_j, and one
+per run of leaves of one prefix that share first failure, verdict and
+proof.  One fold (census_report) reads the stream once for the summary and
+keeps no record but the extremal ones, so a census printing its summary
+holds no list of records.  Output that lists every vector is written per
+record (_record_texts), so memory is bounded by the rows of one prefix of
+length L - 2 (8,320 at L = 7), not by the output.  A checkpointed census
+appends each record to a rows file as the stream yields it, one line per
+record, and a rerun replays the records through the search and decides
+only what lies past them (_walk).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -200,15 +204,6 @@ class CensusReport(NamedTuple):
     equality_window_vectors: int
     deep_horizon: int
     notes: tuple[str, ...]
-    records: tuple[CensusRow, ...]
-
-    def rows(self) -> Iterator[CensusRow]:
-        """One CensusRow per vector, in lexicographic order.
-
-        For callers that inspect rows one by one; the JSON and CSV output
-        is written per record by json_rows() and csv_rows().
-        """
-        return _expand(self.length, self.records)
 
     def to_json(self) -> dict:
         """The JSON summary; its "rows" array is written by json_rows()."""
@@ -222,30 +217,32 @@ class CensusReport(NamedTuple):
             "notes": list(self.notes),
         }
 
-    def json_rows(self) -> Iterator[str]:
-        """The text inside the JSON "rows" array, in pieces.
 
-        Joined, the pieces are the json.dumps(..., ensure_ascii=False) text
-        of one {"vector", "first_failure", "verdict", "proof_tag"} object per
-        vector, in lexicographic order.
-        """
-        import json  # here, so that a census without JSON output does not load it
+def json_rows(length: int, records: Iterable[CensusRow]) -> Iterator[str]:
+    """The text inside the JSON "rows" array, in pieces.
 
-        def tail(rec: CensusRow) -> str:
-            fields = {"first_failure": rec.first_failure, "verdict": rec.verdict, "proof_tag": rec.proof}
-            return "], " + json.dumps(fields, ensure_ascii=False)[1:]
+    Joined, the pieces are the json.dumps(..., ensure_ascii=False) text of
+    one {"vector", "first_failure", "verdict", "proof_tag"} object per
+    vector, in lexicographic order.
+    """
+    import json  # here, so that a census without JSON output does not load it
 
-        return _record_texts(self.length, self.records, ", ", '{"vector": [', tail, ", ")
+    def tail(rec: CensusRow) -> str:
+        fields = {"first_failure": rec.first_failure, "verdict": rec.verdict, "proof_tag": rec.proof}
+        return "], " + json.dumps(fields, ensure_ascii=False)[1:]
 
-    def csv_rows(self) -> Iterator[str]:
-        """The CSV data lines, in pieces, as csv.writer writes them."""
-        # csv.writer quotes the vector field exactly when it holds a comma.
-        quote = '"' if self.length > 1 else ""
+    return _record_texts(length, records, ", ", '{"vector": [', tail, ", ")
 
-        def tail(rec: CensusRow) -> str:
-            return quote + "," + _csv_line(_tail_fields(rec))
 
-        return _record_texts(self.length, self.records, ",", quote, tail)
+def csv_rows(length: int, records: Iterable[CensusRow]) -> Iterator[str]:
+    """The CSV data lines, in pieces, as csv.writer writes them."""
+    # csv.writer quotes the vector field exactly when it holds a comma.
+    quote = '"' if length > 1 else ""
+
+    def tail(rec: CensusRow) -> str:
+        return quote + "," + _csv_line(_tail_fields(rec))
+
+    return _record_texts(length, records, ",", quote, tail)
 
 
 CENSUS_CSV_HEADER = ["vector", "first_failure", "verdict", "proof_tag"]
@@ -265,15 +262,6 @@ def _rows_file_fields(r: CensusRow) -> list:
     if r.end is not None:
         record += "+" if _is_run(r) else f":{r.end}"
     return [record, *_tail_fields(r)]
-
-
-def census_rows_to_csv(rows: list[CensusRow]) -> str:
-    """Records as the rows file holds them, header first."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORDS_CSV_HEADER)
-    writer.writerows(map(_rows_file_fields, rows))
-    return buf.getvalue()
 
 
 def parse_census_csv(text: str, source: str = "rows file") -> list[CensusRow]:
@@ -347,7 +335,7 @@ def _node_records(prefix: tuple[int, ...], head: list[int], first: int, stop: in
     return records
 
 
-def _census_records(
+def _walk(
     length: int, deep_horizon: int, reloaded: Iterable[CensusRow] = ()
 ) -> Iterator[CensusRow]:
     """Records covering the enumeration, in order, the replayed `reloaded` first.
@@ -446,10 +434,11 @@ def _reverify_first_failure(vector: tuple[int, ...], expected: int) -> None:
         terms.append(term)
 
 
-def _aggregate(
-    length: int, records: list[CensusRow], deep_horizon: int
-) -> CensusReport:
-    window = max(2 * length - 1, 2)
+def census_report(length: int, records: Iterable[CensusRow], deep_horizon: int) -> CensusReport:
+    """The summary of a census, read in one pass over its records, keeping only
+    the extremal ones.  Raises ConjectureViolation at the first record failing
+    past max(2L - 1, 2): a discovery to report, not an internal error."""
+    window = effective_horizon(length)
     counts = _completion_counts(length)
     max_ff = 0
     extremal: list[CensusRow] = []
@@ -487,8 +476,16 @@ def _aggregate(
         equality_window_vectors=survivors,
         deep_horizon=deep_horizon,
         notes=notes,
-        records=tuple(records),
     )
+
+
+def census_horizon(length: int, deep_horizon: Optional[int] = None) -> int:
+    """The deep horizon of a census of this length: 4L unless set, and never lower."""
+    if deep_horizon is None:
+        return 4 * length
+    if deep_horizon < 4 * length:
+        raise ValueError(f"deep_horizon must be >= 4L = {4 * length}")
+    return deep_horizon
 
 
 def _read_whole_lines(path: Path) -> tuple[str, str]:
@@ -521,7 +518,7 @@ def _load_checkpoint(length: int, deep_horizon: int, ckpt: Path, rows: Path) -> 
 
     text, whole = _read_whole_lines(rows)
     if ckpt_whole != header + "\n" or not whole:
-        whole = census_rows_to_csv([])
+        whole = ",".join(RECORDS_CSV_HEADER) + "\n"
     if not whole.startswith(",".join(RECORDS_CSV_HEADER) + "\n"):
         raise ValueError(
             f"rows file {rows} does not start with the run-record header "
@@ -533,52 +530,44 @@ def _load_checkpoint(length: int, deep_horizon: int, ckpt: Path, rows: Path) -> 
     return records
 
 
-def first_failure_census(
+def census_records(
     length: int,
-    deep_horizon: Optional[int] = None,
+    deep_horizon: int,
     *,
     checkpoint_path: Optional[str | Path] = None,
     rows_path: Optional[str | Path] = None,
-) -> CensusReport:
-    """Report the first failure of every capped vector of the given length.
+) -> Iterator[CensusRow]:
+    """The records of every capped vector of the given length, each once, in order.
 
     Vectors that survive the prefix search are classified.  Those that no
-    proof rule proves are scanned past 2L - 1 to deep_horizon, which
-    defaults to 4L and may not be set lower.  Raises
-    ConjectureViolation if any first failure lands past max(2L - 1, 2);
-    that is a discovery to report, not an internal error.  With
-    checkpoint_path and rows_path set (one needs the other), each record is
-    appended to the rows file as it is found, and a rerun replays the
-    records and searches on past them.
+    proof rule proves are scanned past 2L - 1 to deep_horizon, at least 4L
+    (census_horizon).  With checkpoint_path and rows_path set (one needs the
+    other), the records an earlier run wrote are replayed first, and each
+    record found after them is appended to the rows file before it is
+    yielded; closing the stream flushes and closes that file.  At L = 1 the
+    beyond-cap witness [3] comes last, unwritten.
     """
-    if deep_horizon is None:
-        deep_horizon = 4 * length
-    if deep_horizon < 4 * length:
-        raise ValueError(f"deep_horizon must be >= 4L = {4 * length}")
-
+    deep_horizon = census_horizon(length, deep_horizon)
     ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
     rows_file = Path(rows_path) if rows_path is not None else None
     if (ckpt is None) != (rows_file is None):
         raise ValueError("census rows and checkpoint files must be given together")
     reloaded = _load_checkpoint(length, deep_horizon, ckpt, rows_file) if ckpt else []
-    found = _census_records(length, deep_horizon, reloaded)
-    records = list(itertools.islice(found, len(reloaded)))
-    n = len(records)
-    if rows_file is None:
-        records.extend(found)
-    else:
-        with rows_file.open("a") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for rec in found:
+    records = _walk(length, deep_horizon, reloaded)
+    yield from itertools.islice(records, len(reloaded))
+    found = 0
+    with (rows_file.open("a") if rows_file else contextlib.nullcontext()) as fh:
+        writer = csv.writer(fh, lineterminator="\n") if fh else None
+        for found, rec in enumerate(records, 1):
+            if writer:
                 writer.writerow(_rows_file_fields(rec))
-                records.append(rec)
+            yield rec
     if logging := sys.modules.get("logging"):  # loaded by -v or a host, else no handler exists
         logging.getLogger(__name__).debug(
-            "census L=%d: %d records reloaded, %d found", length, n, len(records) - n)
+            "census L=%d: %d records reloaded, %d found", length, len(reloaded), found)
 
     if length == 1:
         # The window 2L - 1 = 1 is vacuous and [1], [2] never fail; every [c]
         # with c >= 3 lies past the cap and first fails at term 2, so [3] is
         # scanned to make the reported maximum meaningful.
-        records.append(_row((3,), classify(CoefficientVector((3,)), deep_horizon)))
-    return _aggregate(length, records, deep_horizon)
+        yield _row((3,), classify(CoefficientVector((3,)), deep_horizon))

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from typing import NamedTuple, Optional
 
 import pytest
 
-from plrslab import CapExceededError, CoefficientVector, first_failure_census, is_legal
+from plrslab import CapExceededError, CoefficientVector, is_legal
 from plrslab.verdicts import FIGURE_CSV_HEADER, FigureRow
-from plrslab.hunt import coefficient_ranges
+from plrslab.hunt import (RECORDS_CSV_HEADER, CensusReport, CensusRow, _expand, _rows_file_fields,
+                          census_horizon, census_records, census_report, coefficient_ranges)
 from plrslab.seqcore import Sequence
 from plrslab.zeck import DigitString, _terms_upto
 
@@ -170,10 +173,37 @@ def parse_figure_csv(text):
     return rows
 
 
+class Census(NamedTuple):
+    """One census as the tests read it: the fold's report and the stream's records."""
+
+    report: CensusReport
+    records: list[CensusRow]
+
+    def rows(self):
+        """One CensusRow per vector, in lexicographic order."""
+        return _expand(self.report.length, self.records)
+
+
+def run_census(length, deep_horizon=None, **files) -> Census:
+    """The census of this length: its record stream read into a list, and folded."""
+    horizon = census_horizon(length, deep_horizon)
+    records = list(census_records(length, horizon, **files))
+    return Census(census_report(length, records, horizon), records)
+
+
+def census_rows_to_csv(rows) -> str:
+    """Records as the rows file holds them, header first."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RECORDS_CSV_HEADER)
+    writer.writerows(map(_rows_file_fields, rows))
+    return buf.getvalue()
+
+
 @pytest.fixture(scope="session")
 def census_reports():
     """Full first-failure censuses for L = 1..4, computed once per session."""
-    return {L: first_failure_census(L) for L in (1, 2, 3, 4)}
+    return {L: run_census(L) for L in (1, 2, 3, 4)}
 
 
 @pytest.fixture(scope="session")

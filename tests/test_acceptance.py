@@ -146,17 +146,17 @@ def test_criterion_06_extremal_family_first_failure():
 def test_criterion_07_first_failure_census(census_reports):
     """Exhaustive census at L = 1..4: no failure beyond max(2L-1, 2)."""
     expected_max = {1: 2, 2: 3, 3: 5, 4: 7}
-    for length, report in census_reports.items():
+    for length, census in census_reports.items():
         window = max(2 * length - 1, 2)
-        assert report.max_first_failure <= window
-        assert report.max_first_failure == expected_max[length]
-        for row in report.rows():
+        assert census.report.max_first_failure <= window
+        assert census.report.max_first_failure == expected_max[length]
+        for row in census.rows():
             if row.first_failure is not None:
                 assert row.first_failure <= window, row
-    assert (1, 0, 4) in census_reports[3].extremal_vectors
-    assert census_reports[3].extremal_vectors == ((1, 0, 4),)
-    assert (1, 1, 0, 4) in census_reports[4].extremal_vectors
-    scanned = sum(r.vectors_scanned for r in census_reports.values())
+    assert (1, 0, 4) in census_reports[3].report.extremal_vectors
+    assert census_reports[3].report.extremal_vectors == ((1, 0, 4),)
+    assert (1, 1, 0, 4) in census_reports[4].report.extremal_vectors
+    scanned = sum(c.report.vectors_scanned for c in census_reports.values())
     _report(7, f"census over {scanned} vectors stays inside the window, [1,0,4] extremal at L=3")
 
 

@@ -18,11 +18,11 @@ import pytest
 import plrslab
 from plrslab import (
     CoefficientVector,
+    ConjectureViolation,
     NoLegalDecompositionError,
     Sequence,
     cli,
     distinct_decompose,
-    first_failure_census,
     hunt,
     is_legal,
     legal_decompose,
@@ -34,12 +34,11 @@ from plrslab.hunt import (
     CensusRow,
     _is_run,
     _last,
-    census_rows_to_csv,
     coefficient_ranges,
     parse_census_csv,
 )
 
-from conftest import parse_figure_csv, value_of
+from conftest import census_rows_to_csv, parse_figure_csv, run_census, value_of
 
 
 def run(capsys, *argv):
@@ -513,8 +512,9 @@ CENSUS_L6_STDOUT = {
 }
 
 
-def _census_envelope_per_row(report) -> str:
+def _census_envelope_per_row(census) -> str:
     """The census JSON envelope built from one dict per vector and encoded whole."""
+    report = census.report
     results = report.to_json()
     results["rows"] = [
         {
@@ -523,7 +523,7 @@ def _census_envelope_per_row(report) -> str:
             "verdict": r.verdict,
             "proof_tag": r.proof,
         }
-        for r in report.rows()
+        for r in census.rows()
     ]
     envelope = {
         "command": "census",
@@ -534,11 +534,11 @@ def _census_envelope_per_row(report) -> str:
     return json.dumps(envelope, ensure_ascii=False) + "\n"
 
 
-def _census_csv_per_row(report) -> str:
+def _census_csv_per_row(census) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CENSUS_CSV_HEADER)
-    for r in report.rows():
+    for r in census.rows():
         ff = "" if r.first_failure is None else r.first_failure
         writer.writerow([",".join(str(c) for c in r.vector), ff, r.verdict, r.proof])
     return buf.getvalue()
@@ -571,13 +571,13 @@ class TestCensus:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_rows_written_per_record_match_per_row_encoding(self, capsys, L):
         argv = ["census", "--L", str(L), "--deep", "--jobs", "2"]
-        report = first_failure_census(L)
+        census = run_census(L)
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        _assert_same_text(out, _census_envelope_per_row(report))
+        _assert_same_text(out, _census_envelope_per_row(census))
         code, out, _ = run(capsys, *argv, "--format", "csv")
         assert code == 0
-        _assert_same_text(out, _census_csv_per_row(report))
+        _assert_same_text(out, _census_csv_per_row(census))
 
     def test_json_memory_bounded_by_largest_record(self):
         # Building one dict per vector, then the whole text, peaks at ~24 MB
@@ -608,7 +608,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_per_vector_output_past_the_row_budget_exit_5(self, capsys, monkeypatch, tmp_path, fmt):
-        monkeypatch.setattr(hunt, "first_failure_census", _no_work)
+        monkeypatch.setattr(hunt, "census_records", _no_work)
         files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
         code, out, err = run(capsys, "census", "--L", "8", "--deep", "--format", fmt, *files)
         assert (code, out) == (5, "")
@@ -618,7 +618,7 @@ class TestCensus:
     def test_row_budget_admits_l7_only(self, monkeypatch):
         assert hunt.enumeration_size(7) <= cli.CENSUS_ROW_BUDGET < hunt.enumeration_size(8)
         # Text mode prints the summary alone, so no row budget holds it back.
-        monkeypatch.setattr(hunt, "first_failure_census", _no_work)
+        monkeypatch.setattr(hunt, "census_records", _no_work)
         with pytest.raises(AssertionError, match="reached the computation"):
             main(["census", "--L", "8", "--deep"])
 
@@ -657,6 +657,53 @@ class TestCensus:
             "extremal: [1, 1, 1, 1, 1, 0, 4]\n"
             "conjectural survivors: 661\n"
         )
+
+    @pytest.mark.parametrize("where", ["walk", "fold"])
+    def test_failure_mid_census_keeps_the_records_before_it(self, capsys, tmp_path, monkeypatch, where):
+        # A failure part way through, raised by the walk as it comes to its
+        # 20th prefix with leaves, or by the fold as it asks for its 31st
+        # record: exit 6, and the rows file holds whole lines of exactly the
+        # records yielded before it.  The rerun replays them and prints the
+        # plain run's bytes.
+        argv = ["census", "--L", "5", "--deep"]
+        ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
+        files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
+        plain = run(capsys, *argv)
+        records = run_census(5).records
+        nodes = []
+        node_records, fold = hunt._node_records, hunt.census_report
+
+        def failing_node_records(prefix, *args):
+            nodes.append(prefix)
+            if len(nodes) == 20:
+                raise ConjectureViolation(prefix, None)
+            return node_records(prefix, *args)
+
+        def failing_fold(length, stream, deep_horizon):
+            def reading():
+                for k, rec in enumerate(stream, 1):
+                    yield rec
+                    if k == 30:
+                        raise ConjectureViolation(rec.vector, None)
+
+            return fold(length, reading(), deep_horizon)
+
+        if where == "walk":
+            monkeypatch.setattr(hunt, "_node_records", failing_node_records)
+        else:
+            monkeypatch.setattr(hunt, "census_report", failing_fold)
+        code, out, err = run(capsys, *argv, *files)
+        assert (code, out) == (6, "")
+        assert err.startswith("conjecture violation: ")
+        if where == "walk":
+            yielded = next(i for i, r in enumerate(records) if not _is_run(r) and r.vector[:-1] == nodes[-1])
+        else:
+            yielded = 30
+        assert 0 < yielded < len(records)
+        assert rows.read_text() == census_rows_to_csv(records[:yielded])
+        monkeypatch.undo()
+        assert run(capsys, *argv, *files) == plain
+        assert rows.read_text() == census_rows_to_csv(records)
 
     def test_resume_with_other_parameters_exit_2(self, capsys, tmp_path):
         files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
@@ -724,7 +771,7 @@ class TestCensus:
         # the run-record encoding, and stdout is the fresh run's.
         argv = ["census", "--L", "4", "--format", fmt]
         fresh = run(capsys, *argv)
-        records = list(first_failure_census(4).records)
+        records = run_census(4).records
         assert [r.vector for r in records[-2:]] == [(1, 2), (2,)]
         by_prefix = records[:-2] + [CensusRow((1, c), 3, "incomplete", "") for c in (2, 3, 4)]
         by_prefix += [CensusRow((2, c), 2, "incomplete", "") for c in range(5)]
@@ -753,7 +800,7 @@ class TestCensus:
     def test_rows_ending_inside_a_failing_prefix_exit_2(self, capsys, tmp_path):
         # One row per vector of 1,0,4, whose completions all fail at term 4,
         # stopping before its last: the census has the run 1,0,4+ there.
-        records = list(first_failure_census(4).records)
+        records = run_census(4).records
         at = records.index(CensusRow((1, 0, 4), 4, "incomplete", "", 8))  # every c_3 >= 4
         per_vector = [records[at]._replace(vector=(1, 0, 4, c), end=None) for c in range(1, 17)]
         ckpt, rows = tmp_path / "c.ckpt", tmp_path / "c.csv"
@@ -807,7 +854,7 @@ class TestCensus:
         files = ["--checkpoint", str(ckpt), "--rows", str(rows)]
         code, fresh, _ = run(capsys, *argv, *files)
         assert code == 0
-        records = first_failure_census(L).records
+        records = run_census(L).records
         assert rows.read_text().count("\n") == len(records) + 1
         per_leaf = [
             r if _is_run(r) else r._replace(vector=r.vector[:-1] + (c,), end=None)
@@ -841,12 +888,22 @@ class TestCensus:
             assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
     def test_deep_horizon_size_guard_exit_5(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(hunt, "first_failure_census", _no_work)
+        monkeypatch.setattr(hunt, "census_records", _no_work)
         files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
         code, out, err = run(capsys, "census", "--L", "2", "--deep-horizon", "30000", *files)
         assert code == 5
         assert out == ""
         assert "budget" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("horizon", ["-30000", "0", "7"])
+    def test_deep_horizon_below_4l_exit_2(self, capsys, tmp_path, monkeypatch, horizon):
+        # Refused as below 4L before the size guard reads it: -30000 is no
+        # request for 30,000 terms.
+        monkeypatch.setattr(hunt, "census_records", _no_work)
+        files = ["--checkpoint", str(tmp_path / "c.ckpt"), "--rows", str(tmp_path / "c.csv")]
+        code, out, err = run(capsys, "census", "--L", "2", "--deep-horizon", horizon, *files)
+        assert (code, out, err) == (2, "", "error: deep_horizon must be >= 4L = 8\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_text_summary(self, capsys):

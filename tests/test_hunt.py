@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +12,6 @@ from plrslab import (
     ConjectureViolation,
     Sequence,
     classify,
-    first_failure_census,
     hunt,
     verdicts,
 )
@@ -21,20 +21,23 @@ from plrslab.verdicts import empirical_max_n, figure1_table
 from plrslab.hunt import (
     RECORDS_CSV_HEADER,
     CensusRow,
-    _aggregate,
-    _census_records,
     _completion_counts,
     _expand,
     _is_run,
     _node_records,
     _row,
-    census_rows_to_csv,
+    _walk,
+    census_horizon,
+    census_records,
+    census_report,
     coefficient_ranges,
+    csv_rows,
     enumeration_size,
+    json_rows,
     parse_census_csv,
 )
 
-from conftest import brown_scan, check_fail_at_2l_minus_1, enumerate_vectors
+from conftest import brown_scan, census_rows_to_csv, check_fail_at_2l_minus_1, enumerate_vectors, run_census
 
 
 def leaf_vectors(length, records):
@@ -63,26 +66,26 @@ class TestEnumeration:
 
 class TestCensus:
     def test_length_one(self, census_reports):
-        report = census_reports[1]
+        report = census_reports[1].report
         assert report.max_first_failure == 2
         assert [list(v) for v in report.extremal_vectors] == [[3]]
         assert report.vectors_scanned == 3  # [1], [2], plus the witness [3]
         assert report.notes  # the vacuous-window caveat is surfaced
 
     def test_length_two(self, census_reports):
-        report = census_reports[2]
+        report = census_reports[2].report
         assert report.max_first_failure == 3
         assert [list(v) for v in report.extremal_vectors] == [[1, 3], [1, 4]]
         assert report.vectors_scanned == 8
 
     def test_length_three(self, census_reports):
-        report = census_reports[3]
+        report = census_reports[3].report
         assert report.max_first_failure == 5
         assert [list(v) for v in report.extremal_vectors] == [[1, 0, 4]]
         assert report.vectors_scanned == 80
 
     def test_length_four(self, census_reports):
-        report = census_reports[4]
+        report = census_reports[4].report
         assert report.max_first_failure == 7
         assert (1, 1, 0, 4) in report.extremal_vectors
 
@@ -90,20 +93,38 @@ class TestCensus:
         # 413 records: one per failing run of c_j, and one per run of leaves
         # of one prefix of length L - 1 that share first failure, verdict and
         # proof.
-        report = first_failure_census(6)
+        report, records = run_census(6)
         assert report.vectors_scanned == 3_231_360
-        assert len(report.records) == 413
+        assert len(records) == 413
         assert report.max_first_failure == 11
         assert report.extremal_vectors == ((1, 0, 2, 2, 2, 4), (1, 1, 1, 1, 0, 4))
         assert report.equality_window_vectors == 102
 
+    def test_summary_fold_holds_no_records(self):
+        # The fold reads each record as the stream yields it, so a census that
+        # prints only its summary keeps none of its 2,502 records at L = 7:
+        # its traced peak is about 0.04 MiB, a list of them takes 0.4 MiB.
+        tracemalloc.start()
+        try:
+            report = census_report(7, census_records(7, 28), 28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.vectors_scanned == 420_076_800
+        assert report.extremal_vectors == ((1, 1, 1, 1, 1, 0, 4),)
+        assert report.equality_window_vectors == 661
+        assert peak < 0.2 * 2**20
+
     def test_window_respected(self, census_reports):
-        for L, report in census_reports.items():
-            assert report.max_first_failure <= max(2 * L - 1, 2)
+        for L, census in census_reports.items():
+            assert census.report.max_first_failure <= max(2 * L - 1, 2)
 
     def test_deep_horizon_validation(self):
-        with pytest.raises(ValueError):
-            first_failure_census(3, 11)
+        assert census_horizon(3) == census_horizon(3, 12) == 12
+        with pytest.raises(ValueError, match="deep_horizon must be >= 4L = 12"):
+            census_horizon(3, 11)
+        with pytest.raises(ValueError, match="deep_horizon must be >= 4L = 12"):
+            next(census_records(3, 11))
 
     def test_rows_csv_roundtrip(self, census_reports):
         # Records come back as they are, one line each, and so do rows of
@@ -117,22 +138,26 @@ class TestCensus:
             assert parse_census_csv(census_rows_to_csv(rows)) == rows
 
     def test_json_shape(self, census_reports):
-        report = census_reports[3]
-        payload = report.to_json()
+        census = census_reports[3]
+        payload = census.report.to_json()
         assert payload["L"] == 3
         assert payload["max_first_failure"] == 5
         assert "rows" not in payload
-        rows = json.loads("[" + "".join(report.json_rows()) + "]")
+        rows = json.loads("[" + "".join(json_rows(3, census.records)) + "]")
         assert len(rows) == 80
         assert rows[0].keys() == {"vector", "first_failure", "verdict", "proof_tag"}
-        assert [tuple(r["vector"]) for r in rows] == [r.vector for r in report.rows()]
+        assert [tuple(r["vector"]) for r in rows] == [r.vector for r in census.rows()]
 
     def test_violation_raised_on_late_failure(self):
+        # The fold stops at the first record past the window, reading no further.
         rows = [CensusRow((1, 3), 3, "incomplete", ""), CensusRow((1, 4), 9, "incomplete", "")]
+        after = CensusRow((2,), 2, "incomplete", "", 2)
+        stream = iter([*rows, after])
         with pytest.raises(ConjectureViolation) as exc:
-            _aggregate(2, rows, 8)
+            census_report(2, stream, 8)
         assert exc.value.vector == (1, 4)
         assert exc.value.first_failure == 9
+        assert next(stream) is after
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +173,9 @@ class TestPrunedCensus:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_records_match_brute_force(self, brute_force_rows, L):
         expected = brute_force_rows[L]
-        report = first_failure_census(L)
-        rows = list(report.rows())
-        assert len(rows) == report.vectors_scanned == len(expected) + (L == 1)
+        census = run_census(L)
+        rows = list(census.rows())
+        assert len(rows) == census.report.vectors_scanned == len(expected) + (L == 1)
         assert rows[: len(expected)] == expected
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
@@ -162,7 +187,7 @@ class TestPrunedCensus:
         # before a record whose c_1 is `first` (for 2, the end too), or every
         # cut when None; past L = 3, at least six of them, the end included.
         expected = brute_force_rows[L]
-        records = list(_census_records(L, 4 * L))
+        records = list(_walk(L, 4 * L))
         assert list(_expand(L, records)) == expected
         firsts = [r.vector[0] for r in records] + [2]  # the end follows the c_1 = 2 records
         cuts = [k for k, c in enumerate(firsts) if first in (None, c)]
@@ -172,7 +197,7 @@ class TestPrunedCensus:
         leaves = _counting_node_records(monkeypatch)
         for k in cuts:
             leaves.clear()
-            assert list(_census_records(L, 4 * L, records[:k])) == records, k
+            assert list(_walk(L, 4 * L, records[:k])) == records, k
             assert leaves == leaf_vectors(L, records[k:]), k
 
     def test_only_survivors_are_classified(self, monkeypatch):
@@ -184,9 +209,9 @@ class TestPrunedCensus:
             return found
 
         monkeypatch.setattr(hunt, "_node_records", counting_node_records)
-        report = first_failure_census(5)
+        report, records = run_census(5)
         assert report.vectors_scanned == 48_960
-        assert len(report.records) == 86  # 139 with one record per leaf
+        assert len(records) == 86  # 139 with one record per leaf
         assert len(leaves) == 107
         assert Counter(r.proof or r.verdict for r in leaves) == {
             "weak_window": 27,
@@ -227,7 +252,7 @@ class TestPrunedCensus:
         monkeypatch.setattr(hunt, "scan_past_window", scan_spy)
         for L, unproved in ((5, 17), (6, 102)):
             built.clear(), found.clear(), scanned.clear()
-            report = first_failure_census(L)
+            report = run_census(L).report
             assert len(built) == unproved == report.equality_window_vectors
             assert [v for v, _ in scanned] == built
             assert {status for _, status in scanned} == {"conjecturally_complete"}
@@ -254,7 +279,7 @@ class TestPrunedCensus:
 
         monkeypatch.setattr(verdicts, "window_rules", rules_spy)
         monkeypatch.setattr(families, "family_shape", shape_spy)
-        assert first_failure_census(5).equality_window_vectors == 17
+        assert run_census(5).report.equality_window_vectors == 17
         assert shapes["inside"] == 0 and shapes["outside"] > 0
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
@@ -269,7 +294,7 @@ class TestPrunedCensus:
             return _node_records(prefix, head, first, stop, merged, horizon)
 
         monkeypatch.setattr(hunt, "_node_records", node_records)
-        first_failure_census(L)
+        run_census(L)
         prefixes = set()
         for merged, leaf_prefixes in held.values():
             assert merged is not None
@@ -294,7 +319,7 @@ class TestPrunedCensus:
         real = families.family_bound
         too_low = BoundResult(2, "single_one", exact=True)
         monkeypatch.setattr(families, "family_bound", lambda g, k: too_low if (g, k) == (1, 1) else real(g, k))
-        for run in (lambda: classify(CoefficientVector((1, 0, 1, 2))), lambda: first_failure_census(4)):
+        for run in (lambda: classify(CoefficientVector((1, 0, 1, 2))), lambda: run_census(4)):
             with pytest.raises(ConjectureViolation) as exc:
                 run()
             assert (exc.value.vector, exc.value.first_failure) == ((1, 0, 3), None)
@@ -325,9 +350,9 @@ class TestRunRecords:
 
     @pytest.mark.parametrize("L", [3, 4, 5])
     def test_runs_start_at_first_failing_value(self, census_reports, L):
-        report = census_reports.get(L) or first_failure_census(L)
+        census = census_reports.get(L) or run_census(L)
         ranges = coefficient_ranges(L)
-        runs = [r for r in report.records if _is_run(r)]
+        runs = [r for r in census.records if _is_run(r)]
         assert runs
         for rec in runs:
             j = len(rec.vector)
@@ -354,7 +379,7 @@ def _digest(pieces) -> str:
 
 @pytest.fixture(scope="module")
 def reports_4_to_6():
-    return {L: first_failure_census(L) for L in (4, 5, 6)}
+    return {L: run_census(L) for L in (4, 5, 6)}
 
 
 class TestRowTexts:
@@ -364,9 +389,13 @@ class TestRowTexts:
         # L = 6, depths 0 and L - 2 are checked against the default, L - 3:
         # depths 1 and 2 would add ~3 s, and L - 1 and L, nearly one record
         # per vector, ~20 s each.
-        report = reports_4_to_6[L]
+        records = reports_4_to_6[L].records
+
+        def texts():
+            return _digest(json_rows(L, records)), _digest(csv_rows(L, records))
+
         if L < 6:
-            rows = list(report.rows())
+            rows = list(reports_4_to_6[L].rows())
             json_text = ", ".join(
                 json.dumps({"vector": list(r.vector), "first_failure": r.first_failure,
                             "verdict": r.verdict, "proof_tag": r.proof}, ensure_ascii=False)
@@ -375,16 +404,16 @@ class TestRowTexts:
             csv_text = census_rows_to_csv(rows).partition("\n")[2]
             expected = (_digest([json_text]), _digest([csv_text]))
         else:
-            expected = (_digest(report.json_rows()), _digest(report.csv_rows()))
+            expected = texts()
         for depth in range(L + 1) if L < 6 else (0, L - 2):
             _split_at(monkeypatch, depth)
-            assert (_digest(report.json_rows()), _digest(report.csv_rows())) == expected, depth
+            assert texts() == expected, depth
 
     @pytest.mark.parametrize("L", [4, 5, 6])
     def test_a_piece_holds_the_rows_of_one_prefix_of_length_l_minus_2(self, reports_4_to_6, L):
         # Every CSV row ends in a newline, and a block's last one is in the
         # piece after it.
-        rows = max(piece.count("\n") + 1 for piece in reports_4_to_6[L].csv_rows())
+        rows = max(piece.count("\n") + 1 for piece in csv_rows(L, reports_4_to_6[L].records))
         assert rows <= _completion_counts(L)[L - 2]
 
 
@@ -417,7 +446,7 @@ class TestCensusCheckpoint:
             rows.write_text(census_rows_to_csv(fresh.records[:k]))
             ckpt.write_text(CKPT_L3)
             leaves.clear()
-            resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            resumed = run_census(3, checkpoint_path=ckpt, rows_path=rows)
             assert resumed == fresh, k
             assert leaves == leaf_vectors(3, fresh.records[k:])
             assert ckpt.read_text() == CKPT_L3
@@ -430,7 +459,7 @@ class TestCensusCheckpoint:
         # string per verdict and proof tag.
         records = list(census_reports[L].records)
         reloaded = parse_census_csv(census_rows_to_csv(records))
-        replayed = list(_census_records(L, 4 * L, reloaded))
+        replayed = list(_walk(L, 4 * L, reloaded))
         assert replayed == records
         assert all(a is b for a, b in zip(replayed, reloaded))
         assert any(_is_run(r) for r in reloaded)
@@ -451,7 +480,7 @@ class TestCensusCheckpoint:
             if ckpt_text is not None:
                 ckpt.write_text(ckpt_text)
             leaves.clear()
-            resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            resumed = run_census(3, checkpoint_path=ckpt, rows_path=rows)
             assert resumed == fresh
             assert leaves == leaf_vectors(3, fresh.records)
             assert ckpt.read_text() == CKPT_L3
@@ -467,7 +496,7 @@ class TestCensusCheckpoint:
         for cut in range(full.index("\n") + 1, len(full)):
             rows.write_text(full[:cut])
             ckpt.write_text(CKPT_L3)
-            resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            resumed = run_census(3, checkpoint_path=ckpt, rows_path=rows)
             assert resumed == fresh, cut
             assert rows.read_text() == full
 
@@ -480,7 +509,7 @@ class TestCensusCheckpoint:
             ckpt.write_text(CKPT_L3)
             rows.write_text(census_rows_to_csv(fresh.records[:gap] + fresh.records[gap + 1:]))
             with pytest.raises(ValueError, match="does not follow the records before it"):
-                first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+                run_census(3, checkpoint_path=ckpt, rows_path=rows)
 
     def test_torn_checkpoint_tail_recomputed(self, tmp_path, census_reports):
         # A checkpoint written with a list of finished (c_1, c_2) prefixes
@@ -492,7 +521,7 @@ class TestCensusCheckpoint:
         for cut in range(len(text) + 1):
             rows.write_text(census_rows_to_csv(fresh.records[:8]))
             ckpt.write_text(text[:cut])
-            resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            resumed = run_census(3, checkpoint_path=ckpt, rows_path=rows)
             assert resumed == fresh, cut
             assert ckpt.read_text() == CKPT_L3
             assert parse_census_csv(rows.read_text()) == list(fresh.records)
@@ -502,7 +531,7 @@ class TestCensusCheckpoint:
         # The run stops as it comes to decide its k-th leaf, with the other
         # leaves of that leaf's node.  Every record found before that node
         # is in the rows file, and the rerun decides only the leaves after it.
-        fresh = first_failure_census(5)
+        fresh = run_census(5)
         leaves = leaf_vectors(5, fresh.records)
         assert len(leaves) == 107
         node = leaves[k - 1][:-1]
@@ -520,13 +549,13 @@ class TestCensusCheckpoint:
 
         monkeypatch.setattr(hunt, "_node_records", stopping_node_records)
         with pytest.raises(RuntimeError, match="stopped"):
-            first_failure_census(5, checkpoint_path=ckpt, rows_path=rows)
+            run_census(5, checkpoint_path=ckpt, rows_path=rows)
         assert len(decided) == before
         assert parse_census_csv(rows.read_text()) == list(fresh.records[:at])
 
         monkeypatch.setattr(hunt, "_node_records", counting)
         decided.clear()
-        resumed = first_failure_census(5, checkpoint_path=ckpt, rows_path=rows)
+        resumed = run_census(5, checkpoint_path=ckpt, rows_path=rows)
         assert resumed == fresh
         assert decided == leaves[before:]
         assert parse_census_csv(rows.read_text()) == list(fresh.records)
@@ -534,11 +563,11 @@ class TestCensusCheckpoint:
     def test_finished_resume_leaves_rows_file_alone(self, tmp_path, census_reports):
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+        run_census(3, checkpoint_path=ckpt, rows_path=rows)
         before = rows.read_bytes()
         os.utime(rows, ns=(0, 0))
 
-        resumed = first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+        resumed = run_census(3, checkpoint_path=ckpt, rows_path=rows)
         assert resumed == census_reports[3]
         assert rows.read_bytes() == before
         assert rows.stat().st_mtime_ns == 0
@@ -558,10 +587,10 @@ class TestCensusCheckpoint:
         ckpt.write_text(CKPT_L3)
         rows.write_text(foreign)
         with pytest.raises(ValueError):
-            first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            run_census(3, checkpoint_path=ckpt, rows_path=rows)
         ckpt.write_text("")
         rows.write_text(foreign)
-        assert first_failure_census(3, checkpoint_path=ckpt, rows_path=rows) == census_reports[3]
+        assert run_census(3, checkpoint_path=ckpt, rows_path=rows) == census_reports[3]
         assert rows.read_text() == census_rows_to_csv(census_reports[3].records)
 
     def test_records_past_the_end_rejected(self, tmp_path, census_reports):
@@ -574,7 +603,7 @@ class TestCensusCheckpoint:
             ckpt.write_text(CKPT_L3)
             rows.write_text(census_rows_to_csv([*records, extra]))
             with pytest.raises(ValueError, match="lies past the end of the L = 3 census"):
-                first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+                run_census(3, checkpoint_path=ckpt, rows_path=rows)
 
     @pytest.mark.parametrize(
         "line,forged,error",
@@ -631,7 +660,7 @@ class TestCensusCheckpoint:
         ckpt.write_text(CKPT_L3)
         rows.write_text(text.replace(line + "\n", forged + "\n"))
         with pytest.raises(ValueError, match=error):
-            first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            run_census(3, checkpoint_path=ckpt, rows_path=rows)
 
     def test_plus_line_at_leaf_depth_must_state_a_run(self, tmp_path, census_reports):
         # "1+" in place of the leaves [1] and [2] of L = 1, stated complete.
@@ -640,10 +669,10 @@ class TestCensusCheckpoint:
         ckpt.write_text("census L=1 deep_horizon=4\n")
         rows.write_text(census_rows_to_csv([]) + "1+,,complete,all_positive\n")
         with pytest.raises(ValueError, match=r"\[1\]\+ does not fail where it says"):
-            first_failure_census(1, checkpoint_path=ckpt, rows_path=rows)
+            run_census(1, checkpoint_path=ckpt, rows_path=rows)
         ckpt.write_text("census L=1 deep_horizon=4\n")
         rows.write_text(census_rows_to_csv(census_reports[1].records[:2]))
-        assert first_failure_census(1, checkpoint_path=ckpt, rows_path=rows) == census_reports[1]
+        assert run_census(1, checkpoint_path=ckpt, rows_path=rows) == census_reports[1]
 
     def test_leaf_failing_past_the_deep_horizon_refused_unscanned(
         self, tmp_path, census_reports, monkeypatch
@@ -665,12 +694,12 @@ class TestCensusCheckpoint:
 
         monkeypatch.setattr(Sequence, "gaps", bounded_gaps)
         with pytest.raises(ValueError, match="does not fail where it says"):
-            first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            run_census(3, checkpoint_path=ckpt, rows_path=rows)
 
     def test_rows_file_in_run_encoding(self, tmp_path, census_reports):
         ckpt = tmp_path / "census.ckpt"
         rows = tmp_path / "census.rows.csv"
-        first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+        run_census(3, checkpoint_path=ckpt, rows_path=rows)
         text = rows.read_text()
         assert text.startswith("record,first_failure,verdict,proof_tag\n")
         assert '"1,0,5+",4,incomplete,\n' in text  # every c_3 >= 5 after (1, 0)
@@ -680,7 +709,7 @@ class TestCensusCheckpoint:
 
     def test_checkpoint_requires_rows_file(self, tmp_path):
         with pytest.raises(ValueError):
-            first_failure_census(2, checkpoint_path=tmp_path / "x.ckpt")
+            run_census(2, checkpoint_path=tmp_path / "x.ckpt")
 
     def test_inconsistent_checkpoint_rejected(self, tmp_path):
         ckpt = tmp_path / "census.ckpt"
@@ -688,7 +717,7 @@ class TestCensusCheckpoint:
         ckpt.write_text("0\n")
         rows.write_text("vector,first_failure,verdict,proof_tag\n")
         with pytest.raises(ValueError):
-            first_failure_census(3, checkpoint_path=ckpt, rows_path=rows)
+            run_census(3, checkpoint_path=ckpt, rows_path=rows)
 
 
 class TestTwoLMinusOneFamily:

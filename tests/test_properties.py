@@ -493,7 +493,7 @@ def _census_leaf_prefixes(max_length=6):
     """The prefixes c_1..c_{L-1} of the census leaves, L <= max_length."""
     found = set()
     for L in range(1, max_length + 1):
-        found.update(r.vector[:-1] for r in hunt._census_records(L, 4 * L) if not hunt._is_run(r))
+        found.update(r.vector[:-1] for r in hunt._walk(L, 4 * L) if not hunt._is_run(r))
     return sorted(found)
 
 
